@@ -29,7 +29,7 @@ from .errors import (
     UpdateFailedError,
 )
 from .topology import load_topology
-from .uni import UniResponse, decode_routed, encode_message, _fish_request_id
+from .uni import decode_routed, encode_message, malformed_response
 from .verifier import SimConfig, verify_ns
 from .workspace import Workspace
 
@@ -291,35 +291,12 @@ class _UniServer(socketserver.ThreadingTCPServer):
         try:
             domain_id, msg = decode_routed(line)
         except DecodeError as exc:
-            return encode_message(
-                UniResponse(
-                    request_id=_fish_request_id(line),
-                    status="failed",
-                    cause="malformed",
-                    detail=str(exc),
-                )
-            )
-        if isinstance(msg, UniResponse):
-            return encode_message(
-                UniResponse(
-                    request_id=msg.request_id,
-                    status="failed",
-                    cause="malformed",
-                    detail="a response is not a request",
-                )
-            )
+            return malformed_response(line, exc)
         with self.mutation_lock:
             try:
                 response = self.workspace.dispatcher.dispatch(msg, domain_id)
             except UnknownDomainError as exc:
-                return encode_message(
-                    UniResponse(
-                        request_id=msg.request_id,
-                        status="failed",
-                        cause="malformed",
-                        detail=str(exc),
-                    )
-                )
+                return malformed_response(line, exc)
             if msg.kind in ("stream_request", "remove_stream"):
                 self.workspace.refresh_gcls()
                 if self.state_path:

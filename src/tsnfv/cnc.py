@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .codec import Codec
 from .errors import (
     CapabilityError,
     GclOverflowError,
@@ -45,6 +46,19 @@ from .model import (
 from .topology import PathSegment, Topology
 
 
+@dataclass(frozen=True)
+class _AdmittedStream(Codec):
+    requirement: StreamRequirement
+    schedule: StreamSchedule
+
+
+@dataclass(frozen=True)
+class _Snapshot(Codec):
+    domain_id: str
+    hyperperiod_ns: int
+    streams: tuple[_AdmittedStream, ...]
+
+
 @dataclass
 class CncState:
     """Mutable admission state of one domain's controller."""
@@ -58,26 +72,22 @@ class CncState:
     def snapshot(self) -> dict:
         """Canonical document of the state, for persistence and for the
         deep-equality checks of rollback and termination."""
-        return {
-            "domain_id": self.domain_id,
-            "hyperperiod_ns": self.hyperperiod_ns,
-            "streams": [
-                {
-                    "requirement": self.requirements[sid].to_doc(),
-                    "schedule": self.admitted[sid].to_doc(),
-                }
-                for sid in self.admitted
-            ],
-        }
+        return _Snapshot(
+            self.domain_id,
+            self.hyperperiod_ns,
+            tuple(
+                _AdmittedStream(self.requirements[sid], schedule)
+                for sid, schedule in self.admitted.items()
+            ),
+        ).to_doc()
 
     @classmethod
-    def from_doc(cls, doc: dict, topology: Topology) -> CncState:
-        state = cls(domain_id=doc["domain_id"], topology=topology)
-        for entry in doc["streams"]:
-            req = StreamRequirement.from_doc(entry["requirement"])
-            state.requirements[req.stream_id] = req
-            state.admitted[req.stream_id] = StreamSchedule.from_doc(entry["schedule"])
-        state.hyperperiod_ns = doc["hyperperiod_ns"]
+    def from_doc(cls, doc: dict, topology: Topology, path="") -> CncState:
+        snapshot = _Snapshot.from_doc(doc, path)
+        state = cls(snapshot.domain_id, topology, hyperperiod_ns=snapshot.hyperperiod_ns)
+        for entry in snapshot.streams:
+            state.requirements[entry.requirement.stream_id] = entry.requirement
+            state.admitted[entry.requirement.stream_id] = entry.schedule
         return state
 
 
@@ -96,10 +106,6 @@ class _Window:
     @property
     def end(self) -> int:
         return self.start + self.length
-
-
-def _mod(value: int, cycle: int) -> int:
-    return value % cycle
 
 
 def _overlaps(s1: int, l1: int, s2: int, l2: int, cycle: int) -> bool:
@@ -128,11 +134,11 @@ def _port_windows(state: CncState, cycle: int) -> dict[str, list[_Window]]:
                 shift = k * period
                 out.setdefault(res.port_id, []).append(
                     _Window(
-                        start=_mod(res.window_start_ns + shift, cycle),
+                        start=(res.window_start_ns + shift) % cycle,
                         length=res.length_ns,
                         traffic_class=res.traffic_class,
                         stream_id=sid,
-                        queue_at=_mod(res.queue_from_ns + shift, cycle),
+                        queue_at=(res.queue_from_ns + shift) % cycle,
                         queue_len=res.window_end_ns - res.queue_from_ns,
                     )
                 )
@@ -364,12 +370,12 @@ def _check_candidate(
     # below then conflicts with any later same-class candidate, which is
     # exactly the conservative answer, so no special case is needed.
     for k in range(instances):
-        a = _mod(start + k * period, cycle)
+        a = (start + k * period) % cycle
         a_end = a + burst
         for other in existing:
             # wire exclusivity
             if _overlaps(a, burst, other.start, other.length, cycle):
-                adv = _mod(other.end - a, cycle)
+                adv = (other.end - a) % cycle
                 if adv == 0:
                     raise InfeasibleError(
                         "no_free_window", f"port {port} is fully reserved"
@@ -379,8 +385,8 @@ def _check_candidate(
         prev_gap = None
         next_gap = None
         for other in existing:
-            before = (a - _mod(other.end, cycle)) % cycle
-            after = (_mod(other.start, cycle) - _mod(a_end, cycle)) % cycle
+            before = (a - other.end % cycle) % cycle
+            after = (other.start % cycle - a_end % cycle) % cycle
             if prev_gap is None or before < prev_gap:
                 prev_gap = before
             if next_gap is None or after < next_gap:
@@ -390,14 +396,14 @@ def _check_candidate(
         if next_gap is not None and 0 < next_gap < guard:
             return next_gap
         # queue order against same-class residents
-        q_at = _mod(q_rel + k * period, cycle)
+        q_at = (q_rel + k * period) % cycle
         for other in existing:
             if other.traffic_class != traffic_class:
                 continue
             verdict = _queue_order_conflict(q_at, q_len, burst, other, cycle)
             if verdict == "advance":
                 if queue_from is None:
-                    return _mod(other.end - a, cycle) or cycle
+                    return (other.end - a) % cycle or cycle
                 # They queued first but my queueing point is fixed before
                 # their window ended; FIFO order cannot be repaired.
                 raise InfeasibleError(

@@ -10,10 +10,10 @@ controller exactly as it was.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from . import descriptors
+from .codec import Codec, decoder, expect
 from .errors import (
     AdmissionFailedError,
     AlreadyTerminatedError,
@@ -39,7 +39,7 @@ def partition_latency_budget(max_latency_ns: int, hop_counts: list[int]) -> list
 
 
 @dataclass(frozen=True)
-class EndStationConfig:
+class EndStationConfig(Codec):
     """Configuration directives for one managed station endpoint: sync
     daemon, VLAN, priority mapping, process scheduling, and, for talkers,
     the egress gating schedule and per-instance transmission offsets."""
@@ -52,36 +52,6 @@ class EndStationConfig:
     scheduling_policy: str  # deadline | fifo_rt
     tas_schedule: dict | None = None
     txtime_offsets_ns: dict[str, list[int]] | None = None
-
-    def to_doc(self) -> dict:
-        doc = {
-            "station_id": self.station_id,
-            "interface": self.interface,
-            "sync_daemon": self.sync_daemon,
-            "vlan": list(self.vlan),
-            "socket_priority_map": dict(sorted(self.socket_priority_map.items())),
-            "scheduling_policy": self.scheduling_policy,
-        }
-        if self.tas_schedule is not None:
-            doc["tas_schedule"] = self.tas_schedule
-        if self.txtime_offsets_ns is not None:
-            doc["txtime_offsets_ns"] = {
-                k: list(v) for k, v in sorted(self.txtime_offsets_ns.items())
-            }
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> EndStationConfig:
-        return cls(
-            station_id=doc["station_id"],
-            interface=doc["interface"],
-            sync_daemon=doc["sync_daemon"],
-            vlan=tuple(doc["vlan"]),
-            socket_priority_map=dict(doc["socket_priority_map"]),
-            scheduling_policy=doc["scheduling_policy"],
-            tas_schedule=doc.get("tas_schedule"),
-            txtime_offsets_ns=doc.get("txtime_offsets_ns"),
-        )
 
 
 def generate_endstation_config(
@@ -138,8 +108,17 @@ def generate_endstation_config(
     )
 
 
+@dataclass(frozen=True)
+class _ChainLink(Codec):
+    domain_id: str
+    schedule: StreamSchedule
+
+
+_decode_chains = decoder(dict[str, list[_ChainLink]])
+
+
 @dataclass
-class NsInstance:
+class NsInstance(Codec):
     instance_id: str
     nsd: descriptors.Nsd
     placement: descriptors.Placement
@@ -153,40 +132,27 @@ class NsInstance:
         """(requirement, chain) pairs in stream derivation order."""
         return [(req, self.schedules[req.stream_id]) for req in self.streams]
 
+    # A chain link is written as a {"domain_id", "schedule"} object, not
+    # as the (domain, schedule) pair it is in memory.
+
     def to_doc(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "status": self.status,
-            "nsd": self.nsd.to_doc(),
-            "placement": self.placement.to_doc(),
-            "streams": [req.to_doc() for req in self.streams],
-            "schedules": {
-                sid: [
-                    {"domain_id": domain, "schedule": sched.to_doc()}
-                    for domain, sched in chain
-                ]
-                for sid, chain in sorted(self.schedules.items())
-            },
-            "configs": [c.to_doc() for c in self.configs],
+        doc = super().to_doc()
+        doc["schedules"] = {
+            sid: [{"domain_id": domain, "schedule": schedule} for domain, schedule in chain]
+            for sid, chain in doc["schedules"].items()
         }
+        return doc
 
     @classmethod
-    def from_doc(cls, doc: dict) -> NsInstance:
-        return cls(
-            instance_id=doc["instance_id"],
-            status=doc["status"],
-            nsd=descriptors.parse_nsd(json.dumps(doc["nsd"])),
-            placement=descriptors.parse_placement(json.dumps(doc["placement"])),
-            streams=[StreamRequirement.from_doc(d) for d in doc["streams"]],
-            schedules={
-                sid: [
-                    (e["domain_id"], StreamSchedule.from_doc(e["schedule"]))
-                    for e in chain
-                ]
-                for sid, chain in doc["schedules"].items()
-            },
-            configs=[EndStationConfig.from_doc(d) for d in doc["configs"]],
-        )
+    def from_doc(cls, doc, path="") -> NsInstance:
+        rest = dict(expect(dict, doc, path))
+        chains = _decode_chains(rest.pop("schedules", {}), (path, "schedules"))
+        instance = super().from_doc(rest, path)
+        instance.schedules = {
+            sid: [(link.domain_id, link.schedule) for link in chain]
+            for sid, chain in chains.items()
+        }
+        return instance
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ member to a topology node, an interface, and addresses.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .errors import CapabilityError, ParseError, UnplacedMemberError, ValidationError
+from .codec import Codec, decoder, load_json
+from .errors import CapabilityError, UnplacedMemberError, ValidationError
 from .model import (
     CapabilitySet,
     DataFrameSpec,
@@ -30,7 +30,7 @@ REV_SUFFIX = "~rev"
 
 
 @dataclass(frozen=True)
-class ConnectionPoint:
+class ConnectionPoint(Codec):
     cp_id: str
     interface: str
 
@@ -38,12 +38,9 @@ class ConnectionPoint:
         check_identifier(self.cp_id, "cp_id")
         check_identifier(self.interface, "interface")
 
-    def to_doc(self) -> dict:
-        return {"cp_id": self.cp_id, "interface": self.interface}
-
 
 @dataclass(frozen=True)
-class Vnfd:
+class Vnfd(Codec):
     """Virtualized function descriptor: its connection points and the
     capabilities its host must provide."""
 
@@ -59,16 +56,9 @@ class Vnfd:
                 raise ValidationError(f"vnf {self.vnf_id}: duplicate cp {cp.cp_id}")
             seen.add(cp.cp_id)
 
-    def to_doc(self) -> dict:
-        return {
-            "vnf_id": self.vnf_id,
-            "connection_points": [cp.to_doc() for cp in self.connection_points],
-            "required_capabilities": self.required_capabilities.to_doc(),
-        }
-
 
 @dataclass(frozen=True)
-class PnfRef:
+class PnfRef(Codec):
     """Physical function reference. Capabilities are declared, not derived:
     the box either provides them or the stream is rejected up front."""
 
@@ -84,16 +74,9 @@ class PnfRef:
                 raise ValidationError(f"pnf {self.pnf_id}: duplicate cp {cp.cp_id}")
             seen.add(cp.cp_id)
 
-    def to_doc(self) -> dict:
-        return {
-            "pnf_id": self.pnf_id,
-            "connection_points": [cp.to_doc() for cp in self.connection_points],
-            "capabilities": self.capabilities.to_doc(),
-        }
-
 
 @dataclass(frozen=True)
-class TsnVlExtension:
+class TsnVlExtension(Codec):
     """TSN augmentation of a virtual link: VLAN tag, priority, and one
     traffic contract per direction (A-to-B forward, B-to-A reverse)."""
 
@@ -110,51 +93,38 @@ class TsnVlExtension:
         if not 1 <= self.pcp <= 7:
             raise ValidationError(f"pcp must be in [1, 7] for a TSN VL, got {self.pcp}")
 
-    def to_doc(self) -> dict:
-        return {
-            "vlan_id": self.vlan_id,
-            "pcp": self.pcp,
-            "traffic_fwd": self.traffic_fwd.to_doc(),
-            "traffic_rev": self.traffic_rev.to_doc(),
-        }
-
 
 @dataclass(frozen=True)
-class VlEndpoint:
+class VlEndpoint(Codec):
     member_id: str
     cp_id: str
 
-    def to_doc(self) -> dict:
-        return {"member_id": self.member_id, "cp_id": self.cp_id}
-
 
 @dataclass(frozen=True)
-class VirtualLink:
-    """Bidirectional link between exactly two member connection points,
-    optionally TSN-extended."""
+class VirtualLink(Codec):
+    """Bidirectional link between exactly two member connection points
+    (A first, then B), optionally TSN-extended."""
 
     vl_id: str
-    endpoint_a: VlEndpoint
-    endpoint_b: VlEndpoint
+    endpoints: tuple[VlEndpoint, VlEndpoint]
     tsn: TsnVlExtension | None = None
 
     def __post_init__(self):
         check_identifier(self.vl_id, "vl_id")
 
     def to_doc(self) -> dict:
-        return {
-            "vl_id": self.vl_id,
-            "endpoints": [self.endpoint_a.to_doc(), self.endpoint_b.to_doc()],
-            "tsn": self.tsn.to_doc() if self.tsn is not None else None,
-        }
+        # a plain VL states its missing extension as null
+        doc = super().to_doc()
+        doc.setdefault("tsn", None)
+        return doc
 
 
 @dataclass(frozen=True)
-class Nsd:
+class Nsd(Codec):
     ns_id: str
     vnfds: tuple[Vnfd, ...]
-    pnfs: tuple[PnfRef, ...]
     virtual_links: tuple[VirtualLink, ...]
+    pnfs: tuple[PnfRef, ...] = ()
 
     def __post_init__(self):
         check_identifier(self.ns_id, "ns_id")
@@ -172,7 +142,7 @@ class Nsd:
             if vl.vl_id in vl_ids:
                 raise ValidationError(f"duplicate vl id {vl.vl_id}")
             vl_ids.add(vl.vl_id)
-            for ep in (vl.endpoint_a, vl.endpoint_b):
+            for ep in vl.endpoints:
                 cps = members.get(ep.member_id)
                 if cps is None:
                     raise ValidationError(
@@ -202,17 +172,9 @@ class Nsd:
     def tsn_links(self) -> list[VirtualLink]:
         return [vl for vl in self.virtual_links if vl.tsn is not None]
 
-    def to_doc(self) -> dict:
-        return {
-            "ns_id": self.ns_id,
-            "vnfds": [v.to_doc() for v in self.vnfds],
-            "pnfs": [p.to_doc() for p in self.pnfs],
-            "virtual_links": [vl.to_doc() for vl in self.virtual_links],
-        }
-
 
 @dataclass(frozen=True)
-class PlacementEntry:
+class PlacementEntry(Codec):
     node_id: str
     interface: str
     mac: str
@@ -223,16 +185,11 @@ class PlacementEntry:
         check_identifier(self.interface, "interface")
         check_mac(self.mac, "mac")
 
-    def to_doc(self) -> dict:
-        doc = {"node_id": self.node_id, "interface": self.interface, "mac": self.mac}
-        if self.ip is not None:
-            doc["ip"] = self.ip
-        return doc
-
 
 @dataclass(frozen=True)
 class Placement:
-    """Binding of every NS member to its substrate node and addresses."""
+    """Binding of every NS member to its substrate node and addresses. The
+    document is the map itself, keyed by member id."""
 
     entries: dict[str, PlacementEntry]
 
@@ -243,141 +200,24 @@ class Placement:
             raise UnplacedMemberError(f"member {member_id} has no placement entry") from None
 
     def to_doc(self) -> dict:
-        return {member: entry.to_doc() for member, entry in sorted(self.entries.items())}
+        return {member: entry.to_doc() for member, entry in self.entries.items()}
+
+    @classmethod
+    def from_doc(cls, doc, path="") -> Placement:
+        return cls(_decode_entries(doc, path))
 
 
-def _require_keys(doc, allowed: set[str], required: set[str], what: str):
-    if not isinstance(doc, dict):
-        raise ParseError(f"{what} must be an object")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ParseError(f"{what}: unknown keys {sorted(unknown)}")
-    missing = required - set(doc)
-    if missing:
-        raise ParseError(f"{what}: missing keys {sorted(missing)}")
-
-
-def _parse_cps(entries, what: str) -> tuple[ConnectionPoint, ...]:
-    if not isinstance(entries, list):
-        raise ParseError(f"{what}: connection_points must be a list")
-    cps = []
-    for entry in entries:
-        _require_keys(entry, {"cp_id", "interface"}, {"cp_id", "interface"}, f"{what} cp")
-        cps.append(ConnectionPoint(entry["cp_id"], entry["interface"]))
-    return tuple(cps)
-
-
-def _parse_traffic(doc, what: str) -> TrafficSpec:
-    keys = {"period_ns", "max_frame_bytes", "frames_per_period", "max_latency_ns"}
-    _require_keys(doc, keys, keys, what)
-    return TrafficSpec.from_doc(doc)
-
-
-def _parse_endpoint(doc, what: str) -> VlEndpoint:
-    _require_keys(doc, {"member_id", "cp_id"}, {"member_id", "cp_id"}, what)
-    return VlEndpoint(doc["member_id"], doc["cp_id"])
+_decode_entries = decoder(dict[str, PlacementEntry])
 
 
 def parse_nsd(text: str) -> Nsd:
     """Parse and validate an NSD JSON document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"nsd is not valid JSON: {exc}") from exc
-    _require_keys(
-        doc,
-        {"ns_id", "vnfds", "pnfs", "virtual_links"},
-        {"ns_id", "vnfds", "virtual_links"},
-        "nsd",
-    )
-
-    vnfds = []
-    for entry in doc["vnfds"]:
-        _require_keys(
-            entry,
-            {"vnf_id", "connection_points", "required_capabilities"},
-            {"vnf_id", "connection_points", "required_capabilities"},
-            "vnfd",
-        )
-        vnfds.append(
-            Vnfd(
-                vnf_id=entry["vnf_id"],
-                connection_points=_parse_cps(entry["connection_points"], f"vnf {entry['vnf_id']}"),
-                required_capabilities=CapabilitySet.from_doc(entry["required_capabilities"]),
-            )
-        )
-
-    pnfs = []
-    for entry in doc.get("pnfs", []):
-        _require_keys(
-            entry,
-            {"pnf_id", "connection_points", "capabilities"},
-            {"pnf_id", "connection_points", "capabilities"},
-            "pnf",
-        )
-        pnfs.append(
-            PnfRef(
-                pnf_id=entry["pnf_id"],
-                connection_points=_parse_cps(entry["connection_points"], f"pnf {entry['pnf_id']}"),
-                capabilities=CapabilitySet.from_doc(entry["capabilities"]),
-            )
-        )
-
-    links = []
-    for entry in doc["virtual_links"]:
-        _require_keys(entry, {"vl_id", "endpoints", "tsn"}, {"vl_id", "endpoints"}, "virtual link")
-        endpoints = entry["endpoints"]
-        if not isinstance(endpoints, list) or len(endpoints) != 2:
-            raise ValidationError(
-                f"vl {entry.get('vl_id')}: a VL has exactly two endpoints, got "
-                f"{len(endpoints) if isinstance(endpoints, list) else type(endpoints).__name__}"
-            )
-        tsn = None
-        if entry.get("tsn") is not None:
-            tsn_doc = entry["tsn"]
-            keys = {"vlan_id", "pcp", "traffic_fwd", "traffic_rev"}
-            _require_keys(tsn_doc, keys, keys, f"vl {entry['vl_id']} tsn extension")
-            tsn = TsnVlExtension(
-                vlan_id=tsn_doc["vlan_id"],
-                pcp=tsn_doc["pcp"],
-                traffic_fwd=_parse_traffic(tsn_doc["traffic_fwd"], "traffic_fwd"),
-                traffic_rev=_parse_traffic(tsn_doc["traffic_rev"], "traffic_rev"),
-            )
-        links.append(
-            VirtualLink(
-                vl_id=entry["vl_id"],
-                endpoint_a=_parse_endpoint(endpoints[0], "vl endpoint"),
-                endpoint_b=_parse_endpoint(endpoints[1], "vl endpoint"),
-                tsn=tsn,
-            )
-        )
-
-    return Nsd(doc["ns_id"], tuple(vnfds), tuple(pnfs), tuple(links))
+    return Nsd.from_doc(load_json(text, "nsd"), "nsd")
 
 
 def parse_placement(text: str) -> Placement:
     """Parse a placement JSON document: member id to node binding."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"placement is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("placement must be an object keyed by member id")
-    entries = {}
-    for member_id, entry in doc.items():
-        _require_keys(
-            entry,
-            {"node_id", "interface", "mac", "ip"},
-            {"node_id", "interface", "mac"},
-            f"placement of {member_id}",
-        )
-        entries[member_id] = PlacementEntry(
-            node_id=entry["node_id"],
-            interface=entry["interface"],
-            mac=entry["mac"],
-            ip=entry.get("ip"),
-        )
-    return Placement(entries)
+    return Placement.from_doc(load_json(text, "placement"), "placement")
 
 
 def derive_streams(nsd: Nsd, placement: Placement) -> list[StreamRequirement]:
@@ -390,10 +230,11 @@ def derive_streams(nsd: Nsd, placement: Placement) -> list[StreamRequirement]:
     for vl in nsd.virtual_links:
         if vl.tsn is None:
             continue
-        place_a = placement.entry(vl.endpoint_a.member_id)
-        place_b = placement.entry(vl.endpoint_b.member_id)
-        ref_a = EndpointRef(vl.endpoint_a.member_id, place_a.interface, place_a.node_id)
-        ref_b = EndpointRef(vl.endpoint_b.member_id, place_b.interface, place_b.node_id)
+        end_a, end_b = vl.endpoints
+        place_a = placement.entry(end_a.member_id)
+        place_b = placement.entry(end_b.member_id)
+        ref_a = EndpointRef(end_a.member_id, place_a.interface, place_a.node_id)
+        ref_b = EndpointRef(end_b.member_id, place_b.interface, place_b.node_id)
         for suffix, talker_ref, listener_ref, talker_pl, listener_pl, traffic in (
             (FWD_SUFFIX, ref_a, ref_b, place_a, place_b, vl.tsn.traffic_fwd),
             (REV_SUFFIX, ref_b, ref_a, place_b, place_a, vl.tsn.traffic_rev),

@@ -11,6 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from .codec import Codec
 from .errors import HyperperiodOverflowError, ValidationError
 
 # The network-wide schedule cycle is the LCM of all stream periods; cap it
@@ -55,7 +56,7 @@ def check_mac(value: str, what: str) -> str:
 
 
 @dataclass(frozen=True)
-class TrafficSpec:
+class TrafficSpec(Codec):
     """Periodic traffic contract of one stream: how often, how much, and the
     latency bound the network must honour."""
 
@@ -77,26 +78,9 @@ class TrafficSpec:
         if self.max_latency_ns <= 0:
             raise ValidationError(f"max_latency_ns must be positive, got {self.max_latency_ns}")
 
-    def to_doc(self) -> dict:
-        return {
-            "period_ns": self.period_ns,
-            "max_frame_bytes": self.max_frame_bytes,
-            "frames_per_period": self.frames_per_period,
-            "max_latency_ns": self.max_latency_ns,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> TrafficSpec:
-        return cls(
-            period_ns=doc["period_ns"],
-            max_frame_bytes=doc["max_frame_bytes"],
-            frames_per_period=doc["frames_per_period"],
-            max_latency_ns=doc["max_latency_ns"],
-        )
-
 
 @dataclass(frozen=True)
-class DataFrameSpec:
+class DataFrameSpec(Codec):
     """L2/L3 identification of the stream's frames."""
 
     src_mac: str
@@ -116,33 +100,9 @@ class DataFrameSpec:
         if not 0 <= self.pcp <= 7:
             raise ValidationError(f"pcp must be in [0, 7], got {self.pcp}")
 
-    def to_doc(self) -> dict:
-        doc = {
-            "src_mac": self.src_mac,
-            "dst_mac": self.dst_mac,
-            "vlan_id": self.vlan_id,
-            "pcp": self.pcp,
-        }
-        if self.src_ip is not None:
-            doc["src_ip"] = self.src_ip
-        if self.dst_ip is not None:
-            doc["dst_ip"] = self.dst_ip
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> DataFrameSpec:
-        return cls(
-            src_mac=doc["src_mac"],
-            dst_mac=doc["dst_mac"],
-            vlan_id=doc["vlan_id"],
-            pcp=doc["pcp"],
-            src_ip=doc.get("src_ip"),
-            dst_ip=doc.get("dst_ip"),
-        )
-
 
 @dataclass(frozen=True)
-class EndpointRef:
+class EndpointRef(Codec):
     """One end station interface taking part in a stream."""
 
     station_id: str
@@ -154,20 +114,9 @@ class EndpointRef:
         check_identifier(self.interface, "interface")
         check_identifier(self.node_id, "node_id")
 
-    def to_doc(self) -> dict:
-        return {
-            "station_id": self.station_id,
-            "interface": self.interface,
-            "node_id": self.node_id,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> EndpointRef:
-        return cls(doc["station_id"], doc["interface"], doc["node_id"])
-
 
 @dataclass(frozen=True)
-class StreamRequirement:
+class StreamRequirement(Codec):
     """One unidirectional talker-to-listener stream with its frame
     identification and traffic contract. Exactly one listener; multicast is
     unsupported."""
@@ -188,28 +137,9 @@ class StreamRequirement:
                 f"stream {self.stream_id}: talker and listener refer to the same interface"
             )
 
-    def to_doc(self) -> dict:
-        return {
-            "stream_id": self.stream_id,
-            "talker": self.talker.to_doc(),
-            "listener": self.listener.to_doc(),
-            "frame": self.frame.to_doc(),
-            "traffic": self.traffic.to_doc(),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> StreamRequirement:
-        return cls(
-            stream_id=doc["stream_id"],
-            talker=EndpointRef.from_doc(doc["talker"]),
-            listener=EndpointRef.from_doc(doc["listener"]),
-            frame=DataFrameSpec.from_doc(doc["frame"]),
-            traffic=TrafficSpec.from_doc(doc["traffic"]),
-        )
-
 
 @dataclass(frozen=True)
-class GclEntry:
+class GclEntry(Codec):
     """One (gate-state, interval) step of a port's gating cycle. Bit i of
     gate_states open means traffic class i may transmit."""
 
@@ -222,16 +152,9 @@ class GclEntry:
         if self.interval_ns <= 0:
             raise ValidationError(f"interval_ns must be positive, got {self.interval_ns}")
 
-    def to_doc(self) -> dict:
-        return {"gate_states": self.gate_states, "interval_ns": self.interval_ns}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> GclEntry:
-        return cls(doc["gate_states"], doc["interval_ns"])
-
 
 @dataclass(frozen=True)
-class GateControlList:
+class GateControlList(Codec):
     """Cyclic gate schedule of one egress port. base_time is fixed at 0:
     every port shares the synchronized epoch."""
 
@@ -251,26 +174,9 @@ class GateControlList:
                 f"GCL for {self.port_id}: entries sum to {total}, cycle is {self.cycle_ns}"
             )
 
-    def to_doc(self) -> dict:
-        return {
-            "port_id": self.port_id,
-            "cycle_ns": self.cycle_ns,
-            "base_time_ns": self.base_time_ns,
-            "entries": [e.to_doc() for e in self.entries],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> GateControlList:
-        return cls(
-            port_id=doc["port_id"],
-            cycle_ns=doc["cycle_ns"],
-            entries=tuple(GclEntry.from_doc(e) for e in doc["entries"]),
-            base_time_ns=doc.get("base_time_ns", 0),
-        )
-
 
 @dataclass(frozen=True)
-class HopReservation:
+class HopReservation(Codec):
     """Reserved transmission window of one stream on one egress port.
 
     Offsets are relative to the stream's nominal release tick (k * period
@@ -302,30 +208,9 @@ class HopReservation:
     def length_ns(self) -> int:
         return self.window_end_ns - self.window_start_ns
 
-    def to_doc(self) -> dict:
-        return {
-            "port_id": self.port_id,
-            "window_start_ns": self.window_start_ns,
-            "window_end_ns": self.window_end_ns,
-            "traffic_class": self.traffic_class,
-            "stream_id": self.stream_id,
-            "queue_from_ns": self.queue_from_ns,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> HopReservation:
-        return cls(
-            port_id=doc["port_id"],
-            window_start_ns=doc["window_start_ns"],
-            window_end_ns=doc["window_end_ns"],
-            traffic_class=doc["traffic_class"],
-            stream_id=doc["stream_id"],
-            queue_from_ns=doc["queue_from_ns"],
-        )
-
 
 @dataclass(frozen=True)
-class StreamSchedule:
+class StreamSchedule(Codec):
     """Result of admitting one stream onto one path segment: the per-hop
     reserved windows in path order plus the latency from the segment entry
     to the last bit arriving at the segment exit."""
@@ -346,28 +231,9 @@ class StreamSchedule:
         segment, i.e. arrives at the next segment's entry or the listener."""
         return self.entry_offset_ns + self.e2e_latency_ns
 
-    def to_doc(self) -> dict:
-        return {
-            "stream_id": self.stream_id,
-            "reservations": [r.to_doc() for r in self.reservations],
-            "e2e_latency_ns": self.e2e_latency_ns,
-            "cycle_ns": self.cycle_ns,
-            "entry_offset_ns": self.entry_offset_ns,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> StreamSchedule:
-        return cls(
-            stream_id=doc["stream_id"],
-            reservations=tuple(HopReservation.from_doc(r) for r in doc["reservations"]),
-            e2e_latency_ns=doc["e2e_latency_ns"],
-            cycle_ns=doc["cycle_ns"],
-            entry_offset_ns=doc.get("entry_offset_ns", 0),
-        )
-
 
 @dataclass(frozen=True)
-class CapabilitySet:
+class CapabilitySet(Codec):
     """Boolean capability flags of an end station. The host-level real-time
     mechanisms behind them are out of scope; only the flags travel."""
 
@@ -377,23 +243,14 @@ class CapabilitySet:
     rt_kernel_or_hypervisor: bool = False
     hw_isolation: bool = False
 
-    FLAGS = (
-        "time_sync",
-        "qbv_shaping",
-        "rt_scheduling_policy",
-        "rt_kernel_or_hypervisor",
-        "hw_isolation",
-    )
-
-    def to_doc(self) -> dict:
-        return {name: getattr(self, name) for name in self.FLAGS}
-
     @classmethod
-    def from_doc(cls, doc: dict) -> CapabilitySet:
-        unknown = set(doc) - set(cls.FLAGS)
-        if unknown:
-            raise ValidationError(f"unknown capability flags: {sorted(unknown)}")
-        return cls(**{name: bool(doc[name]) for name in doc})
+    def from_doc(cls, doc, path="") -> CapabilitySet:
+        # An unknown flag names a capability no check here can honour, so
+        # it fails validation, as a wrong value does, rather than parsing.
+        flags = cls.__dataclass_fields__.keys()
+        if isinstance(doc, dict) and not doc.keys() <= flags:
+            raise ValidationError(f"unknown capability flags: {sorted(doc.keys() - flags)}")
+        return super().from_doc(doc, path)
 
 
 def hyperperiod(periods: list[int]) -> int:

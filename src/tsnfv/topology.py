@@ -8,9 +8,9 @@ with a lexicographic tie-break so that schedules are reproducible.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 
+from .codec import Codec, load_json
 from .errors import (
     NoPathError,
     ParseError,
@@ -22,17 +22,8 @@ from .model import check_identifier, port_key
 NODE_KINDS = ("bridge", "compute_host", "external_station")
 DOMAIN_KINDS = ("nfvi_pop", "wan_segment")
 
-_NODE_KEYS = {
-    "bridge": {"node_id", "kind", "domain_id", "processing_delay_ns", "gcl_max_entries", "supports_qbv"},
-    "compute_host": {"node_id", "kind", "domain_id"},
-    "external_station": {"node_id", "kind", "domain_id", "managed"},
-}
-_LINK_KEYS = {"link_id", "endpoints", "speed_bps", "propagation_ns"}
-_DOMAIN_KEYS = {"kind", "controller_id"}
-
-
 @dataclass(frozen=True)
-class Node:
+class Node(Codec):
     node_id: str
     kind: str
     domain_id: str
@@ -46,24 +37,26 @@ class Node:
     def __post_init__(self):
         check_identifier(self.node_id, "node_id")
         check_identifier(self.domain_id, "domain_id")
+        # The kind decides which keys a node document has, so breaking
+        # these rules is a parse error rather than a validation error.
         if self.kind not in NODE_KINDS:
-            raise ValidationError(f"node {self.node_id}: unknown kind {self.kind!r}")
+            raise ParseError(f"node {self.node_id}: unknown kind {self.kind!r}")
         bridge_fields = (self.processing_delay_ns, self.gcl_max_entries, self.supports_qbv)
         if self.kind == "bridge":
             if any(v is None for v in bridge_fields):
-                raise ValidationError(f"bridge {self.node_id} is missing bridge fields")
+                raise ParseError(f"bridge {self.node_id} is missing bridge fields")
             if self.processing_delay_ns < 0:
                 raise ValidationError(f"bridge {self.node_id}: processing_delay_ns must be >= 0")
             if self.gcl_max_entries < 2:
                 raise ValidationError(f"bridge {self.node_id}: gcl_max_entries must be >= 2")
         else:
             if any(v is not None for v in bridge_fields):
-                raise ValidationError(f"non-bridge {self.node_id} carries bridge fields")
+                raise ParseError(f"non-bridge {self.node_id} carries bridge fields")
         if self.kind == "external_station":
             if self.managed is None:
-                raise ValidationError(f"external station {self.node_id} must declare managed")
+                raise ParseError(f"external station {self.node_id} must declare managed")
         elif self.managed is not None:
-            raise ValidationError(f"node {self.node_id}: managed is only valid on external stations")
+            raise ParseError(f"node {self.node_id}: managed is only valid on external stations")
 
     @property
     def forwarding_delay_ns(self) -> int:
@@ -81,34 +74,30 @@ class Node:
             return bool(self.managed)
         return False
 
-    def to_doc(self) -> dict:
-        doc = {"node_id": self.node_id, "kind": self.kind, "domain_id": self.domain_id}
-        if self.kind == "bridge":
-            doc["processing_delay_ns"] = self.processing_delay_ns
-            doc["gcl_max_entries"] = self.gcl_max_entries
-            doc["supports_qbv"] = self.supports_qbv
-        if self.kind == "external_station":
-            doc["managed"] = self.managed
-        return doc
+
+@dataclass(frozen=True)
+class LinkEnd(Codec):
+    node_id: str
+    port_id: str
+
+    def __post_init__(self):
+        check_identifier(self.node_id, "link endpoint")
+        check_identifier(self.port_id, "link endpoint")
 
 
 @dataclass(frozen=True)
-class Link:
+class Link(Codec):
     """Full-duplex link between two (node, port) endpoints."""
 
     link_id: str
-    node_a: str
-    port_a: str
-    node_b: str
-    port_b: str
+    endpoints: tuple[LinkEnd, LinkEnd]
     speed_bps: int
     propagation_ns: int
 
     def __post_init__(self):
         check_identifier(self.link_id, "link_id")
-        for ident in (self.node_a, self.port_a, self.node_b, self.port_b):
-            check_identifier(ident, "link endpoint")
-        if self.node_a == self.node_b:
+        a, b = self.endpoints
+        if a.node_id == b.node_id:
             raise ValidationError(f"link {self.link_id}: endpoints on the same node")
         if self.speed_bps <= 0:
             raise ValidationError(f"link {self.link_id}: speed_bps must be positive")
@@ -117,29 +106,18 @@ class Link:
 
     def peer_of(self, node_id: str) -> tuple[str, str]:
         """(node, port) on the far side of the link from node_id."""
-        if node_id == self.node_a:
-            return self.node_b, self.port_b
-        if node_id == self.node_b:
-            return self.node_a, self.port_a
+        a, b = self.endpoints
+        if node_id == a.node_id:
+            return b.node_id, b.port_id
+        if node_id == b.node_id:
+            return a.node_id, a.port_id
         raise ValidationError(f"node {node_id} is not on link {self.link_id}")
 
     def port_of(self, node_id: str) -> str:
-        if node_id == self.node_a:
-            return self.port_a
-        if node_id == self.node_b:
-            return self.port_b
+        for end in self.endpoints:
+            if end.node_id == node_id:
+                return end.port_id
         raise ValidationError(f"node {node_id} is not on link {self.link_id}")
-
-    def to_doc(self) -> dict:
-        return {
-            "link_id": self.link_id,
-            "endpoints": [
-                {"node_id": self.node_a, "port_id": self.port_a},
-                {"node_id": self.node_b, "port_id": self.port_b},
-            ],
-            "speed_bps": self.speed_bps,
-            "propagation_ns": self.propagation_ns,
-        }
 
 
 @dataclass(frozen=True)
@@ -156,7 +134,7 @@ class Domain:
 
 
 @dataclass(frozen=True)
-class Hop:
+class Hop(Codec):
     """One store-and-forward step: egress from a node's port over a link
     into the next node."""
 
@@ -168,18 +146,6 @@ class Hop:
     @property
     def port_key(self) -> str:
         return port_key(self.egress_node, self.egress_port)
-
-    def to_doc(self) -> dict:
-        return {
-            "egress_node": self.egress_node,
-            "egress_port": self.egress_port,
-            "link_id": self.link_id,
-            "ingress_node": self.ingress_node,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> Hop:
-        return cls(doc["egress_node"], doc["egress_port"], doc["link_id"], doc["ingress_node"])
 
 
 @dataclass(frozen=True)
@@ -222,15 +188,14 @@ class Topology:
             if node.domain_id not in self.domains:
                 raise ValidationError(f"node {node.node_id}: domain {node.domain_id} not in domain map")
         for link in self.links.values():
-            for node_id, port_id in ((link.node_a, link.port_a), (link.node_b, link.port_b)):
-                if node_id not in self.nodes:
-                    raise ValidationError(f"link {link.link_id}: unknown node {node_id}")
-                key = port_key(node_id, port_id)
+            for end in link.endpoints:
+                if end.node_id not in self.nodes:
+                    raise ValidationError(f"link {link.link_id}: unknown node {end.node_id}")
+                key = port_key(end.node_id, end.port_id)
                 if key in self._port_link:
                     raise ValidationError(f"port {key} is used by more than one link")
                 self._port_link[key] = link
-            self._adjacency[link.node_a].append(link)
-            self._adjacency[link.node_b].append(link)
+                self._adjacency[end.node_id].append(link)
         for links in self._adjacency.values():
             links.sort(key=lambda l: l.link_id)
 
@@ -261,97 +226,53 @@ class Topology:
 
     def all_port_keys(self) -> list[str]:
         """Every directed egress port, sorted."""
-        keys = []
-        for link in self.links.values():
-            keys.append(port_key(link.node_a, link.port_a))
-            keys.append(port_key(link.node_b, link.port_b))
-        return sorted(keys)
+        return sorted(self._port_link)
 
     def to_doc(self) -> dict:
-        return {
-            "nodes": [n.to_doc() for n in self.nodes.values()],
-            "links": [l.to_doc() for l in self.links.values()],
-            "domains": {
-                d.domain_id: {"kind": d.kind, "controller_id": d.controller_id}
-                for d in self.domains.values()
-            },
-        }
+        # the domain map is keyed by domain id
+        domains = {d.domain_id: _DomainDoc(d.kind, d.controller_id) for d in self.domains.values()}
+        return _TopologyDoc(tuple(self.nodes.values()), tuple(self.links.values()), domains).to_doc()
 
 
-def _require_keys(doc: dict, allowed: set[str], required: set[str], what: str):
-    if not isinstance(doc, dict):
-        raise ParseError(f"{what} must be an object")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ParseError(f"{what}: unknown keys {sorted(unknown)}")
-    missing = required - set(doc)
-    if missing:
-        raise ParseError(f"{what}: missing keys {sorted(missing)}")
+@dataclass(frozen=True)
+class _DomainDoc(Codec):
+    kind: str
+    controller_id: str
+
+
+@dataclass(frozen=True)
+class _TopologyDoc(Codec):
+    nodes: tuple[Node, ...]
+    links: tuple[Link, ...]
+    domains: dict[str, _DomainDoc]
 
 
 def parse_topology(doc: dict) -> Topology:
     """Build a validated Topology from a parsed document."""
-    _require_keys(doc, {"nodes", "links", "domains"}, {"nodes", "links", "domains"}, "topology")
+    parsed = _TopologyDoc.from_doc(doc, "topology")
 
     nodes: dict[str, Node] = {}
-    for entry in doc["nodes"]:
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise ParseError("node entry must be an object with a kind")
-        kind = entry["kind"]
-        if kind not in _NODE_KEYS:
-            raise ParseError(f"node entry has unknown kind {kind!r}")
-        _require_keys(entry, _NODE_KEYS[kind], _NODE_KEYS[kind], f"node {entry.get('node_id')}")
-        node = Node(
-            node_id=entry["node_id"],
-            kind=kind,
-            domain_id=entry["domain_id"],
-            processing_delay_ns=entry.get("processing_delay_ns"),
-            gcl_max_entries=entry.get("gcl_max_entries"),
-            supports_qbv=entry.get("supports_qbv"),
-            managed=entry.get("managed"),
-        )
+    for node in parsed.nodes:
         if node.node_id in nodes:
             raise ValidationError(f"duplicate node id {node.node_id}")
         nodes[node.node_id] = node
 
     links: dict[str, Link] = {}
-    for entry in doc["links"]:
-        _require_keys(entry, _LINK_KEYS, _LINK_KEYS, f"link {entry.get('link_id') if isinstance(entry, dict) else entry}")
-        endpoints = entry["endpoints"]
-        if not isinstance(endpoints, list) or len(endpoints) != 2:
-            raise ParseError(f"link {entry['link_id']}: endpoints must be a 2-element list")
-        for ep in endpoints:
-            _require_keys(ep, {"node_id", "port_id"}, {"node_id", "port_id"}, "link endpoint")
-        link = Link(
-            link_id=entry["link_id"],
-            node_a=endpoints[0]["node_id"],
-            port_a=endpoints[0]["port_id"],
-            node_b=endpoints[1]["node_id"],
-            port_b=endpoints[1]["port_id"],
-            speed_bps=entry["speed_bps"],
-            propagation_ns=entry["propagation_ns"],
-        )
+    for link in parsed.links:
         if link.link_id in links:
             raise ValidationError(f"duplicate link id {link.link_id}")
         links[link.link_id] = link
 
-    domains: dict[str, Domain] = {}
-    if not isinstance(doc["domains"], dict):
-        raise ParseError("domains must be an object keyed by domain id")
-    for domain_id, entry in doc["domains"].items():
-        _require_keys(entry, _DOMAIN_KEYS, _DOMAIN_KEYS, f"domain {domain_id}")
-        domains[domain_id] = Domain(domain_id, entry["kind"], entry["controller_id"])
-
+    domains = {
+        domain_id: Domain(domain_id, entry.kind, entry.controller_id)
+        for domain_id, entry in parsed.domains.items()
+    }
     return Topology(nodes, links, domains)
 
 
 def load_topology(text: str) -> Topology:
     """Parse and validate a topology JSON document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"topology is not valid JSON: {exc}") from exc
-    return parse_topology(doc)
+    return parse_topology(load_json(text, "topology"))
 
 
 def shortest_path(topology: Topology, src_node: str, dst_node: str) -> Path:

@@ -13,6 +13,8 @@ import json
 import socket
 from dataclasses import dataclass
 
+from .codec import Codec, expect, parse_error
+
 from .errors import (
     CapabilityError,
     DecodeError,
@@ -55,8 +57,25 @@ def reference_point(kind: str) -> str:
         raise ValidationError(f"unknown controller kind {kind!r}") from None
 
 
+class _Message(Codec):
+    """A UNI message document: the fields plus the kind tag of the class."""
+
+    def to_doc(self) -> dict:
+        doc = super().to_doc()
+        doc["kind"] = self.kind
+        return doc
+
+    @classmethod
+    def from_doc(cls, doc, path=""):
+        if expect(dict, doc, path).get("kind") != cls.kind:
+            raise parse_error(path, f"kind is not {cls.kind!r}")
+        fields = dict(doc)
+        del fields["kind"]
+        return super().from_doc(fields, path)
+
+
 @dataclass(frozen=True)
-class StreamRequest:
+class StreamRequest(_Message):
     request_id: str
     requirement: StreamRequirement
     hops: tuple[Hop, ...]
@@ -68,7 +87,7 @@ class StreamRequest:
 
 
 @dataclass(frozen=True)
-class RemoveStream:
+class RemoveStream(_Message):
     request_id: str
     stream_id: str
 
@@ -76,19 +95,19 @@ class RemoveStream:
 
 
 @dataclass(frozen=True)
-class CapabilityQuery:
+class CapabilityQuery(_Message):
     request_id: str
 
     kind = "capability_query"
 
 
 @dataclass(frozen=True)
-class UniResponse:
+class UniResponse(_Message):
     request_id: str
     status: str  # ok | failed
     schedule: StreamSchedule | None = None
     cause: str | None = None
-    detail: str = ""
+    detail: str | None = None
     domain_id: str | None = None
     capabilities: tuple[dict, ...] | None = None
 
@@ -102,49 +121,19 @@ class UniResponse:
 
 
 UniMessage = StreamRequest | RemoveStream | CapabilityQuery | UniResponse
+_MESSAGES = {cls.kind: cls for cls in (StreamRequest, RemoveStream, CapabilityQuery, UniResponse)}
 
 
-def _message_doc(msg: UniMessage) -> dict:
-    doc: dict = {"kind": msg.kind, "request_id": msg.request_id}
-    if isinstance(msg, StreamRequest):
-        doc["requirement"] = msg.requirement.to_doc()
-        doc["hops"] = [h.to_doc() for h in msg.hops]
-        doc["latency_budget_ns"] = msg.latency_budget_ns
-        doc["entry_offset_ns"] = msg.entry_offset_ns
-        doc["entry_stride_ns"] = msg.entry_stride_ns
-    elif isinstance(msg, RemoveStream):
-        doc["stream_id"] = msg.stream_id
-    elif isinstance(msg, CapabilityQuery):
-        pass
-    elif isinstance(msg, UniResponse):
-        doc["status"] = msg.status
-        if msg.schedule is not None:
-            doc["schedule"] = msg.schedule.to_doc()
-        if msg.cause is not None:
-            doc["cause"] = msg.cause
-        if msg.detail:
-            doc["detail"] = msg.detail
-        if msg.domain_id is not None:
-            doc["domain_id"] = msg.domain_id
-        if msg.capabilities is not None:
-            doc["capabilities"] = list(msg.capabilities)
-    else:
-        raise ValidationError(f"not a UNI message: {msg!r}")
-    return doc
+def _line(doc: dict) -> bytes:
+    """One canonical JSON object per line."""
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
 def encode_message(msg: UniMessage) -> bytes:
-    """One canonical JSON object per line."""
-    return (json.dumps(_message_doc(msg), sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return _line(msg.to_doc())
 
 
-def _need(doc: dict, key: str, line_kind: str):
-    if key not in doc:
-        raise DecodeError(f"{line_kind} message is missing {key!r}")
-    return doc[key]
-
-
-def decode_message(line: bytes | str) -> UniMessage:
+def _load_line(line: bytes | str) -> dict:
     if isinstance(line, bytes):
         try:
             line = line.decode()
@@ -156,39 +145,42 @@ def decode_message(line: bytes | str) -> UniMessage:
         raise DecodeError(f"not a JSON object: {exc}") from None
     if not isinstance(doc, dict):
         raise DecodeError("top level is not an object")
+    return doc
+
+
+def _decode_doc(doc: dict) -> UniMessage:
     kind = doc.get("kind")
+    cls = _MESSAGES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DecodeError(f"unknown message kind {kind!r}")
     try:
-        if kind == "stream_request":
-            return StreamRequest(
-                request_id=_need(doc, "request_id", kind),
-                requirement=StreamRequirement.from_doc(_need(doc, "requirement", kind)),
-                hops=tuple(Hop.from_doc(h) for h in _need(doc, "hops", kind)),
-                latency_budget_ns=_need(doc, "latency_budget_ns", kind),
-                entry_offset_ns=doc.get("entry_offset_ns", 0),
-                entry_stride_ns=doc.get("entry_stride_ns", 0),
-            )
-        if kind == "remove_stream":
-            return RemoveStream(
-                request_id=_need(doc, "request_id", kind),
-                stream_id=_need(doc, "stream_id", kind),
-            )
-        if kind == "capability_query":
-            return CapabilityQuery(request_id=_need(doc, "request_id", kind))
-        if kind == "response":
-            schedule = doc.get("schedule")
-            caps = doc.get("capabilities")
-            return UniResponse(
-                request_id=_need(doc, "request_id", kind),
-                status=_need(doc, "status", kind),
-                schedule=StreamSchedule.from_doc(schedule) if schedule is not None else None,
-                cause=doc.get("cause"),
-                detail=doc.get("detail", ""),
-                domain_id=doc.get("domain_id"),
-                capabilities=tuple(caps) if caps is not None else None,
-            )
-    except (ValidationError, ParseError, TypeError, KeyError, AttributeError) as exc:
-        raise DecodeError(f"bad {kind} payload: {exc!r}") from None
-    raise DecodeError(f"unknown message kind {kind!r}")
+        return cls.from_doc(doc)
+    except (ParseError, ValidationError) as exc:
+        raise DecodeError(f"bad {kind} payload: {exc}") from None
+
+
+def decode_message(line: bytes | str) -> UniMessage:
+    return _decode_doc(_load_line(line))
+
+
+def _as_request(msg: UniMessage) -> StreamRequest | RemoveStream | CapabilityQuery:
+    if isinstance(msg, UniResponse):
+        raise DecodeError("a response is not a request")
+    return msg
+
+
+def malformed_response(line: bytes | str, exc: Exception, domain_id: str | None = None) -> bytes:
+    """The failed response to a line that is no usable request, echoing
+    its request_id when one can be recovered."""
+    return encode_message(
+        UniResponse(
+            request_id=_fish_request_id(line),
+            status="failed",
+            cause="malformed",
+            detail=str(exc),
+            domain_id=domain_id,
+        )
+    )
 
 
 class CncService:
@@ -209,27 +201,9 @@ class CncService:
 
     def handle_line(self, line: bytes) -> bytes:
         try:
-            msg = decode_message(line)
+            msg = _as_request(decode_message(line))
         except DecodeError as exc:
-            return encode_message(
-                UniResponse(
-                    request_id=_fish_request_id(line),
-                    status="failed",
-                    cause="malformed",
-                    detail=str(exc),
-                    domain_id=self.state.domain_id,
-                )
-            )
-        if isinstance(msg, UniResponse):
-            return encode_message(
-                UniResponse(
-                    request_id=msg.request_id,
-                    status="failed",
-                    cause="malformed",
-                    detail="a response is not a request",
-                    domain_id=self.state.domain_id,
-                )
-            )
+            return malformed_response(line, exc, self.state.domain_id)
         return encode_message(self.handle(msg))
 
     def handle(self, msg: StreamRequest | RemoveStream | CapabilityQuery) -> UniResponse:
@@ -363,17 +337,10 @@ class CncRegistry:
 
 
 @dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(Codec):
     request_id: str
     domain_id: str
     reference_point: str
-
-    def to_doc(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "domain_id": self.domain_id,
-            "reference_point": self.reference_point,
-        }
 
 
 class Dispatcher:
@@ -434,27 +401,17 @@ def encode_routed(msg: StreamRequest | RemoveStream | CapabilityQuery, domain_id
     """Request line carrying its target domain, for single-socket service
     mode. Requests have no domain_id field of their own, so the wrapper
     key cannot collide."""
-    doc = _message_doc(msg)
+    doc = msg.to_doc()
     doc["domain_id"] = domain_id
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return _line(doc)
 
 
-def decode_routed(line: bytes | str) -> tuple[str, UniMessage]:
-    if isinstance(line, bytes):
-        try:
-            line = line.decode()
-        except UnicodeDecodeError as exc:
-            raise DecodeError(f"not UTF-8: {exc}") from None
-    try:
-        doc = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DecodeError(f"not a JSON object: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DecodeError("top level is not an object")
+def decode_routed(line: bytes | str) -> tuple[str, StreamRequest | RemoveStream | CapabilityQuery]:
+    doc = _load_line(line)
     domain_id = doc.pop("domain_id", None)
     if not isinstance(domain_id, str):
         raise DecodeError("routed message is missing domain_id")
-    return domain_id, decode_message(json.dumps(doc))
+    return domain_id, _as_request(_decode_doc(doc))
 
 
 class UniClient:

@@ -21,6 +21,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
+from .codec import Codec
 from .errors import SimConfigError, ValidationError
 from .model import (
     GateControlList,
@@ -83,23 +84,15 @@ def flow_from_schedules(
 
 
 @dataclass
-class StreamReport:
+class StreamReport(Codec):
     stream_id: str
     observed_worst_latency_ns: int = 0
     observed_frame_count: int = 0
     dropped_frames: int = 0
 
-    def to_doc(self) -> dict:
-        return {
-            "stream_id": self.stream_id,
-            "observed_worst_latency_ns": self.observed_worst_latency_ns,
-            "observed_frame_count": self.observed_frame_count,
-            "dropped_frames": self.dropped_frames,
-        }
-
 
 @dataclass
-class SimReport:
+class SimReport(Codec):
     streams: dict[str, StreamReport] = field(default_factory=dict)
     gate_violations: dict[str, int] = field(default_factory=dict)
     be_sent: int = 0
@@ -115,13 +108,10 @@ class SimReport:
         return sum(s.dropped_frames for s in self.streams.values())
 
     def to_doc(self) -> dict:
-        return {
-            "streams": {sid: s.to_doc() for sid, s in sorted(self.streams.items())},
-            "gate_violations": {p: v for p, v in sorted(self.gate_violations.items()) if v},
-            "be_sent": self.be_sent,
-            "be_dropped": self.be_dropped,
-            "duration_ns": self.duration_ns,
-        }
+        # ports without a violation are left out
+        doc = super().to_doc()
+        doc["gate_violations"] = {p: v for p, v in self.gate_violations.items() if v}
+        return doc
 
 
 class _Gates:
@@ -468,17 +458,10 @@ def check_gcl_wellformed(gcl: GateControlList | dict, link_speed_bps: int) -> li
 
 
 @dataclass
-class VerifyResult:
+class VerifyResult(Codec):
     passed: bool
     gcl_violations: dict[str, list[dict]]
     reports: dict[str, SimReport]
-
-    def to_doc(self) -> dict:
-        return {
-            "passed": self.passed,
-            "gcl_violations": self.gcl_violations,
-            "reports": {name: r.to_doc() for name, r in sorted(self.reports.items())},
-        }
 
 
 def verify_ns(instance, topology: Topology, gcls: dict[str, dict], cfg: SimConfig) -> VerifyResult:

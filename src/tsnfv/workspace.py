@@ -10,15 +10,39 @@ inputs produce byte-identical state.
 from __future__ import annotations
 
 import json
+import os
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import cnc
+from .codec import Codec, load_json
 from .cuc import Cuc, NsInstance
 from .errors import ParseError
 from .topology import Topology, parse_topology
 from .uni import AuditRecord, Dispatcher, build_registry
 
 STATE_VERSION = 1
+
+
+@dataclass(frozen=True)
+class _Counters(Codec):
+    request_seq: int
+    instance_seq: int
+
+
+@dataclass(frozen=True)
+class _StateDoc(Codec):
+    """The state file. The topology and the controller snapshots stay
+    documents here: a snapshot can be decoded only against a built
+    topology."""
+
+    version: int
+    topology: dict
+    cnc: dict[str, dict]
+    instances: dict[str, NsInstance]
+    audit: tuple[AuditRecord, ...]
+    counters: _Counters
+    gcls: dict[str, dict]
 
 
 class Workspace:
@@ -69,58 +93,55 @@ class Workspace:
     # -- persistence -------------------------------------------------------
 
     def to_doc(self) -> dict:
-        return {
-            "version": STATE_VERSION,
-            "topology": self.topology.to_doc(),
-            "cnc": {d: self.states[d].snapshot() for d in sorted(self.states)},
-            "instances": {
-                iid: inst.to_doc() for iid, inst in sorted(self.cuc.instances.items())
-            },
-            "audit": [record.to_doc() for record in self.dispatcher.audit_log],
-            "counters": {
-                "request_seq": self.cuc.request_seq,
-                "instance_seq": self.cuc.instance_seq,
-            },
-            "gcls": {port: self.gcl_docs[port] for port in sorted(self.gcl_docs)},
-        }
+        return _StateDoc(
+            version=STATE_VERSION,
+            topology=self.topology.to_doc(),
+            cnc=self.snapshot_states(),
+            instances=self.cuc.instances,
+            audit=tuple(self.dispatcher.audit_log),
+            counters=_Counters(self.cuc.request_seq, self.cuc.instance_seq),
+            gcls=self.gcl_docs,
+        ).to_doc()
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n")
+        """Write the state file atomically: a temporary file in the same
+        directory, renamed over the old one, so a failed save leaves the
+        previous state in place."""
+        path = Path(path)
+        text = json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
+        tmp = path.with_name(f".{path.name}.tmp")
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def from_doc(cls, doc: dict) -> Workspace:
-        if not isinstance(doc, dict) or "topology" not in doc:
-            raise ParseError("state file does not look like a workspace")
-        if doc.get("version") != STATE_VERSION:
-            raise ParseError(f"unsupported state version {doc.get('version')!r}")
-        ws = cls(parse_topology(doc["topology"]))
-        for domain_id, snap in doc.get("cnc", {}).items():
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if version != STATE_VERSION:
+            raise ParseError(f"not a version {STATE_VERSION} state file (version {version!r})")
+        state = _StateDoc.from_doc(doc)
+        ws = cls(parse_topology(state.topology))
+        for domain_id, snap in state.cnc.items():
             if domain_id not in ws.states:
                 raise ParseError(f"state names unknown domain {domain_id}")
-            ws.states[domain_id] = cnc.CncState.from_doc(snap, ws.topology)
+            ws.states[domain_id] = cnc.CncState.from_doc(snap, ws.topology, ("cnc", domain_id))
         # registry handles must point at the restored states
         ws.registry = build_registry(ws.topology, ws.states)
         ws.dispatcher = Dispatcher(ws.registry)
         ws.cuc = Cuc(ws.topology, ws.dispatcher, gcl_provider=ws._domain_gcls)
-        for iid, inst_doc in doc.get("instances", {}).items():
-            ws.cuc.instances[iid] = NsInstance.from_doc(inst_doc)
-        ws.dispatcher.audit_log = [
-            AuditRecord(r["request_id"], r["domain_id"], r["reference_point"])
-            for r in doc.get("audit", [])
-        ]
-        counters = doc.get("counters", {})
-        ws.cuc.request_seq = counters.get("request_seq", 0)
-        ws.cuc.instance_seq = counters.get("instance_seq", 0)
-        ws.gcl_docs = dict(doc.get("gcls", {}))
+        ws.cuc.instances = state.instances
+        ws.dispatcher.audit_log = list(state.audit)
+        ws.cuc.request_seq = state.counters.request_seq
+        ws.cuc.instance_seq = state.counters.instance_seq
+        ws.gcl_docs = state.gcls
         return ws
 
     @classmethod
     def load(cls, path: str | Path) -> Workspace:
-        try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"state file is not valid JSON: {exc}") from None
-        return cls.from_doc(doc)
+        return cls.from_doc(load_json(Path(path).read_text(), "state file"))
 
     # -- inspection --------------------------------------------------------
 

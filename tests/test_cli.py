@@ -404,3 +404,53 @@ class TestDemoFixtures:
         assert "vl1~fwd: e2e 10320 ns (bound 2000000 ns) via d1" in out
         assert run("verify", "ns-0001", "--state", state) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "verify ns-0001: PASS"
+
+
+class TestMalformedInput:
+    """Malformed files end in exit 1 and one `error:` line naming the key,
+    never in a traceback."""
+
+    def _single_error(self, capsys) -> str:
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        return err[0]
+
+    def _edit_state(self, files, edit) -> None:
+        doc = json.loads(files["state"].read_text())
+        edit(doc)
+        files["state"].write_text(json.dumps(doc))
+
+    def test_state_with_empty_instance(self, files, capsys):
+        instantiate_demo(files)
+        self._edit_state(files, lambda doc: doc["instances"].update(x={}))
+        capsys.readouterr()
+        assert run("show", "streams", "--state", files["state"]) == 1
+        assert "instances.x: missing keys" in self._single_error(capsys)
+
+    def test_nsd_with_string_period(self, files, capsys):
+        doc = sc.demo_nsd()
+        doc["virtual_links"][0]["tsn"]["traffic_fwd"]["period_ns"] = "250000"
+        write_nsd(files, doc)
+        rc = run(
+            "instantiate",
+            "--topology", files["topology"],
+            "--nsd", files["nsd"],
+            "--placement", files["placement"],
+            "--state", files["state"],
+        )
+        assert rc == 1
+        assert "nsd.virtual_links[0].tsn.traffic_fwd.period_ns: expected an integer, got a string" in (
+            self._single_error(capsys)
+        )
+        assert not files["state"].exists()
+
+    def test_state_with_string_window_end(self, files, capsys):
+        instantiate_demo(files)
+
+        def edit(doc):
+            doc["cnc"]["d1"]["streams"][0]["schedule"]["reservations"][0]["window_end_ns"] = "4160"
+
+        self._edit_state(files, edit)
+        capsys.readouterr()
+        assert run("show", "streams", "--state", files["state"]) == 1
+        assert "cnc.d1.streams[0].schedule.reservations[0].window_end_ns" in self._single_error(capsys)

@@ -1,0 +1,83 @@
+"""Golden bytes of the demo in demo/: the state file `tsnfv instantiate`
+writes, the station config `tsnfv show config vnfA` prints, and the first
+UNI exchange on the wire. A codec change that alters one byte of any of
+them fails here."""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+from tsnfv import cli
+from tsnfv.descriptors import parse_nsd, parse_placement
+from tsnfv.topology import load_topology
+from tsnfv.uni import CncEntry, CncRegistry
+from tsnfv.workspace import Workspace
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+DEMO_STATE_SHA256 = "0351830f890e62aadd52375910657934ea114408068012ac6fdc0dc750f695c4"
+
+
+def _instantiate_demo(state: Path) -> None:
+    rc = cli.main(
+        [
+            "instantiate",
+            "--topology", str(DEMO / "topology.json"),
+            "--nsd", str(DEMO / "nsd.json"),
+            "--placement", str(DEMO / "placement.json"),
+            "--state", str(state),
+        ]
+    )
+    assert rc == 0
+
+
+def test_demo_state_file(tmp_path):
+    state = tmp_path / "state.json"
+    _instantiate_demo(state)
+    golden = (GOLDEN / "demo_state.json").read_bytes()
+    assert hashlib.sha256(golden).hexdigest() == DEMO_STATE_SHA256
+    assert len(golden) == 13_089
+    assert state.read_bytes() == golden
+
+
+def test_demo_show_config(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    _instantiate_demo(state)
+    capsys.readouterr()
+    assert cli.main(["show", "config", "vnfA", "--state", str(state)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "demo_show_config_vnfA.txt").read_text()
+
+
+class _Recorder:
+    """Controller handle that keeps every (request, response) line pair."""
+
+    def __init__(self, service, exchanges: list):
+        self.service = service
+        self.exchanges = exchanges
+
+    def handle_line(self, line: bytes) -> bytes:
+        out = self.service.handle_line(line)
+        self.exchanges.append((line, out))
+        return out
+
+
+def test_demo_first_uni_exchange():
+    ws = Workspace(load_topology((DEMO / "topology.json").read_text()))
+    exchanges: list = []
+    registry = CncRegistry()
+    for domain_id in ws.registry.domains():
+        entry = ws.registry.entry(domain_id)
+        registry.register(
+            CncEntry(entry.domain_id, entry.controller_id, entry.kind, _Recorder(entry.handle, exchanges))
+        )
+    ws.dispatcher.registry = registry
+    ws.instantiate(
+        parse_nsd((DEMO / "nsd.json").read_text()),
+        parse_placement((DEMO / "placement.json").read_text()),
+    )
+    request, response = exchanges[0]
+    assert request.startswith(b'{"entry_offset_ns":0,')
+    assert b'"kind":"stream_request"' in request
+    assert b'"status":"ok"' in response
+    assert request + response == (GOLDEN / "demo_first_uni_exchange.ndjson").read_bytes()

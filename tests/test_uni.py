@@ -108,6 +108,9 @@ class TestCodec:
             b'{"kind": "remove_stream"}',
             b'{"kind": "stream_request", "request_id": "r", "hops": [], "latency_budget_ns": 5, "requirement": {}}',
             b"\xff\xfe",
+            b'{"kind": "remove_stream", "request_id": "r", "stream_id": "s", "color": "blue"}',
+            b'{"kind": "remove_stream", "request_id": "r", "stream_id": 7}',
+            b'{"kind": "capability_query", "request_id": "r", "entry_offset_ns": true}',
         ],
     )
     def test_decode_errors(self, line):
@@ -175,6 +178,14 @@ class TestCncService:
         response = decode_message(service.handle_line(b"not json at all\n"))
         assert (response.status, response.cause) == ("failed", "malformed")
         assert response.request_id == "unknown"
+
+    def test_unknown_key_answers_malformed(self, intra_topology):
+        service = _service(intra_topology)
+        line = b'{"kind":"remove_stream","request_id":"req-0007","stream_id":"s","color":"blue"}\n'
+        response = decode_message(service.handle_line(line))
+        assert (response.status, response.cause) == ("failed", "malformed")
+        assert response.request_id == "req-0007"
+        assert "unknown keys ['color']" in response.detail
 
     def test_response_as_request_is_malformed(self, intra_topology):
         service = _service(intra_topology)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -106,3 +107,39 @@ class TestLoadErrors:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
             Workspace.load(path)
+
+
+class TestAtomicSave:
+    """A save that fails leaves the previous state file byte-identical and
+    no temporary file next to it."""
+
+    def _saved(self, tmp_path):
+        ws = _populated()
+        path = tmp_path / "state.json"
+        ws.save(path)
+        return ws, path, path.read_bytes()
+
+    def test_failure_while_encoding(self, tmp_path):
+        ws, path, before = self._saved(tmp_path)
+        ws.terminate("ns-0001")
+        ws.gcl_docs["B1.p1"] = object()  # not JSON
+        with pytest.raises(TypeError):
+            ws.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+    def test_failure_while_replacing(self, tmp_path, monkeypatch):
+        ws, path, before = self._saved(tmp_path)
+        ws.terminate("ns-0001")
+
+        def refuse(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            ws.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+        ws.save(path)
+        assert Workspace.load(path).cuc.instance("ns-0001").status == "terminated"
