@@ -30,7 +30,7 @@ from .errors import (
 )
 from .topology import load_topology
 from .uni import decode_routed, encode_message, malformed_response
-from .verifier import SimConfig, verify_ns
+from .verifier import SimConfig, malformed_gcl_keys, verify_ns
 from .workspace import Workspace
 
 
@@ -187,7 +187,10 @@ def _show_gcl(ws: Workspace, port: str | None) -> int:
     if doc is None:
         print(f"no gate control list for port {port}", file=sys.stderr)
         return 1
-    print(f"gcl {port}  cycle_ns={doc['cycle_ns']}  base_time_ns={doc['base_time_ns']}")
+    bad = malformed_gcl_keys(doc)
+    if bad:
+        raise ParseError(f"gcls.{port}.{bad[0]}: missing or not an integer")
+    print(f"gcl {port}  cycle_ns={doc['cycle_ns']}  base_time_ns={doc.get('base_time_ns', 0)}")
     t = 0
     for entry in doc["entries"]:
         gates = entry["gate_states"]
@@ -316,9 +319,10 @@ def cmd_serve(args) -> int:
     host, _, port_text = args.listen.rpartition(":")
     if not host or not port_text.isdigit():
         raise ParseError(f"--listen must be host:port, got {args.listen!r}")
-    ws = _open_workspace(args.state, args.topology) if args.state else _open_workspace("", args.topology)
-    if args.state:
-        ws.save(args.state)
+    created = not (args.state and Path(args.state).exists())
+    ws = _open_workspace(args.state or "", args.topology)
+    if args.state and created:
+        ws.save(args.state)  # a loaded state would save back byte-identically
     try:
         server = _UniServer((host, int(port_text)), ws, args.state)
     except OSError as exc:

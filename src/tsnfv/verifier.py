@@ -17,7 +17,9 @@ per-bridge processing delay.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -116,86 +118,65 @@ class SimReport(Codec):
 
 class _Gates:
     """Per-class open intervals of one port's gating cycle, merged
-    cyclically. No gate control list means every gate is always open."""
+    cyclically. No gate control list means every gate is always open.
+
+    Each class keeps its run starts in ascending order and the matching
+    run ends. A run that wraps the cycle boundary is stored last, with its
+    end past the cycle; so a query finds its run by bisection."""
 
     def __init__(self, gcl: GateControlList | None):
         self.cycle = gcl.cycle_ns if gcl else 0
-        self.runs: dict[int, list[list[int]]] = {}
+        self.starts: list[list[int]] = [[] for _ in range(8)]
+        self.ends: list[list[int]] = [[] for _ in range(8)]
+        # Longest open run per class; None means always open.
+        self.longest: list[int | None] = [None] * 8
         if gcl is None:
             return
         for cls in range(8):
-            marks: list[list[int]] = []
+            starts, ends = self.starts[cls], self.ends[cls]
             t = 0
             for entry in gcl.entries:
                 if entry.gate_states >> cls & 1:
-                    if marks and marks[-1][0] + marks[-1][1] == t:
-                        marks[-1][1] += entry.interval_ns
+                    if ends and ends[-1] == t:
+                        ends[-1] += entry.interval_ns
                     else:
-                        marks.append([t, entry.interval_ns])
+                        starts.append(t)
+                        ends.append(t + entry.interval_ns)
                 t += entry.interval_ns
-            if len(marks) > 1 and marks[0][0] == 0 and marks[-1][0] + marks[-1][1] == self.cycle:
-                first = marks.pop(0)
-                marks[-1][1] += first[1]
-            self.runs[cls] = marks
+            if len(starts) > 1 and starts[0] == 0 and ends[-1] == self.cycle:
+                del starts[0]
+                ends[-1] += ends.pop(0)
+            if not starts:
+                self.longest[cls] = 0
+            elif ends[0] - starts[0] < self.cycle:
+                self.longest[cls] = max(e - s for s, e in zip(starts, ends))
 
     def max_run(self, cls: int) -> int | None:
         """Longest open run; None means always open."""
-        if self.cycle == 0:
-            return None
-        runs = self.runs[cls]
-        if not runs:
-            return 0
-        if runs[0][1] >= self.cycle:
-            return None
-        return max(length for _, length in runs)
+        return self.longest[cls]
 
-    def _locate(self, cls: int, t: int) -> tuple[int | None, int | None]:
-        """(time inside current open run ends, time next open run starts);
-        exactly one is None."""
-        if self.cycle == 0:
-            return None, t  # always open, never closes: caller treats open
-        runs = self.runs[cls]
-        if not runs:
+    def span(self, cls: int, t: int) -> tuple[int | None, int | None]:
+        """(start, end) of the open run that holds t, or else of the next
+        one. start <= t means open at t, with end the next close (None if
+        the gate never closes); start None means the gate never opens."""
+        if self.longest[cls] is None:
+            return t, None
+        starts = self.starts[cls]
+        if not starts:
             return None, None
-        if runs[0][1] >= self.cycle:
-            return None, t
-        tau = t % self.cycle
-        best_wait = None
-        for s, length in runs:
-            for shift in (0, self.cycle):
-                pos = tau + shift
-                if s <= pos < s + length:
-                    return t + (s + length - pos), None
-            wait = (s - tau) % self.cycle
-            if best_wait is None or wait < best_wait:
-                best_wait = wait
-        return None, t + best_wait
-
-    def open_at(self, cls: int, t: int) -> bool:
-        if self.cycle == 0:
-            return True
-        close, _ = self._locate(cls, t)
-        return close is not None or (self.runs[cls] and self.runs[cls][0][1] >= self.cycle)
-
-    def close_after(self, cls: int, t: int) -> int | None:
-        """Next gate close strictly after t, assuming open at t; None if
-        the gate never closes."""
-        if self.cycle == 0:
-            return None
-        runs = self.runs[cls]
-        if runs and runs[0][1] >= self.cycle:
-            return None
-        close, _ = self._locate(cls, t)
-        return close
-
-    def next_open(self, cls: int, t: int) -> int | None:
-        """Earliest time >= t the gate is open; None if it never opens."""
-        if self.cycle == 0:
-            return t
-        close, nxt = self._locate(cls, t)
-        if close is not None:
-            return t
-        return nxt
+        cycle = self.cycle
+        tau = t % cycle
+        ends = self.ends[cls]
+        i = bisect_right(starts, tau)
+        # The last run starting at or before tau; before the first start,
+        # the wrapped part of the cycle's last run.
+        end = ends[i - 1] if i else ends[-1] - cycle
+        if tau < end:
+            return t, t + end - tau
+        base = t - tau
+        if i == len(starts):
+            i, base = 0, base + cycle
+        return base + starts[i], base + ends[i]
 
 
 class _Frame:
@@ -210,13 +191,29 @@ class _Frame:
 
 
 class _Port:
-    def __init__(self, key: str, speed_bps: int, gates: _Gates):
+    """One egress port: its class queues, the time its wire frees up, the
+    time of its one pending transmit wakeup, and where a frame sent on it
+    arrives."""
+
+    __slots__ = (
+        "key", "speed", "gates", "queues", "busy_until", "wake_at", "violations",
+        "peer_node", "propagation_ns", "peer_delay_ns",
+    )
+
+    def __init__(self, key: str, topology: Topology, gates: _Gates):
+        link = topology.link_at(key)
+        if link is None:
+            raise ValidationError(f"gate control list for unknown port {key}")
         self.key = key
-        self.speed = speed_bps
+        self.speed = link.speed_bps
         self.gates = gates
-        self.queues: dict[int, deque[_Frame]] = {c: deque() for c in range(8)}
+        self.queues: list[deque[_Frame]] = [deque() for _ in range(8)]
         self.busy_until = 0
+        self.wake_at: int | None = None
         self.violations = 0
+        self.peer_node = link.peer_of(key.split(".", 1)[0])[0]
+        self.propagation_ns = link.propagation_ns
+        self.peer_delay_ns = topology.node(self.peer_node).forwarding_delay_ns
 
 
 def simulate(
@@ -226,7 +223,11 @@ def simulate(
     cfg: SimConfig,
 ) -> SimReport:
     """Run the event simulation and collect the report. Deterministic for
-    fixed inputs and seed."""
+    fixed inputs and seed.
+
+    Each port has at most one pending transmit event ("tx"): `wake` pushes
+    one only when it is earlier than the pending one, and a popped tx
+    event whose time is no longer the port's pending time is dropped."""
     report = SimReport()
     for flow in flows:
         report.streams[flow.requirement.stream_id] = StreamReport(
@@ -249,23 +250,26 @@ def simulate(
                 raise ValidationError(f"flow {flow.requirement.stream_id}: unknown port {port}")
             port_keys.add(port)
 
-    ports: dict[str, _Port] = {}
-    for key in sorted(port_keys):
-        link = topology.link_at(key)
-        if link is None:
-            raise ValidationError(f"gate control list for unknown port {key}")
-        ports[key] = _Port(key, link.speed_bps, _Gates(gcls.get(key)))
+    ports: dict[str, _Port] = {
+        key: _Port(key, topology, _Gates(gcls.get(key))) for key in sorted(port_keys)
+    }
 
     released: dict[int, int] = {i: 0 for i in range(len(flows))}
-    delivered_worst: dict[int, int] = {}
 
     heap: list[tuple[int, int, str, object]] = []
-    seq = 0
+    seq = itertools.count()
 
     def push(t: int, action: str, payload) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, action, payload))
-        seq += 1
+        heapq.heappush(heap, (t, next(seq), action, payload))
+
+    def wake(port: _Port, t: int) -> None:
+        # A port evaluated while it is still sending does nothing, so the
+        # wakeup moves to the end of the current frame.
+        if t < port.busy_until:
+            t = port.busy_until
+        if port.wake_at is None or t < port.wake_at:
+            port.wake_at = t
+            heapq.heappush(heap, (t, next(seq), "tx", port))
 
     # Scheduled releases: the talker launches the whole burst at its
     # per-instance transmission offset.
@@ -275,12 +279,11 @@ def simulate(
             push(flow.release_offset_ns + k * period, "rel", (i, k * period))
 
     # Background sources: one seeded arrival chain per port.
-    be_wire = {key: wire_occupancy(MAX_FRAME_BYTES, p.speed) for key, p in ports.items()}
     if cfg.bg_load > 0:
-        for idx, key in enumerate(sorted(ports)):
+        for idx, port in enumerate(ports.values()):
             rng = random.Random(cfg.seed * 1_000_003 + idx)
-            base = max(1, round(be_wire[key] / cfg.bg_load))
-            push(rng.randrange(0, base + 1), "bg", (key, rng, base))
+            base = max(1, round(wire_occupancy(MAX_FRAME_BYTES, port.speed) / cfg.bg_load))
+            push(rng.randrange(0, base + 1), "bg", (port, rng, base))
 
     def enqueue(port: _Port, frame: _Frame, now: int) -> None:
         wire = wire_occupancy(frame.bytes, port.speed)
@@ -294,7 +297,7 @@ def simulate(
             report.be_dropped += 1
             return
         port.queues[frame.cls].append(frame)
-        push(now, "tx", port.key)
+        wake(port, now)
 
     def deliver(frame: _Frame, at: int) -> None:
         rec = report.streams[flows[frame.flow].requirement.stream_id]
@@ -317,62 +320,59 @@ def simulate(
             continue
 
         if action == "bg":
-            key, rng, base = payload
+            port, rng, base = payload
             if t < t_end:
-                port = ports[key]
                 enqueue(port, _Frame(None, BE_CLASS, MAX_FRAME_BYTES, t), t)
                 jitter = rng.randrange(-(base // 8), base // 8 + 1) if base >= 8 else 0
-                push(t + max(1, base + jitter), "bg", (key, rng, base))
+                push(t + max(1, base + jitter), "bg", (port, rng, base))
             continue
 
         if action == "enq":
-            key, frame = payload
-            enqueue(ports[key], frame, t)
+            port, frame = payload
+            enqueue(port, frame, t)
             continue
 
         # action == "tx"
-        port = ports[payload]
-        if t < port.busy_until:
-            push(port.busy_until, "tx", port.key)
-            continue
-        chosen = None
+        port = payload
+        if t != port.wake_at:
+            continue  # stale: an earlier wakeup replaced this one
+        port.wake_at = None
+        # The highest open non-empty class; `opens` is the earliest time a
+        # closed non-empty class above it opens.
+        chosen = close = opens = None
         for cls in range(7, -1, -1):
-            if port.queues[cls] and port.gates.open_at(cls, t):
-                chosen = cls
-                break
-        if chosen is None:
-            wake = None
-            for cls in range(8):
-                if not port.queues[cls]:
+            if port.queues[cls]:
+                start, end = port.gates.span(cls, t)
+                if start is None:
                     continue
-                nxt = port.gates.next_open(cls, t)
-                if nxt is not None and (wake is None or nxt < wake):
-                    wake = nxt
-            if wake is not None and wake > t:
-                push(wake, "tx", port.key)
+                if start <= t:
+                    chosen, close = cls, end
+                    break
+                if opens is None or start < opens:
+                    opens = start
+        if chosen is None:
+            if opens is not None:
+                wake(port, opens)
             continue
         frame = port.queues[chosen][0]
         wire = wire_occupancy(frame.bytes, port.speed)
-        close = port.gates.close_after(chosen, t)
         if close is not None and t + wire > close:
             # Highest-priority head does not fit before its gate closes;
             # nothing transmits until the gate landscape changes.
-            push(close, "tx", port.key)
+            wake(port, close if opens is None else min(close, opens))
             continue
         port.queues[chosen].popleft()
         port.busy_until = t + wire
         if close is not None and t + wire > close:
             port.violations += 1
-        push(t + wire, "tx", port.key)
+        wake(port, t + wire)
 
         if frame.flow is None:
             report.be_sent += 1
             continue
         flow = flows[frame.flow]
-        link = topology.link_at(port.key)
-        egress_node = port.key.split(".", 1)[0]
-        peer_node, peer_port = link.peer_of(egress_node)
-        arrival = t + wire + link.propagation_ns
+        peer_node = port.peer_node
+        arrival = t + wire + port.propagation_ns
         if frame.hop + 1 >= len(flow.ports):
             if peer_node != flow.requirement.listener.node_id:
                 raise ValidationError(
@@ -388,8 +388,7 @@ def simulate(
                     f"flow {flow.requirement.stream_id}: hop {frame.hop} egresses "
                     f"{next_port}, frame arrived at {peer_node}"
                 )
-            ready = arrival + topology.node(peer_node).forwarding_delay_ns
-            push(ready, "enq", (next_port, frame))
+            push(arrival + port.peer_delay_ns, "enq", (ports[next_port], frame))
 
     for i, flow in enumerate(flows):
         rec = report.streams[flow.requirement.stream_id]
@@ -398,19 +397,39 @@ def simulate(
     return report
 
 
+def malformed_gcl_keys(doc: dict) -> list[str]:
+    """Key paths of a gate control list document that are missing or not
+    integers: `cycle_ns`, and `gate_states` and `interval_ns` of every
+    entry. The other checks need all of them."""
+    bad = [] if type(doc.get("cycle_ns")) is int else ["cycle_ns"]
+    entries = doc.get("entries")
+    if not isinstance(entries, list):
+        return bad + ["entries"]
+    for index, entry in enumerate(entries):
+        for key in ("gate_states", "interval_ns"):
+            if not isinstance(entry, dict) or type(entry.get(key)) is not int:
+                bad.append(f"entries[{index}].{key}")
+    return bad
+
+
 def check_gcl_wellformed(gcl: GateControlList | dict, link_speed_bps: int) -> list[dict]:
     """Structural checks on one gate control list; empty result means ok.
 
     Accepts the document form as well, so hand-corrupted or hand-built
     lists that the typed constructor would reject can still be examined.
+    A document with a missing or non-integer value gets one `bad_entry`
+    violation per such key and no other check.
     """
     if isinstance(gcl, GateControlList):
         doc = gcl.to_doc()
     else:
         doc = gcl
+    bad = malformed_gcl_keys(doc)
+    if bad:
+        return [{"kind": "bad_entry", "key": key} for key in bad]
     violations: list[dict] = []
-    cycle = doc.get("cycle_ns", 0)
-    entries = [(e.get("gate_states", 0), e.get("interval_ns", 0)) for e in doc.get("entries", [])]
+    cycle = doc["cycle_ns"]
+    entries = [(e["gate_states"], e["interval_ns"]) for e in doc["entries"]]
 
     total = 0
     for mask, interval in entries:

@@ -382,6 +382,23 @@ class TestServe:
         ws.save(local)
         assert local.read_bytes() == state.read_bytes()
 
+    def test_existing_state_is_not_rewritten_at_start(self, files):
+        instantiate_demo(files)
+        before = files["state"].stat()
+        golden = files["state"].read_bytes()
+        proc, port, state = self._start(files, state_name=files["state"].name)
+        try:
+            assert state == files["state"]
+            client = UniClient("127.0.0.1", port)
+            assert state.read_bytes() == golden
+            assert state.stat().st_mtime_ns == before.st_mtime_ns
+            response = client.request(_probe_request(files["topology"].read_text()), "d1")
+            assert response.status == "ok"
+            assert state.read_bytes() != golden
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+
     def test_bad_listen_spec(self, files, capsys):
         assert run("serve", "--listen", "nonsense") == 1
         assert "must be host:port" in capsys.readouterr().err
@@ -454,3 +471,20 @@ class TestMalformedInput:
         capsys.readouterr()
         assert run("show", "streams", "--state", files["state"]) == 1
         assert "cnc.d1.streams[0].schedule.reservations[0].window_end_ns" in self._single_error(capsys)
+
+    def _corrupt_gcl(self, files) -> None:
+        instantiate_demo(files)
+        self._edit_state(files, lambda doc: doc["gcls"]["A.p0"]["entries"][0].update(interval_ns="4160"))
+
+    def test_verify_reports_string_gcl_interval(self, files, capsys):
+        self._corrupt_gcl(files)
+        capsys.readouterr()
+        assert run("verify", "ns-0001", "--state", files["state"]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["gcl A.p0: bad_entry key=entries[0].interval_ns", "verify ns-0001: FAIL"]
+
+    def test_show_gcl_with_string_interval(self, files, capsys):
+        self._corrupt_gcl(files)
+        capsys.readouterr()
+        assert run("show", "gcl", "A.p0", "--state", files["state"]) == 1
+        assert "gcls.A.p0.entries[0].interval_ns: missing or not an integer" in self._single_error(capsys)

@@ -1,22 +1,29 @@
 """Golden bytes of the demo in demo/: the state file `tsnfv instantiate`
-writes, the station config `tsnfv show config vnfA` prints, and the first
-UNI exchange on the wire. A codec change that alters one byte of any of
-them fails here."""
+writes, the station config `tsnfv show config vnfA` prints, the first
+UNI exchange on the wire and the report `tsnfv verify` prints. A codec
+or simulator change that alters one byte of any of them fails here, and
+so does one that alters a simulator report of the acceptance sweep's
+first seeds."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
+import scenarios as sc
 from tsnfv import cli
 from tsnfv.descriptors import parse_nsd, parse_placement
+from tsnfv.errors import AdmissionFailedError
 from tsnfv.topology import load_topology
 from tsnfv.uni import CncEntry, CncRegistry
+from tsnfv.verifier import SimConfig, verify_ns
 from tsnfv.workspace import Workspace
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 DEMO_STATE_SHA256 = "0351830f890e62aadd52375910657934ea114408068012ac6fdc0dc750f695c4"
+SWEEP_SEEDS = range(1000, 1040)  # the first 40 seeds of the acceptance sweep
 
 
 def _instantiate_demo(state: Path) -> None:
@@ -81,3 +88,34 @@ def test_demo_first_uni_exchange():
     assert b'"kind":"stream_request"' in request
     assert b'"status":"ok"' in response
     assert request + response == (GOLDEN / "demo_first_uni_exchange.ndjson").read_bytes()
+
+
+def test_demo_verify_report(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    _instantiate_demo(state)
+    capsys.readouterr()
+    assert cli.main(["verify", "ns-0001", "--state", str(state)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "demo_verify_ns-0001.txt").read_text()
+
+
+def _sweep_verify_digest() -> str:
+    """sha256 over one line per seed: the seed and its `VerifyResult`
+    document at background loads 0, 1 and 0.5, or the rejection cause."""
+    digest = hashlib.sha256()
+    for seed in SWEEP_SEEDS:
+        topo_doc, nsd_doc, placement_doc = sc.random_scenario(seed)
+        ws = sc.build_workspace(topo_doc)
+        try:
+            instance = sc.instantiate(ws, nsd_doc, placement_doc)
+        except AdmissionFailedError as exc:
+            doc = {"rejected": exc.cause}
+        else:
+            result = verify_ns(instance, ws.topology, ws.gcl_docs, SimConfig(bg_load=0.5, seed=seed))
+            doc = result.to_doc()
+        digest.update(f"{seed} {json.dumps(doc, sort_keys=True)}\n".encode())
+    return digest.hexdigest()
+
+
+def test_sweep_verify_reports():
+    golden = (GOLDEN / "sweep_verify_1000_1039.sha256").read_text().strip()
+    assert _sweep_verify_digest() == golden

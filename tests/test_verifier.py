@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import heapq
+from dataclasses import replace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import scenarios as sc
+from tsnfv import verifier
 from tsnfv.cnc import CncState, admit_stream, synthesize_gcls
 from tsnfv.errors import SimConfigError, ValidationError
 from tsnfv.model import (
@@ -16,6 +22,7 @@ from tsnfv.model import (
 from tsnfv.topology import shortest_path, split_by_domain
 from tsnfv.verifier import (
     SimConfig,
+    _Gates,
     check_gcl_wellformed,
     flow_from_schedules,
     simulate,
@@ -111,6 +118,33 @@ class TestSimulation:
         assert report.streams["s1"].dropped_frames == 3
         assert report.streams["s1"].observed_frame_count == 0
 
+    def test_blocked_head_does_not_hold_back_a_higher_class(self, intra_topology):
+        # On A.p0 class 3 is open over [0, 22000) and class 7 over
+        # [15000, 22000). The class-3 frame released at 10000 cannot finish
+        # before 22000 and waits; the class-7 frame released at 12000 must
+        # go when its gate opens at 15000, not wait for class 3's close.
+        _, (flow,) = _admitted(intra_topology)
+        req = flow.requirement
+        high = replace(flow, release_offset_ns=12_000)
+        low = replace(
+            flow,
+            requirement=replace(
+                req,
+                stream_id="low",
+                frame=replace(req.frame, pcp=3),
+                traffic=replace(req.traffic, max_frame_bytes=1522),
+            ),
+            release_offset_ns=10_000,
+        )
+        gcls = {
+            "A.p0": GateControlList(
+                "A.p0", 250_000, (GclEntry(0x08, 15_000), GclEntry(0x88, 7_000), GclEntry(0x00, 228_000))
+            )
+        }
+        report = simulate(intra_topology, gcls, [high, low], SimConfig(duration_cycles=1))
+        assert report.streams["s1"].observed_worst_latency_ns == 15_000 + 10_320
+        assert report.streams["low"].observed_frame_count == 1
+
     def test_no_flows_no_background_is_empty(self, intra_topology):
         report = simulate(intra_topology, {}, [], SimConfig())
         assert report.streams == {} and report.duration_ns == 0
@@ -129,6 +163,99 @@ class TestSimulation:
         )
         with pytest.raises(ValidationError):
             simulate(intra_topology, {}, [bad], SimConfig())
+
+
+def _brute_span(entries, cls, t):
+    """What `_Gates.span` and `max_run` answer for one class at time t,
+    found by a scan of every nanosecond over two cycles."""
+    cycle = sum(interval for _, interval in entries)
+    open_ns = []
+    for mask, interval in entries:
+        open_ns += [bool(mask >> cls & 1)] * interval
+    if all(open_ns):
+        return (t, None), None
+    if not any(open_ns):
+        return (None, None), 0
+    longest = run = 0
+    for u in range(2 * cycle):
+        run = run + 1 if open_ns[u % cycle] else 0
+        longest = max(longest, run)
+    start = next(u for u in range(t, t + cycle) if open_ns[u % cycle])
+    end = next(u for u in range(start + 1, start + cycle + 1) if not open_ns[u % cycle])
+    return (start, end), longest
+
+
+_entries = st.lists(
+    st.tuples(st.integers(0, 0xFF), st.integers(1, 12)), min_size=1, max_size=6
+)
+
+
+def _gates(entries) -> _Gates:
+    cycle = sum(interval for _, interval in entries)
+    return _Gates(GateControlList("p", cycle, tuple(GclEntry(m, i) for m, i in entries)))
+
+
+class TestGates:
+    """The simulator's gate lookup against a scan of every nanosecond of
+    two cycles: whether a gate is open at t, when it next closes, and
+    otherwise when it next opens and closes again."""
+
+    def _check(self, entries):
+        gates = _gates(entries)
+        for cls in range(8):
+            for t in range(2 * gates.cycle):
+                span, longest = _brute_span(entries, cls, t)
+                assert gates.span(cls, t) == span, (cls, t)
+                assert gates.max_run(cls) == longest, cls
+
+    @given(_entries)
+    def test_agrees_with_brute_force(self, entries):
+        self._check(entries)
+
+    def test_run_merged_across_cycle_boundary(self):
+        # class 7 is open over [7, 10) and [0, 2): one run of 5
+        entries = [(0x80, 2), (0x01, 5), (0x80, 3)]
+        self._check(entries)
+        gates = _gates(entries)
+        assert gates.span(7, 8) == (8, 12)
+        assert gates.span(7, 3) == (7, 12)
+        assert gates.max_run(7) == 5
+
+    def test_always_and_never_open(self):
+        entries = [(0x0F, 3), (0x0F, 4)]
+        self._check(entries)
+        gates = _gates(entries)
+        assert gates.max_run(0) is None and gates.span(0, 5) == (5, None)
+        assert gates.max_run(7) == 0 and gates.span(7, 5) == (None, None)
+
+    def test_no_gate_control_list(self):
+        gates = _Gates(None)
+        for cls in range(8):
+            assert gates.span(cls, 123) == (123, None)
+            assert gates.max_run(cls) is None
+
+
+class _CountingHeapq:
+    heappop = staticmethod(heapq.heappop)
+
+    def __init__(self):
+        self.pushes = 0
+
+    def heappush(self, heap, item):
+        self.pushes += 1
+        heapq.heappush(heap, item)
+
+
+def test_heap_pushes_per_frame_stay_bounded(intra_topology, monkeypatch):
+    """Each port keeps at most one pending transmit event, so the event
+    count grows with the frames sent, not with how long queues stay full."""
+    state, flows = _admitted(intra_topology, count=2)
+    counter = _CountingHeapq()
+    monkeypatch.setattr(verifier, "heapq", counter)
+    report = simulate(intra_topology, synthesize_gcls(state), flows, SimConfig(bg_load=1.0))
+    frames = report.be_sent + sum(s.observed_frame_count for s in report.streams.values())
+    assert report.be_sent > 0
+    assert counter.pushes <= 4 * frames
 
 
 class TestWellformedness:
@@ -173,6 +300,29 @@ class TestWellformedness:
         }
         found = check_gcl_wellformed(doc, GBPS)
         assert found == [{"kind": "bad_window_gates", "entry": 1, "gate_states": 0xC0}]
+
+    def test_missing_or_non_integer_values(self):
+        doc = {
+            "port_id": "X.p0",
+            "cycle_ns": "250000",
+            "entries": [
+                {"interval_ns": 4160},
+                {"gate_states": True, "interval_ns": 233_504},
+                {"gate_states": 0x00, "interval_ns": 12_336.0},
+                [0x7F, 4160],
+            ],
+        }
+        found = check_gcl_wellformed(doc, GBPS)
+        assert [v["key"] for v in found] == [
+            "cycle_ns",
+            "entries[0].gate_states",
+            "entries[1].gate_states",
+            "entries[2].interval_ns",
+            "entries[3].gate_states",
+            "entries[3].interval_ns",
+        ]
+        assert {v["kind"] for v in found} == {"bad_entry"}
+        assert check_gcl_wellformed({"cycle_ns": 10}, GBPS) == [{"kind": "bad_entry", "key": "entries"}]
 
     def test_short_guard(self, intra_topology):
         gcl = self._good(intra_topology)["B1.p1"].to_doc()
