@@ -18,6 +18,10 @@ Three constraint families keep the synthesized schedule exact under load:
 * queue consistency: two same-class streams resident in one egress queue
   at the same time must transmit in their arrival order, or the FIFO
   queue would hand the earlier frame the later window.
+
+All three constrain one egress port at a time, so the state indexes its
+reservations by port: admitting a stream reads and synthesizes only the
+ports of its own segment.
 """
 
 from __future__ import annotations
@@ -61,13 +65,50 @@ class _Snapshot(Codec):
 
 @dataclass
 class CncState:
-    """Mutable admission state of one domain's controller."""
+    """Mutable admission state of one domain's controller.
+
+    Three indexes are derived from the admitted streams, built on
+    construction, kept current by admit_stream and remove_stream, and
+    never snapshotted: each egress port's reservations by stream id, the
+    number of streams per distinct period (their LCM is the hyperperiod),
+    and each port's synthesized gate control list. A port's list is
+    dropped when a reservation on it changes, and every list is dropped
+    when the hyperperiod changes.
+    """
 
     domain_id: str
     topology: Topology
     requirements: dict[str, StreamRequirement] = field(default_factory=dict)
     admitted: dict[str, StreamSchedule] = field(default_factory=dict)
     hyperperiod_ns: int = 0
+    port_reservations: dict[str, dict[str, HopReservation]] = field(
+        init=False, repr=False, compare=False
+    )
+    period_counts: dict[int, int] = field(init=False, repr=False, compare=False)
+    gcl_cache: dict[str, GateControlList] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.port_reservations = {}
+        self.period_counts = {}
+        self.gcl_cache = {}
+        for sid, schedule in self.admitted.items():
+            self._index(self.requirements[sid].traffic.period_ns, schedule)
+
+    def _index(self, period: int, schedule: StreamSchedule) -> None:
+        for res in schedule.reservations:
+            on_port = self.port_reservations.setdefault(res.port_id, {})
+            if schedule.stream_id in on_port:
+                raise ValidationError(
+                    f"stream {schedule.stream_id} reserves port {res.port_id} twice"
+                )
+            on_port[schedule.stream_id] = res
+            self.gcl_cache.pop(res.port_id, None)
+        self.period_counts[period] = self.period_counts.get(period, 0) + 1
+
+    def _set_hyperperiod(self, cycle: int) -> None:
+        if cycle != self.hyperperiod_ns:
+            self.gcl_cache.clear()
+            self.hyperperiod_ns = cycle
 
     def snapshot(self) -> dict:
         """Canonical document of the state, for persistence and for the
@@ -84,11 +125,13 @@ class CncState:
     @classmethod
     def from_doc(cls, doc: dict, topology: Topology, path="") -> CncState:
         snapshot = _Snapshot.from_doc(doc, path)
-        state = cls(snapshot.domain_id, topology, hyperperiod_ns=snapshot.hyperperiod_ns)
-        for entry in snapshot.streams:
-            state.requirements[entry.requirement.stream_id] = entry.requirement
-            state.admitted[entry.requirement.stream_id] = entry.schedule
-        return state
+        return cls(
+            snapshot.domain_id,
+            topology,
+            {entry.requirement.stream_id: entry.requirement for entry in snapshot.streams},
+            {entry.requirement.stream_id: entry.schedule for entry in snapshot.streams},
+            snapshot.hyperperiod_ns,
+        )
 
 
 @dataclass(frozen=True)
@@ -123,28 +166,26 @@ def _overlaps(s1: int, l1: int, s2: int, l2: int, cycle: int) -> bool:
     return False
 
 
-def _port_windows(state: CncState, cycle: int) -> dict[str, list[_Window]]:
-    """Expand every committed reservation into its per-period instances on
-    the given cycle, grouped by egress port."""
-    out: dict[str, list[_Window]] = {}
-    for sid, schedule in state.admitted.items():
+def _port_windows(state: CncState, port: str, cycle: int) -> list[_Window]:
+    """Expand the port's committed reservations into their per-period
+    instances on the given cycle, in (start, stream id) order."""
+    windows = []
+    for sid, res in state.port_reservations.get(port, {}).items():
         period = state.requirements[sid].traffic.period_ns
-        for res in schedule.reservations:
-            for k in range(cycle // period):
-                shift = k * period
-                out.setdefault(res.port_id, []).append(
-                    _Window(
-                        start=(res.window_start_ns + shift) % cycle,
-                        length=res.length_ns,
-                        traffic_class=res.traffic_class,
-                        stream_id=sid,
-                        queue_at=(res.queue_from_ns + shift) % cycle,
-                        queue_len=res.window_end_ns - res.queue_from_ns,
-                    )
+        for k in range(cycle // period):
+            shift = k * period
+            windows.append(
+                _Window(
+                    start=(res.window_start_ns + shift) % cycle,
+                    length=res.length_ns,
+                    traffic_class=res.traffic_class,
+                    stream_id=sid,
+                    queue_at=(res.queue_from_ns + shift) % cycle,
+                    queue_len=res.window_end_ns - res.queue_from_ns,
                 )
-    for windows in out.values():
-        windows.sort(key=lambda w: (w.start, w.stream_id))
-    return out
+            )
+    windows.sort(key=lambda w: (w.start, w.stream_id))
+    return windows
 
 
 def _queue_order_conflict(
@@ -206,7 +247,9 @@ def admit_stream(
     spacing, used to recover when the first frame of the burst arrived.
     On success the reservations are committed and the returned schedule
     reports the latency from segment entry to the last bit leaving the
-    segment. On any failure the state is unchanged.
+    segment. A stream that would give a bridge port more gate control
+    entries than the bridge supports is refused. On any failure the
+    state is unchanged.
     """
     if not segment.hops:
         raise ValidationError(f"stream {req.stream_id}: empty path segment")
@@ -216,16 +259,20 @@ def admit_stream(
         raise ValidationError(
             f"stream {req.stream_id}: class 0 is reserved for best effort"
         )
+    if len({hop.port_key for hop in segment.hops}) < len(segment.hops):
+        raise ValidationError(f"stream {req.stream_id}: segment leaves a port twice")
     for hop in segment.hops:
+        link = state.topology.link_at(hop.port_key)
+        if link is None or link.link_id != hop.link_id:
+            raise ValidationError(
+                f"stream {req.stream_id}: port {hop.port_key} is not on link {hop.link_id}"
+            )
         node = state.topology.node(hop.egress_node)
         if node.kind == "bridge" and not node.supports_qbv:
             raise CapabilityError(f"bridge {node.node_id}", "qbv_shaping")
 
     period = req.traffic.period_ns
-    cycle = hyperperiod(
-        [r.traffic.period_ns for r in state.requirements.values()] + [period]
-    )
-    committed = _port_windows(state, cycle)
+    cycle = hyperperiod([*state.period_counts, period])
     traffic_class = req.frame.pcp
     talker_first_hop = segment.hops[0].egress_node == req.talker.node_id
 
@@ -278,7 +325,7 @@ def admit_stream(
 
         start = _place_window(
             port=port,
-            existing=committed.get(port, ()),
+            existing=_port_windows(state, port, cycle),
             earliest=earliest,
             burst=burst,
             guard=guard,
@@ -316,7 +363,21 @@ def admit_stream(
     )
     state.requirements[req.stream_id] = req
     state.admitted[req.stream_id] = schedule
-    state.hyperperiod_ns = cycle
+    state._index(period, schedule)
+    relaid = cycle != state.hyperperiod_ns
+    state._set_hyperperiod(cycle)
+    # Only the touched ports' lists change, unless a new cycle re-laid
+    # every port.
+    try:
+        synthesize_gcls(state, None if relaid else [res.port_id for res in placed])
+    except Exception as exc:
+        remove_stream(state, req.stream_id)
+        if isinstance(exc, GclOverflowError):
+            raise InfeasibleError(
+                "no_free_window",
+                f"port {exc.port_id} needs {exc.needed} GCL entries, bridge supports {exc.limit}",
+            ) from None
+        raise
     return schedule
 
 
@@ -423,15 +484,27 @@ def remove_stream(state: CncState, stream_id: str) -> CncState:
     The cycle shrinks to the LCM of the remaining periods."""
     if stream_id not in state.admitted:
         raise UnknownStreamError(f"stream {stream_id} is not admitted")
-    del state.admitted[stream_id]
-    del state.requirements[stream_id]
-    periods = [r.traffic.period_ns for r in state.requirements.values()]
-    state.hyperperiod_ns = hyperperiod(periods) if periods else 0
+    schedule = state.admitted.pop(stream_id)
+    period = state.requirements.pop(stream_id).traffic.period_ns
+    for res in schedule.reservations:
+        on_port = state.port_reservations[res.port_id]
+        del on_port[stream_id]
+        if not on_port:
+            del state.port_reservations[res.port_id]
+        state.gcl_cache.pop(res.port_id, None)
+    state.period_counts[period] -= 1
+    if not state.period_counts[period]:
+        del state.period_counts[period]
+    state._set_hyperperiod(
+        hyperperiod(list(state.period_counts)) if state.period_counts else 0
+    )
     return state
 
 
-def synthesize_gcls(state: CncState) -> dict[str, GateControlList]:
-    """Build the gate control list of every port carrying a reservation.
+def synthesize_gcls(state: CncState, ports=None) -> dict[str, GateControlList]:
+    """The gate control lists of the given ports, or of every port carrying
+    a reservation in port order; a port without reservations has none.
+    Lists are built only for ports missing from the state's cache.
 
     Construction: per-period window instances are laid onto the cycle;
     touching instances of one class merge into a single window; touching
@@ -443,17 +516,27 @@ def synthesize_gcls(state: CncState) -> dict[str, GateControlList]:
     cycle = state.hyperperiod_ns
     if cycle == 0:
         return {}
+    if ports is None:
+        ports = sorted(state.port_reservations)
     gcls: dict[str, GateControlList] = {}
-    for port, windows in sorted(_port_windows(state, cycle).items()):
-        link = state.topology.link_at(port)
-        guard = wire_occupancy(MAX_FRAME_BYTES, link.speed_bps)
-        entries = _build_entries(windows, guard, cycle)
-        node_id = port.split(".", 1)[0]
-        node = state.topology.node(node_id)
-        if node.kind == "bridge" and len(entries) > node.gcl_max_entries:
-            raise GclOverflowError(port, len(entries), node.gcl_max_entries)
-        gcls[port] = GateControlList(port_id=port, cycle_ns=cycle, entries=tuple(entries))
+    for port in ports:
+        if port not in state.port_reservations:
+            continue
+        gcl = state.gcl_cache.get(port)
+        if gcl is None:
+            gcl = state.gcl_cache[port] = _port_gcl(state, port, cycle)
+        gcls[port] = gcl
     return gcls
+
+
+def _port_gcl(state: CncState, port: str, cycle: int) -> GateControlList:
+    link = state.topology.link_at(port)
+    guard = wire_occupancy(MAX_FRAME_BYTES, link.speed_bps)
+    entries = _build_entries(_port_windows(state, port, cycle), guard, cycle)
+    node = state.topology.node(port.split(".", 1)[0])
+    if node.kind == "bridge" and len(entries) > node.gcl_max_entries:
+        raise GclOverflowError(port, len(entries), node.gcl_max_entries)
+    return GateControlList(port_id=port, cycle_ns=cycle, entries=tuple(entries))
 
 
 def _build_entries(windows: list[_Window], guard: int, cycle: int) -> list[GclEntry]:
@@ -539,9 +622,9 @@ def bridge_config(state: CncState) -> list[dict]:
     for bridge_id in sorted(by_bridge):
         ports = sorted(by_bridge[bridge_id])
         vlans = set()
-        for sid, schedule in state.admitted.items():
-            frame = state.requirements[sid].frame
-            if any(res.port_id in ports for res in schedule.reservations):
+        for port in ports:
+            for sid in state.port_reservations[port]:
+                frame = state.requirements[sid].frame
                 vlans.add((frame.vlan_id, frame.pcp))
         docs.append(
             {

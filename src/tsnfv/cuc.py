@@ -165,9 +165,10 @@ class _RoutedStream:
 class Cuc:
     """Orchestrator facade: owns instances, talks UNI, emits configs.
 
-    gcl_provider, when given, maps a domain id to that domain's current
-    synthesized gate control lists; talker configs need the talker port's
-    full schedule, which only the owning controller can provide.
+    gcl_provider, when given, maps a domain id and a list of ports to
+    those ports' current synthesized gate control lists; talker configs
+    need the talker port's full schedule, which only the owning controller
+    can provide.
     """
 
     def __init__(self, topology: Topology, dispatcher: Dispatcher, gcl_provider=None):
@@ -311,7 +312,7 @@ class Cuc:
             gcl = None
             if self.gcl_provider is not None:
                 port = schedules[0].reservations[0].port_id
-                gcl = self.gcl_provider(first_domain).get(port)
+                gcl = self.gcl_provider(first_domain, [port]).get(port)
             config = generate_endstation_config(
                 req,
                 schedules,

@@ -18,6 +18,7 @@ from . import cnc
 from .codec import Codec, load_json
 from .cuc import Cuc, NsInstance
 from .errors import ParseError
+from .model import GateControlList
 from .topology import Topology, parse_topology
 from .uni import AuditRecord, Dispatcher, build_registry
 
@@ -59,9 +60,12 @@ class Workspace:
         # from the state file otherwise so that what was on disk is what
         # gets shown and verified.
         self.gcl_docs: dict[str, dict] = {}
+        # port -> the list its document was encoded from; empty after a
+        # load, so the first refresh replaces every loaded document.
+        self._gcl_sources: dict[str, GateControlList] = {}
 
-    def _domain_gcls(self, domain_id: str):
-        return cnc.synthesize_gcls(self.states[domain_id])
+    def _domain_gcls(self, domain_id: str, ports=None):
+        return cnc.synthesize_gcls(self.states[domain_id], ports)
 
     # -- lifecycle pass-throughs ------------------------------------------
 
@@ -84,11 +88,17 @@ class Workspace:
             self.refresh_gcls()
 
     def refresh_gcls(self) -> None:
+        """Take every domain's current gate control lists, re-encoding only
+        the ones that changed since the last refresh."""
         docs: dict[str, dict] = {}
+        sources: dict[str, GateControlList] = {}
         for domain_id in sorted(self.states):
             for port, gcl in self._domain_gcls(domain_id).items():
-                docs[port] = gcl.to_doc()
+                unchanged = self._gcl_sources.get(port) is gcl
+                docs[port] = self.gcl_docs[port] if unchanged else gcl.to_doc()
+                sources[port] = gcl
         self.gcl_docs = docs
+        self._gcl_sources = sources
 
     # -- persistence -------------------------------------------------------
 

@@ -325,3 +325,44 @@ def random_scenario(seed: int) -> tuple[dict, dict, dict]:
 
     topo = {"nodes": nodes, "links": links, "domains": domains}
     return topo, nsd(f"sc{seed}", vnfds, vls), placement(members)
+
+
+# -- one-bridge fill ---------------------------------------------------------
+
+
+def fill_topology(pairs: int) -> dict:
+    """One bridge B1 with talker/listener host pairs T<i>/L<i>: every
+    stream crosses B1, and each port carries only its own pair's streams."""
+    nodes = [bridge("B1", "d1", max_entries=1024)]
+    links = []
+    for i in range(pairs):
+        for role, port in (("T", 2 * i), ("L", 2 * i + 1)):
+            nodes.append(host(f"{role}{i:02d}", "d1"))
+            links.append(link(f"l{role}{i:02d}", f"{role}{i:02d}", "p0", "B1", f"p{port:02d}"))
+    return {
+        "nodes": nodes,
+        "links": links,
+        "domains": {"d1": {"kind": "nfvi_pop", "controller_id": "cnc-1"}},
+    }
+
+
+def fill_service(seed: int, k: int, pairs: int) -> tuple[dict, dict]:
+    """(nsd, placement) of service k of a fill: two VLs (four streams) of
+    class 5-7 between pair k mod pairs, periods 250/500/1000 us."""
+    rng = random.Random(f"fill/{seed}/{k}")
+    t, l = f"s{k:03d}t", f"s{k:03d}l"
+
+    def fill_vl(vl_id: str, vlan: int) -> dict:
+        return vl(
+            vl_id, t, l, vlan=vlan, pcp=rng.choice([5, 6, 7]),
+            fwd=traffic(rng.choice(PERIODS_NS[1:]), rng.choice([128, 256, 384, 512])),
+            rev=traffic(rng.choice(PERIODS_NS[1:]), rng.choice([128, 256, 384, 512])),
+        )
+
+    doc = nsd(
+        f"svc{k:03d}",
+        [vnf(t, CAPS_RT), vnf(l, CAPS_RT)],
+        [fill_vl(f"s{k:03d}a", 100 + 2 * k), fill_vl(f"s{k:03d}b", 101 + 2 * k)],
+    )
+    pair = k % pairs
+    return doc, placement({t: f"T{pair:02d}", l: f"L{pair:02d}"})

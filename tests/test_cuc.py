@@ -164,6 +164,23 @@ class TestRollback:
         assert ws.snapshot_states() == baseline
         assert ws.cuc.instances[first.instance_id].status == "active"
 
+    def test_bridge_gcl_overflow_rolls_back(self):
+        # a second class on B1.p1 needs more gate entries than the bridge
+        # holds; the admission that would overflow is refused and the
+        # streams granted before it are compensated
+        doc = sc.intra_pop_topology()
+        doc["nodes"][1]["gcl_max_entries"] = 4
+        ws = sc.build_workspace(doc)
+        empty = ws.snapshot_states()
+        nsd_doc = sc.demo_nsd()
+        nsd_doc["virtual_links"].append(sc.vl("vl2", "vnfA", "vnfC", 101, 6, sc.traffic()))
+        with pytest.raises(AdmissionFailedError) as info:
+            sc.instantiate(ws, nsd_doc, sc.demo_placement())
+        assert info.value.cause == "no_free_window"
+        assert ws.cuc.instances["ns-0001"].status == "failed"
+        assert ws.snapshot_states() == empty
+        assert ws.gcl_docs == {}
+
 
 class TestTerminate:
     def test_restores_controller_baseline(self):

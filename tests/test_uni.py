@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -206,6 +207,16 @@ class TestCncService:
         response = decode_message(service.handle_line(encode_message(msg)))
         assert (response.status, response.cause) == ("failed", "malformed")
         assert "not in domain d1" in response.detail
+
+    def test_hop_off_its_link_rejected(self, intra_topology):
+        service = _service(intra_topology)
+        msg = _stream_request(intra_topology)
+        hops = (replace(msg.hops[0], egress_port="p9"),) + msg.hops[1:]
+        raw = service.handle_line(encode_message(replace(msg, hops=hops)))
+        response = decode_message(raw)
+        assert (response.status, response.cause) == ("failed", "malformed")
+        assert "port A.p9 is not on link l1" in response.detail
+        assert service.state.admitted == {}
 
     def test_remove_unknown_stream(self, intra_topology):
         service = _service(intra_topology)

@@ -6,7 +6,8 @@ import os
 import pytest
 
 import scenarios as sc
-from tsnfv.errors import ParseError
+from tsnfv import cnc
+from tsnfv.errors import ParseError, ValidationError
 from tsnfv.workspace import Workspace
 
 
@@ -75,6 +76,41 @@ class TestPersistence:
         assert restored.gcl_docs["B1.p1"]["entries"][0]["interval_ns"] == 5660
 
 
+
+class TestIncrementalSynthesis:
+    def test_gcl_builds_follow_the_new_service(self, monkeypatch):
+        """Instantiating a service next to 64 resident streams builds at
+        most one gate list per port reservation its streams make (its
+        four streams reserve two ports each), whatever else the domain
+        holds, and the refresh keeps every other port's document."""
+        pairs = 8
+        ws = sc.build_workspace(sc.fill_topology(pairs))
+        for k in range(16):
+            sc.instantiate(ws, *sc.fill_service(1, k, pairs))
+        assert len(ws.states["d1"].admitted) == 64
+        before = dict(ws.gcl_docs)
+        calls = 0
+        build = cnc._build_entries
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return build(*args)
+
+        monkeypatch.setattr(cnc, "_build_entries", counting)
+        instance = sc.instantiate(ws, *sc.fill_service(1, 16, pairs))
+        reserved = [
+            res.port_id
+            for _, chain in instance.stream_schedules()
+            for _, schedule in chain
+            for res in schedule.reservations
+        ]
+        assert 0 < calls <= len(reserved)
+        unchanged = set(before) - set(reserved)
+        assert len(unchanged) == len(before) - 4
+        assert all(ws.gcl_docs[port] is before[port] for port in unchanged)
+
+
 class TestLoadErrors:
     def test_not_json(self, tmp_path):
         path = tmp_path / "state.json"
@@ -106,6 +142,17 @@ class TestLoadErrors:
         doc["cnc"]["dX"] = doc["cnc"]["d1"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
+            Workspace.load(path)
+
+    def test_stream_reserving_a_port_twice(self, tmp_path):
+        ws = _populated()
+        path = tmp_path / "state.json"
+        ws.save(path)
+        doc = json.loads(path.read_text())
+        schedule = doc["cnc"]["d1"]["streams"][0]["schedule"]
+        schedule["reservations"].append(schedule["reservations"][0])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="reserves port A.p0 twice"):
             Workspace.load(path)
 
 
