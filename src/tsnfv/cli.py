@@ -30,7 +30,7 @@ from .errors import (
 )
 from .topology import load_topology
 from .uni import decode_routed, encode_message, malformed_response
-from .verifier import SimConfig, malformed_gcl_keys, verify_ns
+from .verifier import SimConfig, verify_ns
 from .workspace import Workspace
 
 
@@ -187,10 +187,7 @@ def _show_gcl(ws: Workspace, port: str | None) -> int:
     if doc is None:
         print(f"no gate control list for port {port}", file=sys.stderr)
         return 1
-    bad = malformed_gcl_keys(doc)
-    if bad:
-        raise ParseError(f"gcls.{port}.{bad[0]}: missing or not an integer")
-    print(f"gcl {port}  cycle_ns={doc['cycle_ns']}  base_time_ns={doc.get('base_time_ns', 0)}")
+    print(f"gcl {port}  cycle_ns={doc['cycle_ns']}  base_time_ns={doc['base_time_ns']}")
     t = 0
     for entry in doc["entries"]:
         gates = entry["gate_states"]
@@ -210,18 +207,16 @@ def _show_config(ws: Workspace, station: str | None) -> int:
     unmanaged = False
     for iid in sorted(ws.cuc.instances):
         instance = ws.cuc.instances[iid]
-        if station in instance.nsd.member_ids:
-            known = True
-            entry = instance.placement.entries.get(station)
-            if entry is not None:
-                node = ws.topology.nodes.get(entry.node_id)
-                if node is not None and not node.is_managed_station:
-                    unmanaged = True
-        if instance.status != "active":
+        if station not in instance.nsd.member_ids:
             continue
-        for config in instance.configs:
-            if config.station_id == station:
-                found.append(config)
+        known = True
+        entry = instance.placement.entries.get(station)
+        if entry is not None:
+            node = ws.topology.nodes.get(entry.node_id)
+            if node is not None and not node.is_managed_station:
+                unmanaged = True
+        if instance.status == "active":
+            found += [c for c in ws.cuc._emit_configs(instance) if c.station_id == station]
     if found:
         for config in found:
             print(json.dumps(config.to_doc(), sort_keys=True, indent=2))

@@ -91,7 +91,14 @@ class CncState:
         self.port_reservations = {}
         self.period_counts = {}
         self.gcl_cache = {}
+        # A loaded record is where the gate lists are synthesized from, so
+        # its schedules must name their own streams and ports that exist.
         for sid, schedule in self.admitted.items():
+            if schedule.stream_id != sid:
+                raise ValidationError(f"schedule of stream {sid} names stream {schedule.stream_id}")
+            for res in schedule.reservations:
+                if self.topology.link_at(res.port_id) is None:
+                    raise ValidationError(f"stream {sid} reserves port {res.port_id}, which no link has")
             self._index(self.requirements[sid].traffic.period_ns, schedule)
 
     def _index(self, period: int, schedule: StreamSchedule) -> None:
@@ -358,7 +365,6 @@ def admit_stream(
         stream_id=req.stream_id,
         reservations=tuple(placed),
         e2e_latency_ns=e2e,
-        cycle_ns=cycle,
         entry_offset_ns=entry_offset_ns,
     )
     state.requirements[req.stream_id] = req
@@ -510,8 +516,9 @@ def synthesize_gcls(state: CncState, ports=None) -> dict[str, GateControlList]:
     touching instances of one class merge into a single window; touching
     windows of any class form a span; every span is preceded by one
     all-closed guard of a full best-effort frame time (wrapping modulo the
-    cycle). All remaining time opens every gate except the classes that
-    own windows on the port, which stay closed outside them.
+    cycle), or by a shorter all-closed gap back to the previous span. All
+    remaining time opens every gate except the classes that own windows
+    on the port, which stay closed outside them.
     """
     cycle = state.hyperperiod_ns
     if cycle == 0:
@@ -580,9 +587,13 @@ def _build_entries(windows: list[_Window], guard: int, cycle: int) -> list[GclEn
         spans[0] = spans.pop() + spans[0]
 
     blocks: list[tuple[int, int, int]] = []  # (start mod cycle, length, mask)
-    for span in spans:
+    for i, span in enumerate(spans):
         head = span[0][0]
-        blocks.append(((head - guard) % cycle, guard, 0))
+        # A removal can leave a gap shorter than a guard after the previous
+        # span; the gap then stays closed whole, since no best-effort frame
+        # could finish inside it anyway.
+        closed = min(guard, (head - spans[i - 1][-1][1]) % cycle)
+        blocks.append(((head - closed) % cycle, closed, 0))
         for s, e, c in span:
             blocks.append((s % cycle, e - s, 1 << c))
 

@@ -10,6 +10,7 @@ controller exactly as it was.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import descriptors
@@ -22,7 +23,14 @@ from .errors import (
     UpdateFailedError,
     ValidationError,
 )
-from .model import GateControlList, StreamRequirement, StreamSchedule, wire_occupancy
+from .model import (
+    CapabilitySet,
+    GateControlList,
+    HopReservation,
+    StreamRequirement,
+    StreamSchedule,
+    wire_occupancy,
+)
 from .topology import PathSegment, Topology, shortest_path, split_by_domain
 from .uni import Dispatcher, RemoveStream, StreamRequest
 
@@ -40,9 +48,9 @@ def partition_latency_budget(max_latency_ns: int, hop_counts: list[int]) -> list
 
 @dataclass(frozen=True)
 class EndStationConfig(Codec):
-    """Configuration directives for one managed station endpoint: sync
-    daemon, VLAN, priority mapping, process scheduling, and, for talkers,
-    the egress gating schedule and per-instance transmission offsets."""
+    """Configuration directives for one managed talker: sync daemon, VLAN,
+    priority mapping, process scheduling, the egress gating schedule and
+    per-instance transmission offsets."""
 
     station_id: str
     interface: str
@@ -50,55 +58,41 @@ class EndStationConfig(Codec):
     vlan: tuple[int, int]  # (vlan_id, pcp)
     socket_priority_map: dict[str, int]
     scheduling_policy: str  # deadline | fifo_rt
-    tas_schedule: dict | None = None
-    txtime_offsets_ns: dict[str, list[int]] | None = None
+    tas_schedule: dict
+    txtime_offsets_ns: dict[str, list[int]]
 
 
 def generate_endstation_config(
     stream: StreamRequirement,
-    schedules: list[StreamSchedule],
-    role: str,
+    first_hop: HopReservation,
     topology: Topology,
-    capabilities,
-    egress_gcl: GateControlList | None = None,
+    capabilities: CapabilitySet,
+    egress_gcl: GateControlList | None,
 ) -> EndStationConfig | None:
-    """Build the directive document for one station of one stream, or None
-    for stations outside MANO responsibility (unmanaged external boxes).
+    """Build the directive document for the talker of one stream, or None
+    for a talker outside MANO responsibility (an unmanaged external box).
 
-    Talker configs additionally carry the egress gating schedule and the
-    transmission offsets matching the first-hop reservation; listener
-    configs stop at sync/VLAN/priority directives.
+    Besides sync, VLAN and priority directives, the document carries the
+    talker port's gating schedule and the stream's transmission offsets
+    over that schedule's cycle, one per period from the first-hop window.
     """
-    if role not in ("talker", "listener"):
-        raise ValidationError(f"role must be talker or listener, got {role!r}")
-    station = stream.talker if role == "talker" else stream.listener
+    station = stream.talker
     node = topology.node(station.node_id)
     if not node.is_managed_station:
         return None
-
-    config = {
-        "station_id": station.station_id,
-        "interface": station.interface,
-        "sync_daemon": True,
-        "vlan": (stream.frame.vlan_id, stream.frame.pcp),
-        "socket_priority_map": {str(stream.frame.pcp): stream.frame.pcp},
-        "scheduling_policy": (
-            "deadline" if getattr(capabilities, "rt_scheduling_policy", False) else "fifo_rt"
-        ),
-    }
-    if role == "listener":
-        return EndStationConfig(**config)
-
     if egress_gcl is None:
         raise ValidationError(
             f"talker config for {stream.stream_id} needs the egress gate schedule"
         )
-    first = schedules[0].reservations[0]
     period = stream.traffic.period_ns
-    cycle = schedules[0].cycle_ns
-    offsets = [first.window_start_ns + k * period for k in range(cycle // period)]
+    offsets = [first_hop.window_start_ns + k * period for k in range(egress_gcl.cycle_ns // period)]
     return EndStationConfig(
-        **config,
+        station_id=station.station_id,
+        interface=station.interface,
+        sync_daemon=True,
+        vlan=(stream.frame.vlan_id, stream.frame.pcp),
+        socket_priority_map={str(stream.frame.pcp): stream.frame.pcp},
+        scheduling_policy="deadline" if capabilities.rt_scheduling_policy else "fifo_rt",
         tas_schedule={
             "cycle_ns": egress_gcl.cycle_ns,
             "base_time_ns": egress_gcl.base_time_ns,
@@ -122,15 +116,24 @@ class NsInstance(Codec):
     instance_id: str
     nsd: descriptors.Nsd
     placement: descriptors.Placement
-    streams: list[StreamRequirement] = field(default_factory=list)
     # per stream id, the (domain, schedule) chain in talker->listener order
     schedules: dict[str, list[tuple[str, StreamSchedule]]] = field(default_factory=dict)
-    configs: list[EndStationConfig] = field(default_factory=list)
     status: str = "active"
+
+    @functools.cached_property
+    def streams(self) -> list[StreamRequirement]:
+        """The instance's streams, derived from its descriptors."""
+        return descriptors.derive_streams(self.nsd, self.placement)
 
     def stream_schedules(self):
         """(requirement, chain) pairs in stream derivation order."""
-        return [(req, self.schedules[req.stream_id]) for req in self.streams]
+        pairs = [(req, self.schedules.get(req.stream_id)) for req in self.streams]
+        for req, chain in pairs:
+            if not chain:
+                raise ValidationError(
+                    f"instance {self.instance_id} has no schedule for stream {req.stream_id}"
+                )
+        return pairs
 
     # A chain link is written as a {"domain_id", "schedule"} object, not
     # as the (domain, schedule) pair it is in memory.
@@ -165,13 +168,13 @@ class _RoutedStream:
 class Cuc:
     """Orchestrator facade: owns instances, talks UNI, emits configs.
 
-    gcl_provider, when given, maps a domain id and a list of ports to
-    those ports' current synthesized gate control lists; talker configs
-    need the talker port's full schedule, which only the owning controller
-    can provide.
+    gcl_provider maps a domain id and a list of ports to those ports'
+    current synthesized gate control lists; talker configs need the
+    talker port's full schedule, which only the owning controller can
+    provide.
     """
 
-    def __init__(self, topology: Topology, dispatcher: Dispatcher, gcl_provider=None):
+    def __init__(self, topology: Topology, dispatcher: Dispatcher, gcl_provider):
         self.topology = topology
         self.dispatcher = dispatcher
         self.gcl_provider = gcl_provider
@@ -201,22 +204,22 @@ class Cuc:
         placement: descriptors.Placement,
         instance_id: str | None = None,
     ) -> NsInstance:
-        """Derive, route, admit, configure; all of it or none of it.
+        """Derive, route and admit; all of it or none of it.
 
         Raises before any UNI traffic when descriptors, capabilities,
-        placement, or routing are unusable. Raises AdmissionFailedError
-        after rolling back every already-granted reservation when any
-        segment admission fails; the failed instance is kept for audit.
+        placement, or routing are unusable, or when a stream id is held by
+        another active instance. Raises AdmissionFailedError after rolling
+        back every already-granted reservation when any segment admission
+        fails; the failed instance is kept for audit.
         """
-        if instance_id is None:
-            instance_id = self._next_instance_id()
         prior = self.instances.get(instance_id)
         if prior is not None and prior.status == "active":
             raise ValidationError(f"instance {instance_id} is already active")
 
-        streams = descriptors.derive_streams(nsd, placement)
+        instance = NsInstance(instance_id=instance_id, nsd=nsd, placement=placement)
+        self._check_stream_ids(instance)
         routed: list[_RoutedStream] = []
-        for req in streams:
+        for req in instance.streams:
             descriptors.validate_capabilities(
                 req,
                 nsd.member_capabilities(req.talker.station_id),
@@ -228,6 +231,9 @@ class Cuc:
                 req.traffic.max_latency_ns, [len(s.hops) for s in segments]
             )
             routed.append(_RoutedStream(req, segments, budgets))
+        # an input rejected before any UNI traffic consumes no instance id
+        if instance_id is None:
+            instance_id = instance.instance_id = self._next_instance_id()
 
         # Deterministic global admission order; tightest periods first.
         order = sorted(
@@ -258,14 +264,8 @@ class Cuc:
                 response = self.dispatcher.dispatch(request, segment.domain_id)
                 if response.status != "ok":
                     self._rollback(granted)
-                    failed = NsInstance(
-                        instance_id=instance_id,
-                        nsd=nsd,
-                        placement=placement,
-                        streams=streams,
-                        status="failed",
-                    )
-                    self.instances[instance_id] = failed
+                    instance.status = "failed"
+                    self.instances[instance_id] = instance
                     raise AdmissionFailedError(
                         req.stream_id, segment.domain_id, response.cause or "unknown"
                     )
@@ -279,18 +279,22 @@ class Cuc:
                 )
             chains[req.stream_id] = chain
 
-        configs = self._emit_configs(nsd, streams, chains)
-        instance = NsInstance(
-            instance_id=instance_id,
-            nsd=nsd,
-            placement=placement,
-            streams=streams,
-            schedules=chains,
-            configs=configs,
-            status="active",
-        )
+        instance.schedules = chains
         self.instances[instance_id] = instance
         return instance
+
+    def _check_stream_ids(self, instance: NsInstance) -> None:
+        """A stream id names one stream on every controller, so no two
+        active instances may derive the same one."""
+        wanted = {req.stream_id for req in instance.streams}
+        for other in self.instances.values():
+            if other.status != "active":
+                continue
+            for req in other.streams:
+                if req.stream_id in wanted:
+                    raise ValidationError(
+                        f"stream {req.stream_id} is held by active instance {other.instance_id}"
+                    )
 
     def _rollback(self, granted: list[tuple[str, str]]) -> None:
         # compensate in reverse grant order
@@ -300,34 +304,30 @@ class Cuc:
                 domain_id,
             )
 
-    def _emit_configs(self, nsd, streams, chains) -> list[EndStationConfig]:
-        """One config per managed endpoint: each endpoint talks exactly one
-        of its VL's two streams, and the talker document is a superset of
-        the listener one, so emitting per talked stream covers everything."""
+    def _emit_configs(self, instance: NsInstance) -> list[EndStationConfig]:
+        """One config per managed endpoint, against the talker ports'
+        current gate control lists: each endpoint talks exactly one of its
+        VL's two streams, and the talker document is a superset of the
+        listener one, so emitting per talked stream covers everything."""
         configs = []
-        for req in streams:
-            chain = chains[req.stream_id]
-            first_domain = chain[0][0]
-            schedules = [sched for _, sched in chain]
-            gcl = None
-            if self.gcl_provider is not None:
-                port = schedules[0].reservations[0].port_id
-                gcl = self.gcl_provider(first_domain, [port]).get(port)
+        for req, chain in instance.stream_schedules():
+            first_domain, first = chain[0]
+            first_hop = first.reservations[0]
+            gcl = self.gcl_provider(first_domain, [first_hop.port_id]).get(first_hop.port_id)
             config = generate_endstation_config(
                 req,
-                schedules,
-                "talker",
+                first_hop,
                 self.topology,
-                nsd.member_capabilities(req.talker.station_id),
-                egress_gcl=gcl,
+                instance.nsd.member_capabilities(req.talker.station_id),
+                gcl,
             )
             if config is not None:
                 configs.append(config)
         return configs
 
     def terminate_ns(self, instance_id: str) -> NsInstance:
-        """Release every reservation of the instance; the schedule and
-        config documents stay on the instance for audit. Bridges need no
+        """Release every reservation of the instance; the schedules stay
+        on the instance for audit. Bridges need no
         touch beyond the controllers dropping the windows; end stations
         get no reconfiguration."""
         instance = self.instance(instance_id)

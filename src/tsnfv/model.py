@@ -218,7 +218,6 @@ class StreamSchedule(Codec):
     stream_id: str
     reservations: tuple[HopReservation, ...]
     e2e_latency_ns: int
-    cycle_ns: int
     entry_offset_ns: int = 0
 
     def __post_init__(self):

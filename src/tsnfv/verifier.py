@@ -454,22 +454,26 @@ def check_gcl_wellformed(gcl: GateControlList | dict, link_speed_bps: int) -> li
             violations.append({"kind": "bad_window_gates", "entry": index, "gate_states": mask})
 
     # Guards must cover one full-size best-effort frame; a guard split by
-    # the cycle boundary counts as one run.
+    # the cycle boundary counts as one run. A run right after a window may
+    # be shorter: best effort has been off the wire since before it.
     need = wire_occupancy(MAX_FRAME_BYTES, link_speed_bps)
-    runs: list[list[int]] = []
+    runs: list[list[int]] = []  # [start, length, mask of the entry before]
     t = 0
+    before = entries[-1][0] if entries else 0
     for mask, interval in entries:
         if mask == 0:
             if runs and runs[-1][0] + runs[-1][1] == t:
                 runs[-1][1] += interval
             else:
-                runs.append([t, interval])
+                runs.append([t, interval, before])
+        before = mask
         t += interval
     if len(runs) > 1 and runs[0][0] == 0 and runs[-1][0] + runs[-1][1] == total:
         first = runs.pop(0)
         runs[-1][1] += first[1]
-    for start, length in runs:
-        if length < need:
+    for start, length, before in runs:
+        after_window = before not in (0, 0x01) and before & (before - 1) == 0
+        if length < need and not after_window:
             violations.append(
                 {"kind": "guard_too_short", "start_ns": start, "have_ns": length, "need_ns": need}
             )

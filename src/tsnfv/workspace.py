@@ -4,11 +4,15 @@ One workspace holds the loaded topology, one in-process controller per
 domain, the orchestrator with its instances, the UNI audit log, and the
 currently synthesized gate control lists. It round-trips losslessly
 through a canonical JSON state file, so repeated runs over the same
-inputs produce byte-identical state.
+inputs produce byte-identical state. The file holds inputs and decisions
+only: the topology, the controllers' records, the audit log, the
+counters, and each instance's descriptors, schedules and status; gate
+control lists, streams and station configs are derived from them.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import dataclass
@@ -22,7 +26,7 @@ from .model import GateControlList
 from .topology import Topology, parse_topology
 from .uni import AuditRecord, Dispatcher, build_registry
 
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,6 @@ class _StateDoc(Codec):
     instances: dict[str, NsInstance]
     audit: tuple[AuditRecord, ...]
     counters: _Counters
-    gcls: dict[str, dict]
 
 
 class Workspace:
@@ -56,12 +59,9 @@ class Workspace:
         self.registry = build_registry(topology, self.states)
         self.dispatcher = Dispatcher(self.registry)
         self.cuc = Cuc(topology, self.dispatcher, gcl_provider=self._domain_gcls)
-        # port -> GCL document; refreshed after mutations, kept verbatim
-        # from the state file otherwise so that what was on disk is what
-        # gets shown and verified.
+        # port -> document of its synthesized GCL; refreshed after mutations
         self.gcl_docs: dict[str, dict] = {}
-        # port -> the list its document was encoded from; empty after a
-        # load, so the first refresh replaces every loaded document.
+        # port -> the list its document was encoded from
         self._gcl_sources: dict[str, GateControlList] = {}
 
     def _domain_gcls(self, domain_id: str, ports=None):
@@ -110,7 +110,6 @@ class Workspace:
             instances=self.cuc.instances,
             audit=tuple(self.dispatcher.audit_log),
             counters=_Counters(self.cuc.request_seq, self.cuc.instance_seq),
-            gcls=self.gcl_docs,
         ).to_doc()
 
     def save(self, path: str | Path) -> None:
@@ -118,7 +117,7 @@ class Workspace:
         directory, renamed over the old one, so a failed save leaves the
         previous state in place."""
         path = Path(path)
-        text = json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":")) + "\n"
         tmp = path.with_name(f".{path.name}.tmp")
         try:
             tmp.write_text(text)
@@ -130,8 +129,10 @@ class Workspace:
     @classmethod
     def from_doc(cls, doc: dict) -> Workspace:
         version = doc.get("version") if isinstance(doc, dict) else None
-        if version != STATE_VERSION:
-            raise ParseError(f"not a version {STATE_VERSION} state file (version {version!r})")
+        if version == 1:
+            doc = _from_v1(doc)
+        elif version != STATE_VERSION:
+            raise ParseError(f"not a version 1 or {STATE_VERSION} state file (version {version!r})")
         state = _StateDoc.from_doc(doc)
         ws = cls(parse_topology(state.topology))
         for domain_id, snap in state.cnc.items():
@@ -146,7 +147,7 @@ class Workspace:
         ws.dispatcher.audit_log = list(state.audit)
         ws.cuc.request_seq = state.counters.request_seq
         ws.cuc.instance_seq = state.counters.instance_seq
-        ws.gcl_docs = state.gcls
+        ws.refresh_gcls()
         return ws
 
     @classmethod
@@ -158,3 +159,42 @@ class Workspace:
     def snapshot_states(self) -> dict[str, dict]:
         """Deep snapshot of every controller, for baseline comparisons."""
         return {d: self.states[d].snapshot() for d in sorted(self.states)}
+
+
+def _from_v1(doc: dict) -> dict:
+    """A version 1 state document as version 2: the stored copies of
+    derived data (the GCL documents, each instance's streams and configs,
+    each schedule's cycle) are dropped, and the strict decoder checks what
+    is left, whatever its shape."""
+    doc = copy.deepcopy(doc)
+    doc.pop("gcls", None)
+    doc["version"] = STATE_VERSION
+    schedules = [
+        _get(entry, "schedule")
+        for domain in _members(doc.get("cnc"))
+        for entry in _members(_get(domain, "streams"))
+    ]
+    for instance in _members(doc.get("instances")):
+        if isinstance(instance, dict):
+            instance.pop("streams", None)
+            instance.pop("configs", None)
+        schedules += [
+            _get(link, "schedule")
+            for chain in _members(_get(instance, "schedules"))
+            for link in _members(chain)
+        ]
+    for schedule in schedules:
+        if isinstance(schedule, dict):
+            schedule.pop("cycle_ns", None)
+    return doc
+
+
+def _members(value) -> list:
+    """The members of a JSON object or list; none of anything else."""
+    if isinstance(value, dict):
+        return list(value.values())
+    return value if isinstance(value, list) else []
+
+
+def _get(value, key: str):
+    return value.get(key) if isinstance(value, dict) else None

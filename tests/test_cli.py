@@ -49,6 +49,25 @@ def instantiate_demo(files) -> None:
     assert rc == 0
 
 
+def load_corrupted(monkeypatch, corrupt) -> None:
+    """Make every load hand out port A.p0's GCL document as `corrupt`
+    leaves it: the lists are derived on load, so a bad list can only be
+    planted in memory."""
+    load = Workspace.load
+
+    def corrupted(path):
+        ws = load(path)
+        corrupt(ws.gcl_docs["A.p0"])
+        return ws
+
+    monkeypatch.setattr(Workspace, "load", corrupted)
+
+
+def config_documents(out: str) -> list[dict]:
+    """The documents `show config` printed, one indented object each."""
+    return json.loads("[" + out.replace("\n{", ",{") + "]")
+
+
 def write_nsd(files, doc) -> None:
     files["nsd"].write_text(json.dumps(doc))
 
@@ -93,15 +112,23 @@ class TestLifecycle:
         assert "instance ns-0001 [failed]" in capsys.readouterr().out
 
     def test_duplicate_stream_ids_are_rejected(self, files, capsys):
+        """A second instance deriving a stream id that an active instance
+        holds is an input error found before any UNI exchange: no audit
+        record, no failed instance, the state file untouched."""
         instantiate_demo(files)
+        before = files["state"].read_bytes()
+        capsys.readouterr()
         rc = run(
             "instantiate",
             "--nsd", files["nsd"],
             "--placement", files["placement"],
             "--state", files["state"],
         )
-        assert rc == 2
-        assert "rejected by domain d1: malformed" in capsys.readouterr().err
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: stream vl1~fwd is held by active instance ns-0001\n"
+        )
+        assert files["state"].read_bytes() == before
 
     def test_terminate(self, files, capsys):
         instantiate_demo(files)
@@ -243,6 +270,48 @@ class TestShow:
         assert doc["tas_schedule"]["cycle_ns"] == 250_000
         assert doc["txtime_offsets_ns"] == {"vl1~fwd": [0]}
 
+    def test_config_offsets_span_the_gate_cycle(self, files, capsys):
+        """A 1 ms VL next to the demo's 250 us one makes the talker port's
+        cycle 1 ms, so the 250 us stream is sent four times per cycle."""
+        doc = sc.demo_nsd()
+        doc["virtual_links"].append(
+            sc.vl("vl2", "vnfA", "vnfC", 101, 6, sc.traffic(period=1_000_000))
+        )
+        write_nsd(files, doc)
+        instantiate_demo(files)
+        capsys.readouterr()
+        assert run("show", "config", "vnfA", "--state", files["state"]) == 0
+        docs = config_documents(capsys.readouterr().out)
+        fwd = next(d for d in docs if "vl1~fwd" in d["txtime_offsets_ns"])
+        assert fwd["tas_schedule"]["cycle_ns"] == 1_000_000
+        assert fwd["txtime_offsets_ns"] == {"vl1~fwd": [0, 250_000, 500_000, 750_000]}
+
+    def test_config_follows_the_live_gcl(self, files, capsys):
+        """A second service on the same talker port changes its gate list;
+        the first service's talker config shows the list as it is now."""
+        instantiate_demo(files)
+        write_nsd(
+            files,
+            sc.nsd(
+                "second",
+                [sc.vnf("m1", sc.CAPS_RT), sc.vnf("m2", sc.CAPS_RT)],
+                [sc.vl("vlB", "m1", "m2", 101, 6, sc.traffic())],
+            ),
+        )
+        files["placement"].write_text(json.dumps(sc.placement({"m1": "A", "m2": "C"})))
+        instantiate_demo(files)
+        capsys.readouterr()
+        assert run("show", "gcl", "A.p0", "--state", files["state"]) == 0
+        gcl = []
+        for line in capsys.readouterr().out.splitlines()[1:-1]:
+            span, gates = line.split("gates=")
+            start, end = (int(t) for t in span.strip(" [)").split(","))
+            gcl.append([int(gates, 2), end - start])
+        assert len(gcl) == 4
+        assert run("show", "config", "vnfA", "--state", files["state"]) == 0
+        docs = config_documents(capsys.readouterr().out)
+        assert docs and all(d["tas_schedule"]["entries"] == gcl for d in docs)
+
     def test_config_unknown_station(self, files, capsys):
         instantiate_demo(files)
         assert run("show", "config", "ghost", "--state", files["state"]) == 1
@@ -289,11 +358,11 @@ class TestVerifyCommand:
         assert "  vl1~fwd: worst 10320 ns (bound 2000000 ns), 3 frames" in out
         assert out.splitlines()[-1] == "verify ns-0001: PASS"
 
-    def test_corrupt_gcl_fails_with_3(self, files, capsys):
+    def test_corrupt_gcl_fails_with_3(self, files, capsys, monkeypatch):
         instantiate_demo(files)
-        doc = json.loads(files["state"].read_text())
-        doc["gcls"]["A.p0"]["entries"][0]["interval_ns"] -= 2000
-        files["state"].write_text(json.dumps(doc))
+        load_corrupted(monkeypatch, lambda gcl: gcl["entries"][0].update(
+            interval_ns=gcl["entries"][0]["interval_ns"] - 2000
+        ))
         capsys.readouterr()
         assert run("verify", "ns-0001", "--state", files["state"]) == 3
         out = capsys.readouterr().out
@@ -444,6 +513,13 @@ class TestMalformedInput:
         assert run("show", "streams", "--state", files["state"]) == 1
         assert "instances.x: missing keys" in self._single_error(capsys)
 
+    def test_malformed_version_1_state(self, files, capsys):
+        doc = json.loads((Path(__file__).resolve().parent / "golden" / "demo_state.json").read_text())
+        doc["instances"]["ns-0001"]["status"] = 3
+        files["state"].write_text(json.dumps(doc))
+        assert run("show", "streams", "--state", files["state"]) == 1
+        assert "instances.ns-0001.status: expected a string, got an integer" in self._single_error(capsys)
+
     def test_nsd_with_string_period(self, files, capsys):
         doc = sc.demo_nsd()
         doc["virtual_links"][0]["tsn"]["traffic_fwd"]["period_ns"] = "250000"
@@ -472,19 +548,10 @@ class TestMalformedInput:
         assert run("show", "streams", "--state", files["state"]) == 1
         assert "cnc.d1.streams[0].schedule.reservations[0].window_end_ns" in self._single_error(capsys)
 
-    def _corrupt_gcl(self, files) -> None:
+    def test_verify_reports_string_gcl_interval(self, files, capsys, monkeypatch):
         instantiate_demo(files)
-        self._edit_state(files, lambda doc: doc["gcls"]["A.p0"]["entries"][0].update(interval_ns="4160"))
-
-    def test_verify_reports_string_gcl_interval(self, files, capsys):
-        self._corrupt_gcl(files)
+        load_corrupted(monkeypatch, lambda gcl: gcl["entries"][0].update(interval_ns="4160"))
         capsys.readouterr()
         assert run("verify", "ns-0001", "--state", files["state"]) == 3
         out = capsys.readouterr().out.splitlines()
         assert out == ["gcl A.p0: bad_entry key=entries[0].interval_ns", "verify ns-0001: FAIL"]
-
-    def test_show_gcl_with_string_interval(self, files, capsys):
-        self._corrupt_gcl(files)
-        capsys.readouterr()
-        assert run("show", "gcl", "A.p0", "--state", files["state"]) == 1
-        assert "gcls.A.p0.entries[0].interval_ns: missing or not an integer" in self._single_error(capsys)

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import scenarios as sc
+from tsnfv import cnc
 from tsnfv.cnc import (
     CncState,
     admit_stream,
@@ -24,6 +25,7 @@ from tsnfv.errors import (
 )
 from tsnfv.model import DataFrameSpec, EndpointRef, StreamRequirement, TrafficSpec
 from tsnfv.topology import Hop, PathSegment, load_topology, shortest_path, split_by_domain
+from tsnfv.verifier import check_gcl_wellformed
 
 BUDGET = 2_000_000
 
@@ -64,7 +66,6 @@ class TestAdmission:
             for r in schedule.reservations
         ] == [("A.p0", 0, 4160, 0), ("B1.p1", 5660, 9820, 5660)]
         assert schedule.e2e_latency_ns == 10_320
-        assert schedule.cycle_ns == 250_000
         assert schedule.exit_offset_ns == 10_320
         assert state.hyperperiod_ns == 250_000
 
@@ -97,16 +98,21 @@ class TestAdmission:
             admit_stream(state, _req("s2", "A", "C", mac_seed=2), seg, 1)
         assert state.snapshot() == before
 
-    def test_failed_synthesis_leaves_state_untouched(self, intra_topology):
-        # removing the middle of three packed streams leaves a gap shorter
-        # than a guard (a known defect), so no list can be built for the
-        # port; an admission that re-lays every port must not stay behind
+    def test_failed_synthesis_leaves_state_untouched(self, intra_topology, monkeypatch):
+        # a synthesis that fails for a reason other than an entry overflow
+        # must not leave the admission behind, even one that re-lays every
+        # port
         state = _state(intra_topology)
         seg = _segment(intra_topology, "C", "A")
         for n in range(3):
             admit_stream(state, _req(f"s{n}", "C", "A", pcp=1, period=100_000, frame=64), seg, BUDGET)
         remove_stream(state, "s1")
         before = state.snapshot()
+
+        def broken(windows, guard, cycle):
+            raise ValidationError("entries sum to more than the cycle")
+
+        monkeypatch.setattr(cnc, "_build_entries", broken)
         with pytest.raises(ValidationError, match="entries sum to"):
             admit_stream(state, _req("s3", "A", "C", period=125_000), _segment(intra_topology, "A", "C"), BUDGET)
         assert state.snapshot() == before
@@ -120,7 +126,6 @@ class TestAdmission:
         )
         # the 500 us stream fits right behind instance 0 of the 250 us one
         assert slow.reservations[0].window_start_ns == 4160
-        assert slow.cycle_ns == 500_000
         assert state.hyperperiod_ns == 500_000
 
     def test_duplicate_stream_rejected(self, intra_topology):
@@ -270,6 +275,21 @@ class TestRemoval:
         with pytest.raises(UnknownStreamError):
             remove_stream(_state(intra_topology), "ghost")
 
+    def test_gap_below_a_guard_stays_closed(self, intra_topology):
+        """Removing the middle of three packed windows leaves a 672 ns gap,
+        shorter than a guard: it stays closed whole, and the list is
+        well-formed."""
+        state = _state(intra_topology)
+        seg = _segment(intra_topology, "C", "A")
+        for n in range(3):
+            admit_stream(state, _req(f"s{n}", "C", "A", pcp=1, period=100_000, frame=64), seg, BUDGET)
+        remove_stream(state, "s1")
+        gcl = synthesize_gcls(state)["C.p0"]
+        assert [(e.gate_states, e.interval_ns) for e in gcl.entries] == [
+            (2, 672), (0, 672), (2, 672), (253, 85_648), (0, 12_336)
+        ]
+        assert check_gcl_wellformed(gcl, sc.GBPS) == []
+
 
 class TestGclSynthesis:
     def _two_streams(self, topology):
@@ -396,8 +416,7 @@ def test_incremental_gcls_match_a_cold_synthesis(intra_topology, steps):
     """After every admission (granted or refused) and every removal, the
     state's indexed and cached gate control lists are the ones a state
     rebuilt from its snapshot synthesizes, whole or one port at a time.
-    Where the cold synthesis fails, the warm one fails the same way (a
-    removal can leave two windows closer than a guard; see CHANGES.md)."""
+    Where the cold synthesis fails, the warm one fails the same way."""
     state = _state(intra_topology)
     for n, step in enumerate(steps):
         if step[0] == "remove":

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import scenarios as sc
 from tsnfv.cuc import partition_latency_budget
+from tsnfv.verifier import SimConfig, verify_ns
 from tsnfv.errors import (
     AdmissionFailedError,
     AlreadyTerminatedError,
@@ -48,9 +49,10 @@ class TestInstantiate:
         assert rev[0][1].e2e_latency_ns == 10_320  # symmetric substrate
 
     def test_configs_for_both_managed_endpoints(self, demo_instance):
-        _, instance = demo_instance
-        assert sorted(c.station_id for c in instance.configs) == ["vnfA", "vnfC"]
-        by_station = {c.station_id: c for c in instance.configs}
+        ws, instance = demo_instance
+        configs = ws.cuc._emit_configs(instance)
+        assert sorted(c.station_id for c in configs) == ["vnfA", "vnfC"]
+        by_station = {c.station_id: c for c in configs}
         talker_cfg = by_station["vnfA"]
         assert talker_cfg.sync_daemon is True
         assert talker_cfg.vlan == (100, 7)
@@ -67,7 +69,7 @@ class TestInstantiate:
         for vnfd in doc["vnfds"]:
             vnfd["required_capabilities"] = dict(sc.CAPS)  # no rt_scheduling_policy
         instance = sc.instantiate(ws, doc, sc.demo_placement())
-        assert {c.scheduling_policy for c in instance.configs} == {"fifo_rt"}
+        assert {c.scheduling_policy for c in ws.cuc._emit_configs(instance)} == {"fifo_rt"}
 
     def test_audit_trail_per_admission(self, demo_instance):
         ws, _ = demo_instance
@@ -192,8 +194,8 @@ class TestTerminate:
         assert ws.snapshot_states() == empty
         kept = ws.cuc.instances[instance.instance_id]
         assert kept.status == "terminated"
-        # audit documents survive termination
-        assert kept.schedules and kept.configs
+        # the granted schedules survive termination for audit
+        assert kept.schedules
 
     def test_double_terminate(self):
         ws = sc.build_workspace(sc.intra_pop_topology())
@@ -220,6 +222,57 @@ class TestTerminate:
         state = ws.states["d1"]
         assert set(state.admitted) == {"vl2~fwd", "vl2~rev"}
         assert ws.cuc.instances[b.instance_id].status == "active"
+
+
+def test_terminating_the_middle_of_three_packed_services():
+    """The middle service's windows leave gaps shorter than a guard behind;
+    termination succeeds and the other two still verify under full
+    background load."""
+    ws = sc.build_workspace(sc.intra_pop_topology())
+    ids = []
+    for k in range(3):
+        doc = sc.nsd(
+            f"ns{k}",
+            [sc.vnf(f"a{k}", sc.CAPS_RT), sc.vnf(f"c{k}", sc.CAPS_RT)],
+            [sc.vl(f"vl{k}", f"a{k}", f"c{k}", 100 + k, 1, sc.traffic(period=100_000, frame=64))],
+        )
+        ids.append(sc.instantiate(ws, doc, sc.placement({f"a{k}": "A", f"c{k}": "C"})).instance_id)
+    ws.terminate(ids[1])
+    for iid in (ids[0], ids[2]):
+        result = verify_ns(ws.cuc.instance(iid), ws.topology, ws.gcl_docs, SimConfig(bg_load=1.0))
+        assert result.passed, result.gcl_violations
+
+
+class TestStreamIdClash:
+    def test_rejected_before_any_uni_exchange(self):
+        ws = sc.build_workspace(sc.intra_pop_topology())
+        first = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+        audit = list(ws.dispatcher.audit_log)
+        snapshots = ws.snapshot_states()
+        with pytest.raises(ValidationError, match="stream vl1~fwd is held by active instance ns-0001"):
+            sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+        assert ws.dispatcher.audit_log == audit
+        assert ws.snapshot_states() == snapshots
+        assert list(ws.cuc.instances) == [first.instance_id]
+        assert ws.cuc.instance_seq == 1
+
+    def test_terminated_instance_holds_no_stream(self):
+        ws = sc.build_workspace(sc.intra_pop_topology())
+        first = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+        ws.terminate(first.instance_id)
+        again = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+        assert again.status == "active"
+
+    def test_update_to_its_own_nsd(self):
+        ws = sc.build_workspace(sc.intra_pop_topology())
+        instance = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+        updated = ws.update(
+            instance.instance_id,
+            sc.parse_nsd_doc(sc.demo_nsd()),
+            sc.parse_placement_doc(sc.demo_placement()),
+        )
+        assert updated.status == "active"
+        assert updated.schedules == instance.schedules
 
 
 class TestUpdate:
@@ -281,7 +334,7 @@ class TestUnmanagedStations:
         instance = sc.instantiate(ws, nsd_doc, placement)
         # only the managed sink talks the reverse stream; the camera's
         # forward stream yields no config
-        assert [c.station_id for c in instance.configs] == ["sink"]
+        assert [c.station_id for c in ws.cuc._emit_configs(instance)] == ["sink"]
 
     def test_instance_round_trip(self, demo_instance):
         from tsnfv.cuc import NsInstance

@@ -2,12 +2,14 @@
 services terminated, eight more admitted into the gaps, then everything
 terminated. It pins every UNI line exchanged, the state file after the
 fill and the state file after the drain, so a change to how admission or
-GCL synthesis is computed that moves one window, one gate entry or one
-byte of a station config fails here."""
+GCL synthesis is computed that moves one window or one gate entry fails
+here. The state file holds no gate lists, so the lists after the fill
+are pinned on their own."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import scenarios as sc
 from tsnfv.uni import CncEntry, CncRegistry
@@ -17,9 +19,10 @@ SERVICES = 40  # 160 streams, about 27 per bridge port
 REFILL = 8
 SEED = 5
 
-UNI_LINES_SHA256 = "7ccfd825b8dbda34f864865a6d4327a76ac012cc73bb841ef5fa726469975399"
-FILLED_STATE_SHA256 = "4739fcbfc81312c2b9561e65621c2abfb3f4ecc9fc87c69457a8413fa52a995c"
-DRAINED_STATE_SHA256 = "ee4bfe7ae28b49444e8965e7526f06eb8927f5ad1123c95fdd4d80d625997962"
+UNI_LINES_SHA256 = "3b393579075ed7594422d66badaf947446f0f0a6f2dac0947b115bc348760130"
+FILLED_STATE_SHA256 = "8b34409cb7c9c5deb95e5f433d1fd05c4e0a87995077922abe206226dfaf065b"
+FILLED_GCLS_SHA256 = "3c188e03dae1170f154914f6ef0c20b11ab8fc0167405f893d4558ed6c6d879c"
+DRAINED_STATE_SHA256 = "c047d32a3e67560db72416ec755ecdcb9780e53c518cacae02b8563826fa2c47"
 
 
 class _Recorder:
@@ -50,6 +53,10 @@ def _state_sha256(ws, path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _gcls_sha256(ws) -> str:
+    return hashlib.sha256(json.dumps(ws.gcl_docs, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
 def test_fill_and_drain_bytes(tmp_path):
     ws = sc.build_workspace(sc.fill_topology(PAIRS))
     lines = _record_uni(ws)
@@ -59,6 +66,7 @@ def test_fill_and_drain_bytes(tmp_path):
     ]
     assert sum(len(state.admitted) for state in ws.states.values()) == 4 * SERVICES
     filled = _state_sha256(ws, tmp_path / "filled.json")
+    filled_gcls = _gcls_sha256(ws)
 
     for iid in ids[1::2]:
         ws.terminate(iid)
@@ -72,8 +80,9 @@ def test_fill_and_drain_bytes(tmp_path):
     assert ws.gcl_docs == {}
     drained = _state_sha256(ws, tmp_path / "drained.json")
 
-    assert (hashlib.sha256(b"".join(lines)).hexdigest(), filled, drained) == (
+    assert (hashlib.sha256(b"".join(lines)).hexdigest(), filled, filled_gcls, drained) == (
         UNI_LINES_SHA256,
         FILLED_STATE_SHA256,
+        FILLED_GCLS_SHA256,
         DRAINED_STATE_SHA256,
     )

@@ -169,13 +169,13 @@ class TestReservations:
 
     def test_schedule_round_trip(self):
         r = HopReservation("A.p0", 0, 4160, 7, "s1", 0)
-        sched = StreamSchedule("s1", (r,), 10_320, 250_000, entry_offset_ns=0)
+        sched = StreamSchedule("s1", (r,), 10_320, entry_offset_ns=0)
         assert sched.exit_offset_ns == 10_320
         assert StreamSchedule.from_doc(sched.to_doc()) == sched
 
     def test_schedule_needs_reservations(self):
         with pytest.raises(ValidationError):
-            StreamSchedule("s1", (), 10_320, 250_000)
+            StreamSchedule("s1", (), 10_320)
 
 
 def test_capability_set_rejects_unknown_flags():

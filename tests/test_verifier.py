@@ -339,6 +339,22 @@ class TestWellformedness:
         assert [v["kind"] for v in found] == ["guard_too_short"]
         assert found[0]["need_ns"] == 12_336
 
+    def test_short_closed_run_after_a_window(self):
+        """A closed run shorter than a guard is fine right after a window,
+        where best effort is already off the wire, and not after the
+        best-effort time."""
+        entries = [(0x00, 12_336), (0x80, 4160), (0x00, 1000), (0x80, 4160), (0x7F, 228_344)]
+        doc = {
+            "port_id": "X.p0",
+            "cycle_ns": 250_000,
+            "entries": [{"gate_states": g, "interval_ns": i} for g, i in entries],
+        }
+        assert check_gcl_wellformed(doc, GBPS) == []
+        entries[2:2] = [(0x7F, 1000)]
+        entries[-1] = (0x7F, 227_344)
+        doc["entries"] = [{"gate_states": g, "interval_ns": i} for g, i in entries]
+        assert [v["kind"] for v in check_gcl_wellformed(doc, GBPS)] == ["guard_too_short"]
+
     def test_guard_split_by_cycle_boundary_counts_once(self):
         doc = {
             "port_id": "X.p0",

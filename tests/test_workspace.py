@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ import scenarios as sc
 from tsnfv import cnc
 from tsnfv.errors import ParseError, ValidationError
 from tsnfv.workspace import Workspace
+
+V1_DEMO_STATE = Path(__file__).resolve().parent / "golden" / "demo_state.json"
 
 
 def _populated():
@@ -62,18 +65,67 @@ class TestPersistence:
         ws2.terminate("ns-0001")
         assert ws2.states["d1"].admitted == {}
 
-    def test_corrupted_gcls_survive_reload_until_mutation(self, tmp_path):
+    def test_saved_state_holds_no_derived_data(self, tmp_path):
         ws = _populated()
         path = tmp_path / "state.json"
         ws.save(path)
         doc = json.loads(path.read_text())
-        doc["gcls"]["B1.p1"]["entries"][0]["interval_ns"] -= 3000
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        assert doc["version"] == 2
+        assert sorted(doc) == ["audit", "cnc", "counters", "instances", "topology", "version"]
+        instance = doc["instances"]["ns-0001"]
+        assert sorted(instance) == ["instance_id", "nsd", "placement", "schedules", "status"]
+        schedules = [link["schedule"] for chain in instance["schedules"].values() for link in chain]
+        schedules += [entry["schedule"] for entry in doc["cnc"]["d1"]["streams"]]
+        assert len(schedules) == 4
+        assert all("cycle_ns" not in schedule for schedule in schedules)
+
+    def test_load_derives_gcls_and_streams(self, tmp_path):
+        ws = _populated()
+        path = tmp_path / "state.json"
+        ws.save(path)
         restored = Workspace.load(path)
-        # what was on disk is what gets verified
-        assert restored.gcl_docs["B1.p1"]["entries"][0]["interval_ns"] == 2660
-        restored.refresh_gcls()
+        assert restored.gcl_docs == ws.gcl_docs
+        assert restored.cuc.instance("ns-0001").streams == ws.cuc.instance("ns-0001").streams
+
+
+class TestVersion1:
+    """A version 1 file stored copies of derived data; loading drops them
+    and derives them afresh."""
+
+    def test_loads_as_the_same_state(self, tmp_path):
+        ws = _populated()
+        old = Workspace.load(V1_DEMO_STATE)
+        assert old.to_doc() == ws.to_doc()
+        assert old.gcl_docs == ws.gcl_docs
+
+    def test_tampered_v1_gcls_are_ignored_on_load(self, tmp_path):
+        doc = json.loads(V1_DEMO_STATE.read_text())
+        doc["gcls"]["B1.p1"]["entries"][0]["interval_ns"] -= 3000
+        doc["instances"]["ns-0001"]["configs"][0]["tas_schedule"]["entries"] = []
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        restored = Workspace.load(path)
         assert restored.gcl_docs["B1.p1"]["entries"][0]["interval_ns"] == 5660
+        assert restored.gcl_docs == _populated().gcl_docs
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.update(instances=[]),
+            lambda doc: doc["instances"].update({"ns-0001": 7}),
+            lambda doc: doc["instances"]["ns-0001"].update(schedules={"vl1~fwd": "x"}),
+            lambda doc: doc["instances"]["ns-0001"]["schedules"]["vl1~fwd"].append(3),
+            lambda doc: doc["cnc"]["d1"].update(streams=[None]),
+            lambda doc: doc["cnc"]["d1"]["streams"][0].update(schedule=[]),
+            lambda doc: doc["cnc"]["d1"]["streams"][0]["schedule"].update(cycle="x"),
+            lambda doc: doc.update(cnc="x"),
+        ],
+    )
+    def test_malformed_v1_is_a_parse_error(self, edit):
+        doc = json.loads(V1_DEMO_STATE.read_text())
+        edit(doc)
+        with pytest.raises(ParseError):
+            Workspace.from_doc(doc)
 
 
 
@@ -155,6 +207,37 @@ class TestLoadErrors:
         with pytest.raises(ValidationError, match="reserves port A.p0 twice"):
             Workspace.load(path)
 
+    def _load_edited(self, tmp_path, edit):
+        ws = _populated()
+        path = tmp_path / "state.json"
+        ws.save(path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return Workspace.load(path)
+
+    def test_reservation_on_a_port_no_link_has(self, tmp_path):
+        def edit(doc):
+            doc["cnc"]["d1"]["streams"][0]["schedule"]["reservations"][0]["port_id"] = "A.p9"
+
+        with pytest.raises(ValidationError, match="reserves port A.p9, which no link has"):
+            self._load_edited(tmp_path, edit)
+
+    def test_schedule_naming_another_stream(self, tmp_path):
+        def edit(doc):
+            doc["cnc"]["d1"]["streams"][0]["schedule"]["stream_id"] = "other"
+
+        with pytest.raises(ValidationError, match="names stream other"):
+            self._load_edited(tmp_path, edit)
+
+    def test_active_instance_with_an_empty_chain(self, tmp_path):
+        def edit(doc):
+            doc["instances"]["ns-0001"]["schedules"]["vl1~rev"] = []
+
+        ws = self._load_edited(tmp_path, edit)
+        with pytest.raises(ValidationError, match="has no schedule for stream vl1~rev"):
+            ws.cuc.instance("ns-0001").stream_schedules()
+
 
 class TestAtomicSave:
     """A save that fails leaves the previous state file byte-identical and
@@ -169,7 +252,7 @@ class TestAtomicSave:
     def test_failure_while_encoding(self, tmp_path):
         ws, path, before = self._saved(tmp_path)
         ws.terminate("ns-0001")
-        ws.gcl_docs["B1.p1"] = object()  # not JSON
+        ws.cuc.request_seq = object()  # not JSON
         with pytest.raises(TypeError):
             ws.save(path)
         assert path.read_bytes() == before
