@@ -26,6 +26,7 @@ ports of its own segment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .codec import Codec
@@ -100,6 +101,13 @@ class CncState:
                 if self.topology.link_at(res.port_id) is None:
                     raise ValidationError(f"stream {sid} reserves port {res.port_id}, which no link has")
             self._index(self.requirements[sid].traffic.period_ns, schedule)
+        # every gate list is laid out on this cycle, so it must be the streams' own
+        cycle = math.lcm(*self.period_counts) if self.period_counts else 0
+        if self.hyperperiod_ns != cycle:
+            raise ValidationError(
+                f"domain {self.domain_id}: hyperperiod_ns is {self.hyperperiod_ns}, "
+                f"but the periods of its streams give {cycle}"
+            )
 
     def _index(self, period: int, schedule: StreamSchedule) -> None:
         for res in schedule.reservations:

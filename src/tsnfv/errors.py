@@ -20,10 +20,6 @@ class NoPathError(TsnNfvError):
     """No route exists between the requested endpoints."""
 
 
-class UnmappedDomainError(TsnNfvError):
-    """A path hop belongs to a domain absent from the domain map."""
-
-
 class UnplacedMemberError(TsnNfvError):
     """A network-service member has no placement entry."""
 

@@ -8,15 +8,11 @@ with a lexicographic tie-break so that schedules are reproducible.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 
 from .codec import Codec, load_json
-from .errors import (
-    NoPathError,
-    ParseError,
-    UnmappedDomainError,
-    ValidationError,
-)
+from .errors import NoPathError, ParseError, ValidationError
 from .model import check_identifier, port_key
 
 NODE_KINDS = ("bridge", "compute_host", "external_station")
@@ -159,7 +155,6 @@ class PathSegment:
     domain; the unit of work handed to that domain's controller."""
 
     domain_id: str
-    controller_id: str
     hops: tuple[Hop, ...]
 
 
@@ -317,32 +312,5 @@ def shortest_path(topology: Topology, src_node: str, dst_node: str) -> Path:
 def split_by_domain(path: Path, topology: Topology) -> list[PathSegment]:
     """Cut a path into maximal runs of hops whose egress nodes share a
     domain. Segment concatenation reproduces the path."""
-    segments: list[PathSegment] = []
-    current: list[Hop] = []
-    current_domain: str | None = None
-    for hop in path.hops:
-        node = topology.node(hop.egress_node)
-        domain_id = node.domain_id
-        if domain_id not in topology.domains:
-            raise UnmappedDomainError(f"domain {domain_id} of node {node.node_id} is unmapped")
-        if domain_id != current_domain:
-            if current:
-                segments.append(
-                    PathSegment(
-                        current_domain,
-                        topology.domains[current_domain].controller_id,
-                        tuple(current),
-                    )
-                )
-            current = []
-            current_domain = domain_id
-        current.append(hop)
-    if current:
-        segments.append(
-            PathSegment(
-                current_domain,
-                topology.domains[current_domain].controller_id,
-                tuple(current),
-            )
-        )
-    return segments
+    runs = itertools.groupby(path.hops, key=lambda hop: topology.node(hop.egress_node).domain_id)
+    return [PathSegment(domain_id, tuple(hops)) for domain_id, hops in runs]

@@ -1,10 +1,10 @@
 """User/Network Interface between the orchestrator and domain controllers.
 
-Message schema, newline-delimited JSON codec, controller registry, and the
-dispatcher that realizes the Or-Vi (orchestrator to VIM) and Or-Wi
-(orchestrator to WIM) reference points. In-process handles and socket
-transports are interchangeable: every request travels through the codec
-either way, so tests exercise the same bytes the service mode ships.
+Message schema, newline-delimited JSON codec, the controller service, and
+the dispatcher that realizes the Or-Vi (orchestrator to VIM) and Or-Wi
+(orchestrator to WIM) reference points; the kind of the target domain
+decides which one an exchange uses. Every request travels through the
+codec, so tests exercise the same bytes the service mode ships.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from .errors import (
     ValidationError,
 )
 from .model import StreamRequirement, StreamSchedule
-from .topology import Domain, Hop, PathSegment
+from .topology import Hop, PathSegment, Topology
 from . import cnc
 
-# reference_point is a pure function of the controller kind
-REFERENCE_POINTS = {"vim": "Or-Vi", "wim": "Or-Wi"}
-_DOMAIN_CONTROLLER_KINDS = {"nfvi_pop": "vim", "wan_segment": "wim"}
+# domain kind -> the reference point its controller is reached over
+REFERENCE_POINTS = {"nfvi_pop": "Or-Vi", "wan_segment": "Or-Wi"}
 
 FAILURE_CAUSES = (
     "infeasible_budget",
@@ -41,20 +40,6 @@ FAILURE_CAUSES = (
     "unknown_stream",
     "malformed",
 )
-
-
-def controller_kind(domain_kind: str) -> str:
-    try:
-        return _DOMAIN_CONTROLLER_KINDS[domain_kind]
-    except KeyError:
-        raise ValidationError(f"no controller kind for domain kind {domain_kind!r}") from None
-
-
-def reference_point(kind: str) -> str:
-    try:
-        return REFERENCE_POINTS[kind]
-    except KeyError:
-        raise ValidationError(f"unknown controller kind {kind!r}") from None
 
 
 class _Message(Codec):
@@ -191,13 +176,8 @@ class CncService:
     response rather than tearing down the transport.
     """
 
-    def __init__(self, state: cnc.CncState, domain: Domain):
-        if domain.domain_id != state.domain_id:
-            raise ValidationError(
-                f"controller for {domain.domain_id} handed state for {state.domain_id}"
-            )
+    def __init__(self, state: cnc.CncState):
         self.state = state
-        self.domain = domain
 
     def handle_line(self, line: bytes) -> bytes:
         try:
@@ -231,11 +211,7 @@ class CncService:
                     "malformed",
                     f"hop {hop.port_key} is not in domain {self.state.domain_id}",
                 )
-        segment = PathSegment(
-            domain_id=self.state.domain_id,
-            controller_id=self.domain.controller_id,
-            hops=msg.hops,
-        )
+        segment = PathSegment(domain_id=self.state.domain_id, hops=msg.hops)
         try:
             schedule = cnc.admit_stream(
                 self.state,
@@ -304,39 +280,6 @@ def _fish_request_id(line: bytes | str) -> str:
 
 
 @dataclass(frozen=True)
-class CncEntry:
-    """One registered controller: who it is and how to reach it."""
-
-    domain_id: str
-    controller_id: str
-    kind: str  # vim | wim
-    handle: object  # CncService-like, or (host, port) address
-
-    def __post_init__(self):
-        if self.kind not in REFERENCE_POINTS:
-            raise ValidationError(f"controller kind must be vim or wim, got {self.kind!r}")
-
-
-class CncRegistry:
-    def __init__(self):
-        self._entries: dict[str, CncEntry] = {}
-
-    def register(self, entry: CncEntry):
-        if entry.domain_id in self._entries:
-            raise ValidationError(f"domain {entry.domain_id} registered twice")
-        self._entries[entry.domain_id] = entry
-
-    def entry(self, domain_id: str) -> CncEntry:
-        try:
-            return self._entries[domain_id]
-        except KeyError:
-            raise UnknownDomainError(f"no controller registered for domain {domain_id}") from None
-
-    def domains(self) -> list[str]:
-        return sorted(self._entries)
-
-
-@dataclass(frozen=True)
 class AuditRecord(Codec):
     request_id: str
     domain_id: str
@@ -344,29 +287,28 @@ class AuditRecord(Codec):
 
 
 class Dispatcher:
-    """Routes UNI requests to the owning controller and keeps the audit log."""
+    """Routes UNI requests to the owning domain's controller and keeps the
+    audit log. A handle is anything that answers a request line with a
+    response line through handle_line."""
 
-    def __init__(self, registry: CncRegistry):
-        self.registry = registry
+    def __init__(self, topology: Topology, handles: dict):
+        self.topology = topology
+        self.handles = handles
         self.audit_log: list[AuditRecord] = []
 
     def dispatch(self, request: StreamRequest | RemoveStream | CapabilityQuery, domain_id: str) -> UniResponse:
-        entry = self.registry.entry(domain_id)
+        try:
+            handle = self.handles[domain_id]
+        except KeyError:
+            raise UnknownDomainError(f"no controller registered for domain {domain_id}") from None
         self.audit_log.append(
             AuditRecord(
                 request_id=request.request_id,
                 domain_id=domain_id,
-                reference_point=reference_point(entry.kind),
+                reference_point=REFERENCE_POINTS[self.topology.domains[domain_id].kind],
             )
         )
-        line = encode_message(request)
-        handle = entry.handle
-        if hasattr(handle, "handle_line"):
-            raw = handle.handle_line(line)
-        elif isinstance(handle, tuple) and len(handle) == 2:
-            raw = _exchange_over_socket(handle, line)
-        else:
-            raise TransportError(f"domain {domain_id}: unusable transport handle {handle!r}")
+        raw = handle.handle_line(encode_message(request))
         try:
             response = decode_message(raw)
         except DecodeError as exc:
@@ -374,27 +316,6 @@ class Dispatcher:
         if not isinstance(response, UniResponse):
             raise TransportError(f"domain {domain_id} answered with a {response.kind} message")
         return response
-
-
-def _exchange_over_socket(address: tuple, line: bytes) -> bytes:
-    host, port = address
-    try:
-        with socket.create_connection((host, port), timeout=10.0) as sock:
-            sock.sendall(line)
-            chunks = []
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-                if chunk.endswith(b"\n"):
-                    break
-    except OSError as exc:
-        raise TransportError(f"UNI transport to {host}:{port} failed: {exc}") from None
-    raw = b"".join(chunks)
-    if not raw.endswith(b"\n"):
-        raise TransportError(f"connection to {host}:{port} closed mid-response")
-    return raw
 
 
 def encode_routed(msg: StreamRequest | RemoveStream | CapabilityQuery, domain_id: str) -> bytes:
@@ -424,24 +345,24 @@ class UniClient:
     def request(
         self, msg: StreamRequest | RemoveStream | CapabilityQuery, domain_id: str
     ) -> UniResponse:
-        raw = _exchange_over_socket(self.address, encode_routed(msg, domain_id))
+        host, port = self.address
+        try:
+            with socket.create_connection(self.address, timeout=10.0) as sock:
+                sock.sendall(encode_routed(msg, domain_id))
+                chunks = []
+                while True:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    chunks.append(chunk)
+                    if chunk.endswith(b"\n"):
+                        break
+        except OSError as exc:
+            raise TransportError(f"UNI transport to {host}:{port} failed: {exc}") from None
+        raw = b"".join(chunks)
+        if not raw.endswith(b"\n"):
+            raise TransportError(f"connection to {host}:{port} closed mid-response")
         response = decode_message(raw)
         if not isinstance(response, UniResponse):
             raise TransportError(f"service answered with a {response.kind} message")
         return response
-
-
-def build_registry(topology, states: dict[str, cnc.CncState]) -> CncRegistry:
-    """In-process registry with one CncService per topology domain."""
-    registry = CncRegistry()
-    for domain in topology.domains.values():
-        state = states[domain.domain_id]
-        registry.register(
-            CncEntry(
-                domain_id=domain.domain_id,
-                controller_id=domain.controller_id,
-                kind=controller_kind(domain.kind),
-                handle=CncService(state, domain),
-            )
-        )
-    return registry

@@ -21,10 +21,10 @@ from pathlib import Path
 from . import cnc
 from .codec import Codec, load_json
 from .cuc import Cuc, NsInstance
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .model import GateControlList
 from .topology import Topology, parse_topology
-from .uni import AuditRecord, Dispatcher, build_registry
+from .uni import AuditRecord, CncService, Dispatcher
 
 STATE_VERSION = 2
 
@@ -50,14 +50,18 @@ class _StateDoc(Codec):
 
 
 class Workspace:
-    def __init__(self, topology: Topology):
+    def __init__(self, topology: Topology, states: dict[str, cnc.CncState] | None = None):
+        """A workspace with one controller per domain: the given state, or
+        an empty one."""
         self.topology = topology
-        self.states: dict[str, cnc.CncState] = {
-            domain_id: cnc.CncState(domain_id=domain_id, topology=topology)
-            for domain_id in topology.domains
+        given = states or {}
+        self.states = {
+            d: given[d] if d in given else cnc.CncState(domain_id=d, topology=topology)
+            for d in topology.domains
         }
-        self.registry = build_registry(topology, self.states)
-        self.dispatcher = Dispatcher(self.registry)
+        self.dispatcher = Dispatcher(
+            topology, {domain_id: CncService(state) for domain_id, state in self.states.items()}
+        )
         self.cuc = Cuc(topology, self.dispatcher, gcl_provider=self._domain_gcls)
         # port -> document of its synthesized GCL; refreshed after mutations
         self.gcl_docs: dict[str, dict] = {}
@@ -134,15 +138,15 @@ class Workspace:
         elif version != STATE_VERSION:
             raise ParseError(f"not a version 1 or {STATE_VERSION} state file (version {version!r})")
         state = _StateDoc.from_doc(doc)
-        ws = cls(parse_topology(state.topology))
+        topology = parse_topology(state.topology)
+        states = {}
         for domain_id, snap in state.cnc.items():
-            if domain_id not in ws.states:
+            if domain_id not in topology.domains:
                 raise ParseError(f"state names unknown domain {domain_id}")
-            ws.states[domain_id] = cnc.CncState.from_doc(snap, ws.topology, ("cnc", domain_id))
-        # registry handles must point at the restored states
-        ws.registry = build_registry(ws.topology, ws.states)
-        ws.dispatcher = Dispatcher(ws.registry)
-        ws.cuc = Cuc(ws.topology, ws.dispatcher, gcl_provider=ws._domain_gcls)
+            states[domain_id] = restored = cnc.CncState.from_doc(snap, topology, ("cnc", domain_id))
+            if restored.domain_id != domain_id:
+                raise ValidationError(f"the controller state of domain {domain_id} is for {restored.domain_id}")
+        ws = cls(topology, states)
         ws.cuc.instances = state.instances
         ws.dispatcher.audit_log = list(state.audit)
         ws.cuc.request_seq = state.counters.request_seq

@@ -548,6 +548,27 @@ class TestMalformedInput:
         assert run("show", "streams", "--state", files["state"]) == 1
         assert "cnc.d1.streams[0].schedule.reservations[0].window_end_ns" in self._single_error(capsys)
 
+    @pytest.mark.parametrize("cycle", [300_000, 0])
+    def test_state_with_a_wrong_hyperperiod(self, files, capsys, cycle):
+        """The gate cycle is the LCM of the stream periods (250 us here).
+        Any other stored value is refused on load instead of shaping the
+        GCLs, the station configs and the verification."""
+        instantiate_demo(files)
+        self._edit_state(files, lambda doc: doc["cnc"]["d1"].update(hyperperiod_ns=cycle))
+        for argv in (("show", "gcl", "B1.p1"), ("show", "config", "vnfA"), ("verify", "ns-0001")):
+            capsys.readouterr()
+            assert run(*argv, "--state", files["state"]) == 1, argv
+            assert f"hyperperiod_ns is {cycle}, but the periods of its streams give 250000" in (
+                self._single_error(capsys)
+            )
+
+    def test_state_with_a_controller_filed_under_another_domain(self, files, capsys):
+        Workspace(load_topology(json.dumps(sc.cross_pop_topology()))).save(files["state"])
+        self._edit_state(files, lambda doc: doc["cnc"]["d2"].update(domain_id="d1"))
+        capsys.readouterr()
+        assert run("show", "streams", "--state", files["state"]) == 1
+        assert "the controller state of domain d2 is for d1" in self._single_error(capsys)
+
     def test_verify_reports_string_gcl_interval(self, files, capsys, monkeypatch):
         instantiate_demo(files)
         load_corrupted(monkeypatch, lambda gcl: gcl["entries"][0].update(interval_ns="4160"))

@@ -54,7 +54,7 @@ def _state(topology, domain="d1"):
 
 
 # one-hop segment on B1's C-facing port, used to pin entry offsets directly
-B1_EGRESS = PathSegment("d1", "cnc-1", (Hop("B1", "p1", "l2", "C"),))
+B1_EGRESS = PathSegment("d1", (Hop("B1", "p1", "l2", "C"),))
 
 
 class TestAdmission:
@@ -149,7 +149,7 @@ class TestAdmission:
 
     def test_segment_leaving_a_port_twice_rejected(self, intra_topology):
         state = _state(intra_topology)
-        segment = PathSegment("d1", "cnc-1", B1_EGRESS.hops * 2)
+        segment = PathSegment("d1", B1_EGRESS.hops * 2)
         with pytest.raises(ValidationError):
             admit_stream(state, _req("s1", "A", "C"), segment, BUDGET)
         assert state.snapshot() == _state(intra_topology).snapshot()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from tsnfv.verifier import SimConfig, verify_ns
 from tsnfv.errors import (
     AdmissionFailedError,
     AlreadyTerminatedError,
+    TransportError,
+    TsnNfvError,
     UnknownInstanceError,
     UpdateFailedError,
     ValidationError,
@@ -182,6 +186,34 @@ class TestRollback:
         assert ws.cuc.instances["ns-0001"].status == "failed"
         assert ws.snapshot_states() == empty
         assert ws.gcl_docs == {}
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: a transport failure mid-admission leaves "
+        "the segments granted before it reserved",
+    )
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_transport_failure_at_exchange_k_rolls_back_everything(self, k):
+        ws = sc.build_workspace(sc.cross_pop_topology())
+        baseline = ws.snapshot_states()
+        handles = ws.dispatcher.handles
+        exchanges = itertools.count(1)
+
+        class _DiesAtK:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def handle_line(self, line: bytes) -> bytes:
+                if next(exchanges) == k:
+                    raise TransportError(f"exchange {k} lost")
+                return self.handle.handle_line(line)
+
+        ws.dispatcher.handles = {d: _DiesAtK(h) for d, h in handles.items()}
+        with pytest.raises(TsnNfvError):
+            sc.instantiate(ws, sc.wan_slow_nsd(), sc.wan_slow_placement())
+        assert ws.snapshot_states() == baseline
+        ws.dispatcher.handles = handles
+        assert sc.instantiate(ws, sc.wan_slow_nsd(), sc.wan_slow_placement()).status == "active"
 
 
 class TestTerminate:

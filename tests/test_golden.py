@@ -17,7 +17,6 @@ from tsnfv import cli
 from tsnfv.descriptors import parse_nsd, parse_placement
 from tsnfv.errors import AdmissionFailedError
 from tsnfv.topology import load_topology
-from tsnfv.uni import CncEntry, CncRegistry
 from tsnfv.verifier import SimConfig, verify_ns
 from tsnfv.workspace import Workspace
 
@@ -100,13 +99,7 @@ class _Recorder:
 def test_demo_first_uni_exchange():
     ws = Workspace(load_topology((DEMO / "topology.json").read_text()))
     exchanges: list = []
-    registry = CncRegistry()
-    for domain_id in ws.registry.domains():
-        entry = ws.registry.entry(domain_id)
-        registry.register(
-            CncEntry(entry.domain_id, entry.controller_id, entry.kind, _Recorder(entry.handle, exchanges))
-        )
-    ws.dispatcher.registry = registry
+    ws.dispatcher.handles = {d: _Recorder(h, exchanges) for d, h in ws.dispatcher.handles.items()}
     ws.instantiate(
         parse_nsd((DEMO / "nsd.json").read_text()),
         parse_placement((DEMO / "placement.json").read_text()),

@@ -12,7 +12,6 @@ import hashlib
 import json
 
 import scenarios as sc
-from tsnfv.uni import CncEntry, CncRegistry
 
 PAIRS = 6
 SERVICES = 40  # 160 streams, about 27 per bridge port
@@ -38,13 +37,7 @@ class _Recorder:
 
 def _record_uni(ws) -> list[bytes]:
     lines: list[bytes] = []
-    registry = CncRegistry()
-    for domain_id in ws.registry.domains():
-        entry = ws.registry.entry(domain_id)
-        registry.register(
-            CncEntry(entry.domain_id, entry.controller_id, entry.kind, _Recorder(entry.handle, lines))
-        )
-    ws.dispatcher.registry = registry
+    ws.dispatcher.handles = {d: _Recorder(h, lines) for d, h in ws.dispatcher.handles.items()}
     return lines
 
 

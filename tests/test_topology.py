@@ -60,6 +60,12 @@ class TestParsing:
         with pytest.raises(ValidationError):
             parse_topology(doc)
 
+    def test_rejects_unknown_domain_kind(self):
+        doc = sc.intra_pop_topology()
+        doc["domains"]["d1"]["kind"] = "metro_ring"
+        with pytest.raises(ValidationError, match="unknown kind 'metro_ring'"):
+            parse_topology(doc)
+
     def test_node_in_unknown_domain(self):
         doc = sc.intra_pop_topology()
         doc["nodes"][0]["domain_id"] = "dX"
@@ -143,10 +149,10 @@ class TestDomainSplit:
     def test_three_segments(self, cross_topology):
         path = shortest_path(cross_topology, "HA", "HB")
         segments = split_by_domain(path, cross_topology)
-        assert [(s.domain_id, s.controller_id, len(s.hops)) for s in segments] == [
-            ("d1", "cnc-1", 2),
-            ("wan", "cnc-w", 1),
-            ("d2", "cnc-2", 2),
+        assert [(s.domain_id, len(s.hops)) for s in segments] == [
+            ("d1", 2),
+            ("wan", 1),
+            ("d2", 2),
         ]
         # concatenation reproduces the path
         joined = tuple(h for s in segments for h in s.hops)

@@ -22,23 +22,19 @@ from tsnfv.model import (
     StreamSchedule,
     TrafficSpec,
 )
-from tsnfv.topology import shortest_path
+from tsnfv.topology import DOMAIN_KINDS, shortest_path
 from tsnfv.uni import (
     CapabilityQuery,
-    CncEntry,
-    CncRegistry,
+    REFERENCE_POINTS,
     CncService,
     Dispatcher,
     RemoveStream,
     StreamRequest,
     UniResponse,
-    build_registry,
-    controller_kind,
     decode_message,
     decode_routed,
     encode_message,
     encode_routed,
-    reference_point,
 )
 
 
@@ -65,7 +61,7 @@ def _stream_request(topology, rid="req-0001"):
 
 def _service(topology):
     state = CncState(domain_id="d1", topology=topology)
-    return CncService(state, topology.domains["d1"])
+    return CncService(state)
 
 
 class TestCodec:
@@ -144,13 +140,8 @@ class TestRouting:
         with pytest.raises(DecodeError):
             decode_routed(encode_message(RemoveStream("r", "s")))
 
-    def test_reference_points(self):
-        assert reference_point(controller_kind("nfvi_pop")) == "Or-Vi"
-        assert reference_point(controller_kind("wan_segment")) == "Or-Wi"
-        with pytest.raises(ValidationError):
-            controller_kind("metro_ring")
-        with pytest.raises(ValidationError):
-            reference_point("sdn")
+    def test_every_domain_kind_has_a_reference_point(self):
+        assert sorted(REFERENCE_POINTS) == sorted(DOMAIN_KINDS)
 
 
 class TestCncService:
@@ -197,7 +188,7 @@ class TestCncService:
 
     def test_foreign_hop_rejected(self, cross_topology):
         state = CncState(domain_id="d1", topology=cross_topology)
-        service = CncService(state, cross_topology.domains["d1"])
+        service = CncService(state)
         msg = StreamRequest(
             request_id="req-0001",
             requirement=_requirement(),
@@ -227,7 +218,7 @@ class TestCncService:
 
     def test_capability_summaries(self, cross_topology):
         state = CncState(domain_id="d2", topology=cross_topology)
-        service = CncService(state, cross_topology.domains["d2"])
+        service = CncService(state)
         response = decode_message(
             service.handle_line(encode_message(CapabilityQuery("req-0003")))
         )
@@ -236,18 +227,13 @@ class TestCncService:
         assert response.capabilities[0]["supports_qbv"] is True
         assert response.capabilities[0]["processing_delay_ns"] == 1000
 
-    def test_state_domain_must_match(self, cross_topology):
-        state = CncState(domain_id="d2", topology=cross_topology)
-        with pytest.raises(ValidationError):
-            CncService(state, cross_topology.domains["d1"])
-
 
 class TestDispatcher:
     def _dispatcher(self, topology):
-        states = {
-            d: CncState(domain_id=d, topology=topology) for d in topology.domains
+        handles = {
+            d: CncService(CncState(domain_id=d, topology=topology)) for d in topology.domains
         }
-        return Dispatcher(build_registry(topology, states))
+        return Dispatcher(topology, handles)
 
     def test_audit_carries_reference_point(self, cross_topology):
         dispatcher = self._dispatcher(cross_topology)
@@ -264,33 +250,11 @@ class TestDispatcher:
             dispatcher.dispatch(CapabilityQuery("req-0001"), "mars")
         assert dispatcher.audit_log == []
 
-    def test_unusable_handle(self, intra_topology):
-        registry = CncRegistry()
-        registry.register(CncEntry("d1", "cnc-1", "vim", handle=object()))
-        dispatcher = Dispatcher(registry)
-        with pytest.raises(TransportError):
-            dispatcher.dispatch(CapabilityQuery("req-0001"), "d1")
-
-    def test_garbage_response_from_controller(self):
+    def test_garbage_response_from_controller(self, intra_topology):
         class Mumbler:
             def handle_line(self, line):
                 return b"static noise\n"
 
-        registry = CncRegistry()
-        registry.register(CncEntry("d1", "cnc-1", "vim", handle=Mumbler()))
         with pytest.raises(TransportError):
-            Dispatcher(registry).dispatch(CapabilityQuery("req-0001"), "d1")
+            Dispatcher(intra_topology, {"d1": Mumbler()}).dispatch(CapabilityQuery("req-0001"), "d1")
 
-
-class TestRegistry:
-    def test_duplicate_domain(self, intra_topology):
-        service = _service(intra_topology)
-        registry = CncRegistry()
-        registry.register(CncEntry("d1", "cnc-1", "vim", service))
-        with pytest.raises(ValidationError):
-            registry.register(CncEntry("d1", "cnc-9", "vim", service))
-        assert registry.domains() == ["d1"]
-
-    def test_entry_kind_checked(self, intra_topology):
-        with pytest.raises(ValidationError):
-            CncEntry("d1", "cnc-1", "sdn", _service(intra_topology))
