@@ -342,12 +342,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AdmissionFailedError as exc:
-        print(f"admission failed: {exc}", file=sys.stderr)
-        return 2
-    except UpdateFailedError as exc:
-        print(f"update failed: {exc}", file=sys.stderr)
-        return 2
     except (TsnNfvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -520,13 +520,15 @@ def synthesize_gcls(state: CncState, ports=None) -> dict[str, GateControlList]:
     a reservation in port order; a port without reservations has none.
     Lists are built only for ports missing from the state's cache.
 
-    Construction: per-period window instances are laid onto the cycle;
-    touching instances of one class merge into a single window; touching
-    windows of any class form a span; every span is preceded by one
-    all-closed guard of a full best-effort frame time (wrapping modulo the
-    cycle), or by a shorter all-closed gap back to the previous span. All
-    remaining time opens every gate except the classes that own windows
-    on the port, which stay closed outside them.
+    Construction: per-period window instances are laid onto the cycle,
+    split at its end, and touching instances of one class merge into a
+    single window. One walk around the cycle, from the last window's end
+    one cycle earlier, fills the gap before each window: all gates closed
+    for its last full best-effort frame time (the guard), or for the whole
+    gap when it is shorter, and before that every gate open except the
+    classes that own windows on the port, which stay closed outside them.
+    A run of touching windows thus gets one guard, before its first
+    window. What the walk lays before the cycle start moves to the end.
     """
     cycle = state.hyperperiod_ns
     if cycle == 0:
@@ -572,58 +574,34 @@ def _build_entries(windows: list[_Window], guard: int, cycle: int) -> list[GclEn
         else:
             merged.append(piece)
 
-    total = sum(e - s for s, e, _ in merged)
-    if total >= cycle:
-        # Degenerate fully-loaded port: scheduled windows tile the whole
-        # cycle, leaving no room (or need) for guards.
-        return [GclEntry(1 << c, e - s) for s, e, c in merged]
-
     owned = 0
     for _, _, c in merged:
         owned |= 1 << c
     others = 0xFF & ~owned
 
-    # Spans are maximal runs of touching windows, joined across the cycle
-    # boundary where needed; each gets one guard immediately before it.
-    spans: list[list[list[int]]] = []
-    for piece in merged:
-        if spans and spans[-1][-1][1] == piece[0]:
-            spans[-1].append(piece)
-        else:
-            spans.append([piece])
-    if len(spans) > 1 and spans[0][0][0] == 0 and spans[-1][-1][1] == cycle:
-        spans[0] = spans.pop() + spans[0]
-
-    blocks: list[tuple[int, int, int]] = []  # (start mod cycle, length, mask)
-    for i, span in enumerate(spans):
-        head = span[0][0]
-        # A removal can leave a gap shorter than a guard after the previous
-        # span; the gap then stays closed whole, since no best-effort frame
-        # could finish inside it anyway.
-        closed = min(guard, (head - spans[i - 1][-1][1]) % cycle)
-        blocks.append(((head - closed) % cycle, closed, 0))
-        for s, e, c in span:
-            blocks.append((s % cycle, e - s, 1 << c))
-
-    # Lay the blocks onto the cycle and fill the gaps with the others mask.
-    flat: list[tuple[int, int, int]] = []
-    for s, length, mask in blocks:
-        if s + length <= cycle:
-            flat.append((s, length, mask))
-        else:
-            flat.append((s, cycle - s, mask))
-            flat.append((0, s + length - cycle, mask))
-    flat.sort()
+    # Walk once around the cycle, from the last window's end one cycle
+    # earlier. Before each window comes the others-open part of its gap,
+    # then one guard all closed, or the whole gap when a removal left it
+    # shorter than a guard: no best-effort frame could finish inside it.
+    # The walk's first `lead` ns lie before the cycle start and move to
+    # the end, so the one run across the start splits in two.
     entries: list[GclEntry] = []
-    cursor = 0
-    for s, length, mask in flat:
-        if s > cursor:
-            entries.append(GclEntry(others, s - cursor))
-        entries.append(GclEntry(mask, length))
-        cursor = s + length
-    if cursor < cycle:
-        entries.append(GclEntry(others, cycle - cursor))
-    return entries
+    wrapped: list[GclEntry] = []
+    lead = cycle - merged[-1][1]
+    prev_end = -lead
+    for s, e, c in merged:
+        gap = s - prev_end
+        closed = min(guard, gap)
+        for mask, length in ((others, gap - closed), (0, closed), (1 << c, e - s)):
+            if lead and length:
+                early = min(length, lead)
+                wrapped.append(GclEntry(mask, early))
+                lead -= early
+                length -= early
+            if length:
+                entries.append(GclEntry(mask, length))
+        prev_end = e
+    return entries + wrapped
 
 
 def bridge_config(state: CncState) -> list[dict]:

@@ -183,7 +183,7 @@ class PlacementEntry(Codec):
     def __post_init__(self):
         check_identifier(self.node_id, "node_id")
         check_identifier(self.interface, "interface")
-        check_mac(self.mac, "mac")
+        object.__setattr__(self, "mac", check_mac(self.mac, "mac"))
 
 
 @dataclass(frozen=True)

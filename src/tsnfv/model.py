@@ -91,8 +91,8 @@ class DataFrameSpec(Codec):
     dst_ip: str | None = None
 
     def __post_init__(self):
-        check_mac(self.src_mac, "src_mac")
-        check_mac(self.dst_mac, "dst_mac")
+        object.__setattr__(self, "src_mac", check_mac(self.src_mac, "src_mac"))
+        object.__setattr__(self, "dst_mac", check_mac(self.dst_mac, "dst_mac"))
         if self.src_mac == self.dst_mac:
             raise ValidationError("src_mac and dst_mac must differ")
         if not 1 <= self.vlan_id <= 4094:

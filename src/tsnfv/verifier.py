@@ -363,8 +363,6 @@ def simulate(
             continue
         port.queues[chosen].popleft()
         port.busy_until = t + wire
-        if close is not None and t + wire > close:
-            port.violations += 1
         wake(port, t + wire)
 
         if frame.flow is None:

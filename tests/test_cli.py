@@ -203,6 +203,21 @@ class TestInputErrors:
             run("instantiate", "--nsd", files["nsd"])
         assert exc.value.code == 1
 
+    def test_macs_differing_only_in_case_exit_1(self, files, capsys):
+        doc = sc.demo_placement()
+        doc["vnfA"]["mac"] = "02:00:00:00:00:AA"
+        doc["vnfC"]["mac"] = "02:00:00:00:00:aa"
+        files["placement"].write_text(json.dumps(doc))
+        rc = run(
+            "instantiate",
+            "--topology", files["topology"],
+            "--nsd", files["nsd"],
+            "--placement", files["placement"],
+            "--state", files["state"],
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: src_mac and dst_mac must differ\n"
+
     def test_unreadable_descriptor(self, files, capsys):
         rc = run(
             "instantiate",

@@ -291,7 +291,74 @@ class TestRemoval:
         assert check_gcl_wellformed(gcl, sc.GBPS) == []
 
 
+@st.composite
+def _cycle_layouts(draw):
+    """A guard and a wire-disjoint window layout on a cycle of at most
+    400 ns: the cycle is cut into runs, each free or one class's window,
+    then turned by an offset. Touching windows, gaps shorter than a guard,
+    a window across the cycle start and fully tiled cycles all occur."""
+    cycle = draw(st.integers(min_value=2, max_value=400))
+    guard = draw(st.integers(min_value=1, max_value=60))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=cycle - 1), max_size=12)))
+    bounds = [0, *cuts, cycle]
+    classes = st.integers(min_value=0, max_value=7)
+    owners = [draw(classes)] + draw(
+        st.lists(
+            classes if draw(st.booleans()) else st.one_of(st.none(), classes),
+            min_size=len(cuts),
+            max_size=len(cuts),
+        )
+    )
+    offset = draw(st.integers(min_value=0, max_value=cycle - 1))
+    windows = [
+        cnc._Window(
+            start=(offset + s) % cycle,
+            length=e - s,
+            traffic_class=c,
+            stream_id=f"s{i}",
+            queue_at=0,
+            queue_len=0,
+        )
+        for i, (s, e, c) in enumerate(zip(bounds, bounds[1:], owners))
+        if c is not None
+    ]
+    windows.sort(key=lambda w: (w.start, w.stream_id))
+    return windows, guard, cycle
+
+
+def _gate_masks_by_rule(windows, guard, cycle):
+    """The gate mask of every ns of the cycle, read from the rules: a
+    window's own class inside it; all closed within min(guard, gap) before
+    the next window; elsewhere every class owning no window on the port."""
+    owner = [None] * cycle
+    others = 0xFF
+    for w in windows:
+        others &= ~(1 << w.traffic_class)
+        for t in range(w.start, w.end):
+            owner[t % cycle] = w.traffic_class
+    masks = []
+    for t in range(cycle):
+        if owner[t] is not None:
+            masks.append(1 << owner[t])
+            continue
+        ahead = next(k for k in range(1, cycle + 1) if owner[(t + k) % cycle] is not None)
+        behind = next(k for k in range(1, cycle + 1) if owner[(t - k) % cycle] is not None)
+        gap = ahead + behind - 1
+        masks.append(0 if ahead <= min(guard, gap) else others)
+    return masks
+
+
 class TestGclSynthesis:
+    @settings(max_examples=300, deadline=None)
+    @given(layout=_cycle_layouts())
+    def test_entries_follow_the_rules_ns_by_ns(self, layout):
+        windows, guard, cycle = layout
+        entries = cnc._build_entries(windows, guard, cycle)
+        assert all(e.interval_ns > 0 for e in entries)
+        assert sum(e.interval_ns for e in entries) == cycle
+        laid = [e.gate_states for e in entries for _ in range(e.interval_ns)]
+        assert laid == _gate_masks_by_rule(windows, guard, cycle)
+
     def _two_streams(self, topology):
         state = _state(topology)
         seg = _segment(topology, "A", "C")

@@ -95,6 +95,11 @@ class TestPlacementParsing:
         assert entry.node_id == "A"
         assert entry.mac == "02:00:00:00:00:01"
 
+    def test_mac_lower_cased(self):
+        doc = sc.demo_placement()
+        doc["vnfA"]["mac"] = "02:00:00:00:00:AA"
+        assert _placement(doc).entry("vnfA").mac == "02:00:00:00:00:aa"
+
     def test_missing_member(self):
         placement = _placement(sc.demo_placement())
         with pytest.raises(UnplacedMemberError):
@@ -127,6 +132,13 @@ class TestStreamDerivation:
         assert fwd.frame.dst_mac == rev.frame.src_mac
         assert fwd.frame.vlan_id == rev.frame.vlan_id == 100
         assert fwd.frame.pcp == rev.frame.pcp == 7
+
+    def test_macs_differing_only_in_case_clash(self):
+        doc = sc.demo_placement()
+        doc["vnfA"]["mac"] = "02:00:00:00:00:AA"
+        doc["vnfC"]["mac"] = "02:00:00:00:00:aa"
+        with pytest.raises(ValidationError, match="src_mac and dst_mac must differ"):
+            derive_streams(_nsd(sc.demo_nsd()), _placement(doc))
 
     def test_directions_carry_their_own_traffic(self):
         doc = sc.nsd(

@@ -124,6 +124,12 @@ class TestSpecs:
         with pytest.raises(ValidationError):
             DataFrameSpec("02:00:00:00:00:01", "02:00:00:00:00:02", 100, 8)
 
+    def test_frame_spec_macs_lower_cased(self):
+        frame = DataFrameSpec("02:00:00:00:00:AB", "02:00:00:00:00:Cd", 100, 7)
+        assert (frame.src_mac, frame.dst_mac) == ("02:00:00:00:00:ab", "02:00:00:00:00:cd")
+        with pytest.raises(ValidationError, match="src_mac and dst_mac must differ"):
+            DataFrameSpec("02:00:00:00:00:AA", "02:00:00:00:00:aa", 100, 7)
+
     def test_round_trips(self):
         spec = TrafficSpec(250_000, 500, 2, 2_000_000)
         assert TrafficSpec.from_doc(spec.to_doc()) == spec
