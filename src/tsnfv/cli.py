@@ -122,11 +122,7 @@ def cmd_instantiate(args) -> int:
         instance = ws.instantiate(nsd, placement)
     except AdmissionFailedError as exc:
         ws.save(args.state)
-        print(
-            f"admission failed: stream {exc.stream_id} rejected by domain "
-            f"{exc.domain_id}: {exc.cause}",
-            file=sys.stderr,
-        )
+        print(f"admission failed: {exc}", file=sys.stderr)
         return 2
     ws.save(args.state)
     print(_instance_report(instance))

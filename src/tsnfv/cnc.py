@@ -21,13 +21,21 @@ Three constraint families keep the synthesized schedule exact under load:
 
 All three constrain one egress port at a time, so the state indexes its
 reservations by port: admitting a stream reads and synthesizes only the
-ports of its own segment.
+ports of its own segment. On the settled hyperperiod the state also keeps
+each port's layout: its window instances in (start, stream id) order with
+their sorted starts and ends. A candidate start is then checked by
+bisection (the one window that can overlap it first, and the nearest end
+before and start after it for the guard gaps) plus a scan of the
+same-class windows for queue order, instead of against every instance on
+the port.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .codec import Codec
 from .errors import (
@@ -68,13 +76,20 @@ class _Snapshot(Codec):
 class CncState:
     """Mutable admission state of one domain's controller.
 
-    Three indexes are derived from the admitted streams, built on
-    construction, kept current by admit_stream and remove_stream, and
-    never snapshotted: each egress port's reservations by stream id, the
-    number of streams per distinct period (their LCM is the hyperperiod),
-    and each port's synthesized gate control list. A port's list is
-    dropped when a reservation on it changes, and every list is dropped
-    when the hyperperiod changes.
+    Four indexes are derived from the admitted streams, kept current by
+    admit_stream and remove_stream, and never snapshotted: each egress
+    port's reservations by stream id, the number of streams per distinct
+    period (their LCM is the hyperperiod), each port's window layout on
+    the hyperperiod, and each port's synthesized gate control list. A
+    port's list is dropped when a reservation on it changes. Its layout
+    takes an admission in place and notes a removal, whose windows leave
+    on the layout's next read. Every layout and list is dropped when the
+    hyperperiod changes. A missing list is built on first use; a missing
+    layout when a placement on the settled hyperperiod needs it.
+
+    Loading checks what the scheduler relies on: the schedules name their
+    own streams and existing ports, the hyperperiod is the streams' own,
+    and no two windows on a port overlap.
     """
 
     domain_id: str
@@ -86,11 +101,13 @@ class CncState:
         init=False, repr=False, compare=False
     )
     period_counts: dict[int, int] = field(init=False, repr=False, compare=False)
+    port_layouts: dict[str, _Layout] = field(init=False, repr=False, compare=False)
     gcl_cache: dict[str, GateControlList] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.port_reservations = {}
         self.period_counts = {}
+        self.port_layouts = {}
         self.gcl_cache = {}
         # A loaded record is where the gate lists are synthesized from, so
         # its schedules must name their own streams and ports that exist.
@@ -108,6 +125,10 @@ class CncState:
                 f"domain {self.domain_id}: hyperperiod_ns is {self.hyperperiod_ns}, "
                 f"but the periods of its streams give {cycle}"
             )
+        # placement bisects each port's layout, which only works on
+        # windows that admission keeps disjoint
+        for port in sorted(self.port_reservations):
+            _check_disjoint(port, self.layout(port).windows, cycle)
 
     def _index(self, period: int, schedule: StreamSchedule) -> None:
         for res in schedule.reservations:
@@ -118,12 +139,28 @@ class CncState:
                 )
             on_port[schedule.stream_id] = res
             self.gcl_cache.pop(res.port_id, None)
+            layout = self.port_layouts.get(res.port_id)
+            if layout is not None:
+                layout.insert(_instances(schedule.stream_id, res, period, self.hyperperiod_ns))
         self.period_counts[period] = self.period_counts.get(period, 0) + 1
 
     def _set_hyperperiod(self, cycle: int) -> None:
         if cycle != self.hyperperiod_ns:
+            self.port_layouts.clear()
             self.gcl_cache.clear()
             self.hyperperiod_ns = cycle
+
+    def layout(self, port: str) -> _Layout:
+        """The port's window layout on the hyperperiod, built on first use
+        and kept while the port holds reservations."""
+        layout = self.port_layouts.get(port)
+        if layout is not None:
+            return layout.current()
+        cycle = self.hyperperiod_ns
+        layout = _Layout(_port_windows(self, port, cycle), cycle)
+        if port in self.port_reservations:
+            self.port_layouts[port] = layout
+        return layout
 
     def snapshot(self) -> dict:
         """Canonical document of the state, for persistence and for the
@@ -181,26 +218,90 @@ def _overlaps(s1: int, l1: int, s2: int, l2: int, cycle: int) -> bool:
     return False
 
 
+def _instances(sid: str, res: HopReservation, period: int, cycle: int) -> list[_Window]:
+    """The per-period instances of one reservation on the given cycle."""
+    return [
+        _Window(
+            start=(res.window_start_ns + shift) % cycle,
+            length=res.length_ns,
+            traffic_class=res.traffic_class,
+            stream_id=sid,
+            queue_at=(res.queue_from_ns + shift) % cycle,
+            queue_len=res.window_end_ns - res.queue_from_ns,
+        )
+        for shift in range(0, cycle, period)
+    ]
+
+
 def _port_windows(state: CncState, port: str, cycle: int) -> list[_Window]:
     """Expand the port's committed reservations into their per-period
     instances on the given cycle, in (start, stream id) order."""
     windows = []
     for sid, res in state.port_reservations.get(port, {}).items():
-        period = state.requirements[sid].traffic.period_ns
-        for k in range(cycle // period):
-            shift = k * period
-            windows.append(
-                _Window(
-                    start=(res.window_start_ns + shift) % cycle,
-                    length=res.length_ns,
-                    traffic_class=res.traffic_class,
-                    stream_id=sid,
-                    queue_at=(res.queue_from_ns + shift) % cycle,
-                    queue_len=res.window_end_ns - res.queue_from_ns,
-                )
-            )
+        windows += _instances(sid, res, state.requirements[sid].traffic.period_ns, cycle)
     windows.sort(key=lambda w: (w.start, w.stream_id))
     return windows
+
+
+_start = attrgetter("start")
+
+
+class _Layout:
+    """A port's window instances on one cycle, in (start, stream id) order,
+    with their starts in that order, their ends modulo the cycle sorted,
+    and each class's windows in that order.
+
+    Admission keeps the windows of a port disjoint, so no two share a
+    start, and the starts and the ends rise together, except that the
+    last window may wrap past the cycle end. A start is thus where a new
+    window goes. A removed stream is only noted; its windows leave in one
+    pass on the next read (current), however many streams left since."""
+
+    __slots__ = ("cycle", "windows", "starts", "ends", "by_class", "removed")
+
+    def __init__(self, windows: list[_Window], cycle: int):
+        self.cycle = cycle
+        self.removed: set[str] = set()
+        self._lay(windows)
+
+    def _lay(self, windows: list[_Window]) -> None:
+        self.windows = windows
+        self.starts = [w.start for w in windows]
+        self.ends = sorted(w.end % self.cycle for w in windows)
+        self.by_class: dict[int, list[_Window]] = {}
+        for w in windows:
+            self.by_class.setdefault(w.traffic_class, []).append(w)
+
+    def current(self) -> _Layout:
+        if self.removed:
+            self._lay([w for w in self.windows if w.stream_id not in self.removed])
+            self.removed.clear()
+        return self
+
+    def insert(self, instances: list[_Window]) -> None:
+        self.current()
+        for w in instances:
+            i = bisect_left(self.starts, w.start)
+            self.windows.insert(i, w)
+            self.starts.insert(i, w.start)
+            insort(self.ends, w.end % self.cycle)
+            same = self.by_class.setdefault(w.traffic_class, [])
+            same.insert(bisect_left(same, w.start, key=_start), w)
+
+
+def _check_disjoint(port: str, windows: list[_Window], cycle: int) -> None:
+    """Raise unless the windows, in (start, stream id) order, are pairwise
+    disjoint on the cycle: each ends by the next one's start, and the last
+    by the first one's start one cycle later."""
+    if not windows:
+        return
+    following = [(w.start, w) for w in windows[1:]] + [(windows[0].start + cycle, windows[0])]
+    for w, (next_start, nxt) in zip(windows, following):
+        if w.end > next_start:
+            raise ValidationError(
+                f"port {port}: the window of {w.stream_id} at [{w.start}, {w.end}) "
+                f"overlaps the window of {nxt.stream_id} at [{nxt.start}, {nxt.end})"
+            )
 
 
 def _queue_order_conflict(
@@ -288,6 +389,9 @@ def admit_stream(
 
     period = req.traffic.period_ns
     cycle = hyperperiod([*state.period_counts, period])
+    # Only the settled cycle's layouts are kept; an admission that changes
+    # the cycle checks against a plain expansion on its new cycle.
+    settled = cycle == state.hyperperiod_ns
     traffic_class = req.frame.pcp
     talker_first_hop = segment.hops[0].egress_node == req.talker.node_id
 
@@ -340,7 +444,10 @@ def admit_stream(
 
         start = _place_window(
             port=port,
-            existing=_port_windows(state, port, cycle),
+            layout=(
+                state.layout(port) if settled
+                else _Layout(_port_windows(state, port, cycle), cycle)
+            ),
             earliest=earliest,
             burst=burst,
             guard=guard,
@@ -377,13 +484,12 @@ def admit_stream(
     )
     state.requirements[req.stream_id] = req
     state.admitted[req.stream_id] = schedule
-    state._index(period, schedule)
-    relaid = cycle != state.hyperperiod_ns
     state._set_hyperperiod(cycle)
+    state._index(period, schedule)
     # Only the touched ports' lists change, unless a new cycle re-laid
     # every port.
     try:
-        synthesize_gcls(state, None if relaid else [res.port_id for res in placed])
+        synthesize_gcls(state, [res.port_id for res in placed] if settled else None)
     except Exception as exc:
         remove_stream(state, req.stream_id)
         if isinstance(exc, GclOverflowError):
@@ -397,7 +503,7 @@ def admit_stream(
 
 def _place_window(
     port: str,
-    existing,
+    layout: _Layout,
     earliest: int,
     burst: int,
     guard: int,
@@ -416,7 +522,7 @@ def _place_window(
         if start >= limit:
             raise InfeasibleError("no_free_window", f"no window fits on {port}")
         advance = _check_candidate(
-            existing, start, burst, guard, period, instances, cycle,
+            layout, start, burst, guard, period, instances, cycle,
             traffic_class, queue_from, port,
         )
         if advance == 0:
@@ -425,7 +531,7 @@ def _place_window(
 
 
 def _check_candidate(
-    existing,
+    layout: _Layout,
     start: int,
     burst: int,
     guard: int,
@@ -438,6 +544,9 @@ def _check_candidate(
 ) -> int:
     """Return 0 when the candidate fits, otherwise the smallest advance of
     the window start worth trying next. Raises when no advance can help."""
+    windows, starts, ends = layout.windows, layout.starts, layout.ends
+    same_class = layout.by_class.get(traffic_class, ())
+    last = len(windows) - 1
     q_rel = start if queue_from is None else queue_from
     q_len = start + burst - q_rel
     # A residency of a full cycle or more (a port wholly owned by one
@@ -447,34 +556,40 @@ def _check_candidate(
     for k in range(instances):
         a = (start + k * period) % cycle
         a_end = a + burst
-        for other in existing:
-            # wire exclusivity
-            if _overlaps(a, burst, other.start, other.length, cycle):
-                adv = (other.end - a) % cycle
-                if adv == 0:
-                    raise InfeasibleError(
-                        "no_free_window", f"port {port} is fully reserved"
-                    )
-                return adv
-        # guard spacing against nearest neighbours
-        prev_gap = None
-        next_gap = None
-        for other in existing:
-            before = (a - other.end % cycle) % cycle
-            after = (other.start % cycle - a_end % cycle) % cycle
-            if prev_gap is None or before < prev_gap:
-                prev_gap = before
-            if next_gap is None or after < next_gap:
-                next_gap = after
-        if prev_gap is not None and 0 < prev_gap < guard:
-            return guard - prev_gap
-        if next_gap is not None and 0 < next_gap < guard:
-            return next_gap
+        if windows:
+            # wire exclusivity. Windows are disjoint and sorted, so the
+            # first one overlapping [a, a_end) is the last to start at or
+            # before a (it may hold a) or the first to start after a, unless
+            # something wraps past the cycle end: then window 0 may overlap
+            # the instance's wrapped part, and the last window may hold a.
+            after = bisect_right(starts, a)
+            if a_end > cycle or windows[last].end > cycle:
+                nearest = (0, after - 1, after, last)
+            else:
+                nearest = (after - 1, after)
+            for i in nearest:
+                if not 0 <= i <= last:
+                    continue
+                other = windows[i]
+                if _overlaps(a, burst, other.start, other.length, cycle):
+                    adv = (other.end - a) % cycle
+                    if adv == 0:
+                        raise InfeasibleError(
+                            "no_free_window", f"port {port} is fully reserved"
+                        )
+                    return adv
+            # guard spacing against the nearest end before and start after
+            prev_gap = (a - ends[bisect_right(ends, a) - 1]) % cycle
+            a_end %= cycle
+            following = bisect_left(starts, a_end)
+            next_gap = (starts[following if following <= last else 0] - a_end) % cycle
+            if 0 < prev_gap < guard:
+                return guard - prev_gap
+            if 0 < next_gap < guard:
+                return next_gap
         # queue order against same-class residents
         q_at = (q_rel + k * period) % cycle
-        for other in existing:
-            if other.traffic_class != traffic_class:
-                continue
+        for other in same_class:
             verdict = _queue_order_conflict(q_at, q_len, burst, other, cycle)
             if verdict == "advance":
                 if queue_from is None:
@@ -505,6 +620,9 @@ def remove_stream(state: CncState, stream_id: str) -> CncState:
         del on_port[stream_id]
         if not on_port:
             del state.port_reservations[res.port_id]
+            state.port_layouts.pop(res.port_id, None)
+        elif res.port_id in state.port_layouts:
+            state.port_layouts[res.port_id].removed.add(stream_id)
         state.gcl_cache.pop(res.port_id, None)
     state.period_counts[period] -= 1
     if not state.period_counts[period]:
@@ -549,7 +667,14 @@ def synthesize_gcls(state: CncState, ports=None) -> dict[str, GateControlList]:
 def _port_gcl(state: CncState, port: str, cycle: int) -> GateControlList:
     link = state.topology.link_at(port)
     guard = wire_occupancy(MAX_FRAME_BYTES, link.speed_bps)
-    entries = _build_entries(_port_windows(state, port, cycle), guard, cycle)
+    # A new cycle re-lays every port at once; a layout is kept only once a
+    # placement on the settled cycle needs it, not for each relaid port.
+    layout = state.port_layouts.get(port)
+    if layout is None:
+        windows = _port_windows(state, port, cycle)
+    else:
+        windows = layout.current().windows
+    entries = _build_entries(windows, guard, cycle)
     node = state.topology.node(port.split(".", 1)[0])
     if node.kind == "bridge" and len(entries) > node.gcl_max_entries:
         raise GclOverflowError(port, len(entries), node.gcl_max_entries)
@@ -559,20 +684,21 @@ def _port_gcl(state: CncState, port: str, cycle: int) -> GateControlList:
 def _build_entries(windows: list[_Window], guard: int, cycle: int) -> list[GclEntry]:
     # Split wrapped instances at the cycle boundary, then merge touching
     # same-class pieces.
-    pieces: list[list[int]] = []
+    pieces: list[tuple[int, int, int]] = []
     for w in windows:
-        if w.end <= cycle:
-            pieces.append([w.start, w.end, w.traffic_class])
+        start, end, c = w.start, w.start + w.length, w.traffic_class
+        if end <= cycle:
+            pieces.append((start, end, c))
         else:
-            pieces.append([w.start, cycle, w.traffic_class])
-            pieces.append([0, w.end - cycle, w.traffic_class])
+            pieces.append((start, cycle, c))
+            pieces.append((0, end - cycle, c))
     pieces.sort()
     merged: list[list[int]] = []
-    for piece in pieces:
-        if merged and merged[-1][2] == piece[2] and merged[-1][1] == piece[0]:
-            merged[-1][1] = piece[1]
+    for s, e, c in pieces:
+        if merged and merged[-1][2] == c and merged[-1][1] == s:
+            merged[-1][1] = e
         else:
-            merged.append(piece)
+            merged.append([s, e, c])
 
     owned = 0
     for _, _, c in merged:
@@ -583,25 +709,40 @@ def _build_entries(windows: list[_Window], guard: int, cycle: int) -> list[GclEn
     # earlier. Before each window comes the others-open part of its gap,
     # then one guard all closed, or the whole gap when a removal left it
     # shorter than a guard: no best-effort frame could finish inside it.
-    # The walk's first `lead` ns lie before the cycle start and move to
-    # the end, so the one run across the start splits in two.
-    entries: list[GclEntry] = []
-    wrapped: list[GclEntry] = []
-    lead = cycle - merged[-1][1]
-    prev_end = -lead
+    steps: list[tuple[int, int]] = []
+    prev_end = merged[-1][1] - cycle
     for s, e, c in merged:
         gap = s - prev_end
         closed = min(guard, gap)
-        for mask, length in ((others, gap - closed), (0, closed), (1 << c, e - s)):
-            if lead and length:
-                early = min(length, lead)
-                wrapped.append(GclEntry(mask, early))
-                lead -= early
-                length -= early
-            if length:
-                entries.append(GclEntry(mask, length))
+        if gap > closed:
+            steps.append((others, gap - closed))
+        if closed:
+            steps.append((0, closed))
+        steps.append((1 << c, e - s))
         prev_end = e
-    return entries + wrapped
+    # The walk's first `lead` ns lie before the cycle start and move to
+    # the end, so the one run across the start splits in two.
+    lead = cycle - merged[-1][1]
+    first = 0
+    while lead:
+        mask, length = steps[first]
+        if length > lead:
+            steps[first] = (mask, length - lead)
+            steps.append((mask, lead))
+            break
+        steps.append(steps[first])
+        first += 1
+        lead -= length
+    # Steps repeat (a guard, a burst's window), and entries are immutable,
+    # so each distinct step is made once.
+    made: dict[tuple[int, int], GclEntry] = {}
+    entries = []
+    for step in steps[first:]:
+        entry = made.get(step)
+        if entry is None:
+            entry = made[step] = GclEntry(*step)
+        entries.append(entry)
+    return entries
 
 
 def bridge_config(state: CncState) -> list[dict]:

@@ -267,7 +267,10 @@ class Cuc:
                     instance.status = "failed"
                     self.instances[instance_id] = instance
                     raise AdmissionFailedError(
-                        req.stream_id, segment.domain_id, response.cause or "unknown"
+                        req.stream_id,
+                        segment.domain_id,
+                        response.cause or "unknown",
+                        response.detail or "",
                     )
                 granted.append((segment.domain_id, req.stream_id))
                 chain.append((segment.domain_id, response.schedule))

@@ -76,13 +76,16 @@ class TransportError(TsnNfvError):
 
 class AdmissionFailedError(TsnNfvError):
     """NS instantiation aborted because one stream segment was rejected;
-    compensation has already been performed."""
+    compensation has already been performed. ``detail`` is the
+    controller's explanation, such as the conflicting stream and port."""
 
-    def __init__(self, stream_id: str, domain_id: str, cause: str):
+    def __init__(self, stream_id: str, domain_id: str, cause: str, detail: str = ""):
         self.stream_id = stream_id
         self.domain_id = domain_id
         self.cause = cause
-        super().__init__(f"stream {stream_id} rejected by domain {domain_id}: {cause}")
+        self.detail = detail
+        message = f"stream {stream_id} rejected by domain {domain_id}: {cause}"
+        super().__init__(f"{message} ({detail})" if detail else message)
 
 
 class UnknownInstanceError(TsnNfvError):

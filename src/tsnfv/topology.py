@@ -2,12 +2,13 @@
 
 The topology is loaded once from a JSON document and is immutable
 afterwards, so concurrent readers need no locking. Paths are minimum-hop
-with a lexicographic tie-break so that schedules are reproducible.
+with a lexicographic tie-break so that schedules are reproducible; each
+source's paths come from one breadth-first search, kept for the
+topology's lifetime.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -168,6 +169,9 @@ class Topology:
         self._port_link: dict[str, Link] = {}
         self._adjacency: dict[str, list[Link]] = {n: [] for n in self.nodes}
         self._validate()
+        # source node -> its routes, filled on first use. A table is stored
+        # only once complete, so readers on other threads need no lock.
+        self._routes: dict[str, dict[str, Path]] = {}
 
     def _validate(self):
         controllers_seen: dict[str, str] = {}
@@ -218,6 +222,36 @@ class Topology:
         return [
             n for n in self.nodes.values() if n.kind == "bridge" and n.domain_id == domain_id
         ]
+
+    def routes_from(self, src_node: str) -> dict[str, Path]:
+        """The lexicographically smallest minimum-hop path from src_node to
+        every node it reaches, src_node itself with no hops.
+
+        One breadth-first search: each layer is visited in rank order, a
+        node's egress ports in sorted order, and the first parent found
+        wins. The smallest path to a node extends the smallest path to its
+        parent, so visiting parents in rank order and ports in order
+        assigns each node its smallest path and ranks the next layer."""
+        table = self._routes.get(src_node)
+        if table is None:
+            table = {src_node: Path(())}
+            layer = [src_node]
+            while layer:
+                following = []
+                for node_id in layer:
+                    hops = table[node_id].hops
+                    egress = sorted(
+                        ((link.port_of(node_id), link) for link in self._adjacency[node_id]),
+                        key=lambda pair: pair[0],
+                    )
+                    for port, link in egress:
+                        peer, _ = link.peer_of(node_id)
+                        if peer not in table:
+                            table[peer] = Path(hops + (Hop(node_id, port, link.link_id, peer),))
+                            following.append(peer)
+                layer = following
+            self._routes[src_node] = table
+        return table
 
     def all_port_keys(self) -> list[str]:
         """Every directed egress port, sorted."""
@@ -276,37 +310,18 @@ def shortest_path(topology: Topology, src_node: str, dst_node: str) -> Path:
     Ties are broken by the lexicographically smallest sequence of
     (egress node, egress port) pairs, so the result is deterministic for a
     given topology. Zero-hop requests (src == dst) are rejected: intra-host
-    traffic never traverses a TSN bridge.
+    traffic never traverses a TSN bridge. The answer is read from the
+    source's route table, which one breadth-first search fills the first
+    time the source is asked for (Topology.routes_from).
     """
     topology.node(src_node)
     topology.node(dst_node)
     if src_node == dst_node:
         raise NoPathError(f"no path: {src_node} to itself (zero-hop streams are rejected)")
-
-    # Uniform edge cost, so a best-first search keyed on
-    # (hop count, hop-sequence) yields the lexicographic minimum.
-    heap: list[tuple[int, tuple[tuple[str, str], ...], str, tuple[Hop, ...]]] = [
-        (0, (), src_node, ())
-    ]
-    settled: set[str] = set()
-    while heap:
-        hops_count, seq, node_id, hops = heapq.heappop(heap)
-        if node_id == dst_node:
-            return Path(hops)
-        if node_id in settled:
-            continue
-        settled.add(node_id)
-        for link in topology._adjacency[node_id]:
-            egress_port = link.port_of(node_id)
-            peer, _ = link.peer_of(node_id)
-            if peer in settled:
-                continue
-            hop = Hop(node_id, egress_port, link.link_id, peer)
-            heapq.heappush(
-                heap,
-                (hops_count + 1, seq + ((node_id, egress_port),), peer, hops + (hop,)),
-            )
-    raise NoPathError(f"no path from {src_node} to {dst_node}")
+    path = topology.routes_from(src_node).get(dst_node)
+    if path is None:
+        raise NoPathError(f"no path from {src_node} to {dst_node}")
+    return path
 
 
 def split_by_domain(path: Path, topology: Topology) -> list[PathSegment]:

@@ -111,6 +111,24 @@ class TestLifecycle:
         assert run("show", "streams", "--state", files["state"]) == 0
         assert "instance ns-0001 [failed]" in capsys.readouterr().out
 
+    def test_queue_order_rejection_names_the_conflict(self, files, capsys):
+        """The exit-2 message carries the controller's detail: here the
+        resident stream whose queue order the new one would break."""
+        for key, doc in zip(("topology", "nsd", "placement"), sc.random_scenario(52)):
+            files[key].write_text(json.dumps(doc))
+        rc = run(
+            "instantiate",
+            "--topology", files["topology"],
+            "--nsd", files["nsd"],
+            "--placement", files["placement"],
+            "--state", files["state"],
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "admission failed: stream vl1~fwd rejected by domain d1: no_free_window "
+            "(queue order conflict with vl2~rev on B1.ph3)\n"
+        )
+
     def test_duplicate_stream_ids_are_rejected(self, files, capsys):
         """A second instance deriving a stream id that an active instance
         holds is an input error found before any UNI exchange: no audit
@@ -575,6 +593,33 @@ class TestMalformedInput:
             assert run(*argv, "--state", files["state"]) == 1, argv
             assert f"hyperperiod_ns is {cycle}, but the periods of its streams give 250000" in (
                 self._single_error(capsys)
+            )
+
+    def test_state_with_overlapping_windows(self, files, capsys):
+        """Two services of a two-pair fill, then s000a~rev's window on
+        B1.p00 moved from [10012, 12220) onto s000b~rev's [5756, 10012).
+        Placement relies on disjoint windows, so the load names the port
+        and both streams instead of failing later in GCL synthesis."""
+        ws = sc.build_workspace(sc.fill_topology(2))
+        for k in (0, 1):
+            sc.instantiate(ws, *sc.fill_service(1, k, 2))
+        ws.save(files["state"])
+
+        def edit(doc):
+            for entry in doc["cnc"]["d1"]["streams"]:
+                for res in entry["schedule"]["reservations"]:
+                    if (res["port_id"], res["stream_id"]) == ("B1.p00", "s000a~rev"):
+                        assert (res["window_start_ns"], res["window_end_ns"]) == (10012, 12220)
+                        for key in ("window_start_ns", "window_end_ns", "queue_from_ns"):
+                            res[key] -= 10012 - 5756
+
+        self._edit_state(files, edit)
+        for argv in (("show", "gcl", "B1.p00"), ("show", "streams"), ("verify", "ns-0001")):
+            capsys.readouterr()
+            assert run(*argv, "--state", files["state"]) == 1, argv
+            assert self._single_error(capsys) == (
+                "error: port B1.p00: the window of s000a~rev at [5756, 7964) "
+                "overlaps the window of s000b~rev at [5756, 10012)"
             )
 
     def test_state_with_a_controller_filed_under_another_domain(self, files, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference
 import scenarios as sc
 from tsnfv import cnc
 from tsnfv.cnc import (
@@ -477,6 +478,26 @@ def _outcome(synthesis):
         return type(exc), str(exc)
 
 
+def _apply(state, topology, n, step) -> None:
+    """Run one step; a refused admission must leave the state as it was."""
+    if step[0] == "remove":
+        if state.admitted:
+            remove_stream(state, list(state.admitted)[step[1] % len(state.admitted)])
+        return
+    _, route, period, frame, frames, pcp, offset = step
+    if route == "B1>C":
+        talker, listener, segment = "A", "C", B1_EGRESS
+    else:
+        talker, listener = route.split(">")
+        segment, offset = _segment(topology, talker, listener), 0
+    req = _req(f"s{n}", talker, listener, pcp=pcp, period=period, frame=frame, frames=frames)
+    before = state.snapshot()
+    try:
+        admit_stream(state, req, segment, BUDGET, entry_offset_ns=offset)
+    except InfeasibleError:
+        assert state.snapshot() == before
+
+
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(steps=st.lists(_STEPS, min_size=1, max_size=14))
 def test_incremental_gcls_match_a_cold_synthesis(intra_topology, steps):
@@ -486,22 +507,7 @@ def test_incremental_gcls_match_a_cold_synthesis(intra_topology, steps):
     Where the cold synthesis fails, the warm one fails the same way."""
     state = _state(intra_topology)
     for n, step in enumerate(steps):
-        if step[0] == "remove":
-            if state.admitted:
-                remove_stream(state, list(state.admitted)[step[1] % len(state.admitted)])
-        else:
-            _, route, period, frame, frames, pcp, offset = step
-            if route == "B1>C":
-                talker, listener, segment = "A", "C", B1_EGRESS
-            else:
-                talker, listener = route.split(">")
-                segment, offset = _segment(intra_topology, talker, listener), 0
-            req = _req(f"s{n}", talker, listener, pcp=pcp, period=period, frame=frame, frames=frames)
-            before = state.snapshot()
-            try:
-                admit_stream(state, req, segment, BUDGET, entry_offset_ns=offset)
-            except InfeasibleError:
-                assert state.snapshot() == before
+        _apply(state, intra_topology, n, step)
         cold = CncState.from_doc(state.snapshot(), intra_topology)
         ports = sorted({res.port_id for sched in state.admitted.values() for res in sched.reservations})
         partial = {p: _outcome(lambda p=p: synthesize_gcls(state, [p])) for p in reversed(ports)}
@@ -511,3 +517,112 @@ def test_incremental_gcls_match_a_cold_synthesis(intra_topology, steps):
         if isinstance(full, dict):
             assert list(full) == ports
             assert all(partial[p] == {p: full[p]} for p in ports)
+
+
+def _mixes_periods(steps) -> bool:
+    return len({step[2] for step in steps if step[0] == "admit"}) > 1
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(steps=st.lists(_STEPS, min_size=2, max_size=14).filter(_mixes_periods))
+def test_kept_layouts_match_a_cold_build(intra_topology, steps):
+    """The layouts a state keeps through admissions and removals, across
+    changes of the hyperperiod, are after every step the ones a state
+    rebuilt from its snapshot builds; a port with no reservation keeps
+    none."""
+    state = _state(intra_topology)
+    for n, step in enumerate(steps):
+        _apply(state, intra_topology, n, step)
+        cold = CncState.from_doc(state.snapshot(), intra_topology)
+        assert cold.hyperperiod_ns == state.hyperperiod_ns
+        assert set(cold.port_layouts) == set(state.port_reservations)
+        assert set(state.port_layouts) <= set(cold.port_layouts)
+        for port in list(state.port_layouts):
+            layout = state.layout(port)
+            assert _fields(layout) == _fields(cold.port_layouts[port]), port
+            assert layout.windows == reference.port_windows(state, port, state.hyperperiod_ns)
+
+
+def _fields(layout: cnc._Layout) -> tuple:
+    return layout.cycle, layout.windows, layout.starts, layout.ends, layout.by_class, layout.removed
+
+
+@st.composite
+def _port_and_candidate(draw):
+    """A disjoint window layout with queue residencies on a cycle of at
+    most 360 ns, and a candidate window against it. The cycle is cut into
+    runs, each free or a class 5-7 window, then turned by an offset, so
+    windows wrap across the cycle start, touch, leave gaps shorter than a
+    guard and tile the whole cycle. Residencies start up to a cycle
+    before their windows. Candidates start anywhere on two cycles, so
+    their instances cross the cycle start too."""
+    period = draw(st.integers(min_value=2, max_value=120))
+    instances = draw(st.integers(min_value=1, max_value=3))
+    cycle = period * instances
+    guard = draw(st.integers(min_value=1, max_value=40))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=cycle - 1), max_size=10)))
+    bounds = [0, *cuts, cycle]
+    classes = st.integers(min_value=5, max_value=7)
+    owners = draw(
+        st.lists(
+            classes if draw(st.booleans()) else st.one_of(st.none(), classes),
+            min_size=len(bounds) - 1,
+            max_size=len(bounds) - 1,
+        )
+    )
+    offset = draw(st.integers(min_value=0, max_value=cycle - 1))
+    windows = []
+    for i, (s, e, c) in enumerate(zip(bounds, bounds[1:], owners)):
+        if c is None:
+            continue
+        lead = draw(st.integers(min_value=0, max_value=cycle))
+        start = (offset + s) % cycle
+        windows.append(
+            cnc._Window(
+                start=start,
+                length=e - s,
+                traffic_class=c,
+                stream_id=f"w{i}",
+                queue_at=(start - lead) % cycle,
+                queue_len=e - s + lead,
+            )
+        )
+    windows.sort(key=lambda w: (w.start, w.stream_id))
+    start = draw(st.integers(min_value=0, max_value=2 * cycle))
+    queue_from = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=start)))
+    candidate = dict(
+        burst=draw(st.integers(min_value=1, max_value=period)),
+        guard=guard,
+        period=period,
+        cycle=cycle,
+        traffic_class=draw(classes),
+        queue_from=queue_from,
+    )
+    return windows, start, candidate
+
+
+class TestBisectingCheck:
+    """The layout check against the full scan it replaced: the same
+    advance, or the same error with the same message, on every input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_port_and_candidate())
+    def test_check_matches_the_full_scan(self, case):
+        windows, start, c = case
+        args = (
+            start, c["burst"], c["guard"], c["period"], c["cycle"] // c["period"], c["cycle"],
+            c["traffic_class"], c["queue_from"], "P",
+        )
+        layout = cnc._Layout(list(windows), c["cycle"])
+        assert _outcome(lambda: cnc._check_candidate(layout, *args)) == _outcome(
+            lambda: reference.check_candidate(windows, *args)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_port_and_candidate())
+    def test_placement_matches_the_full_scan(self, case):
+        windows, earliest, c = case
+        layout = cnc._Layout(list(windows), c["cycle"])
+        assert _outcome(lambda: cnc._place_window("P", layout, earliest, **c)) == _outcome(
+            lambda: reference.place_window("P", windows, earliest, **c)
+        )

@@ -3,9 +3,12 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 import scenarios as sc
-from tsnfv.errors import NoPathError, ParseError, ValidationError
+from tsnfv.errors import NoPathError, ParseError, TsnNfvError, ValidationError
 from tsnfv.topology import load_topology, parse_topology, shortest_path, split_by_domain
 
 
@@ -143,6 +146,56 @@ class TestPaths:
     def test_unknown_endpoint(self, intra_topology):
         with pytest.raises(ValidationError):
             shortest_path(intra_topology, "A", "Z")
+
+
+@st.composite
+def _random_topologies(draw):
+    """Up to 7 nodes and 12 links, parallel links included. Each node
+    numbers its ports in a drawn order, named so that string order
+    differs from numeric order (p10 < p2), so equal-length routes are
+    decided by port names; few links leave nodes unreachable."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    names = [f"N{i}" for i in range(n)]
+    ends = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(lambda e: e[0] != e[1])
+    pairs = draw(st.lists(ends, max_size=12))
+    numbering = {name: draw(st.permutations(range(12))) for name in names}
+    used = {name: 0 for name in names}
+    links = []
+    for k, (a, b) in enumerate(pairs):
+        ports = []
+        for node in (a, b):
+            ports.append(f"p{numbering[node][used[node]]}")
+            used[node] += 1
+        links.append(sc.link(f"l{k}", a, ports[0], b, ports[1]))
+    nodes = [
+        sc.bridge(name, "d1") if draw(st.booleans()) else sc.host(name, "d1") for name in names
+    ]
+    return parse_topology(
+        {
+            "nodes": nodes,
+            "links": links,
+            "domains": {"d1": {"kind": "nfvi_pop", "controller_id": "cnc-1"}},
+        }
+    )
+
+
+def _route(search, topology, src, dst):
+    try:
+        return search(topology, src, dst).hops
+    except TsnNfvError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(topology=_random_topologies())
+def test_route_table_matches_the_heap_search(topology):
+    """Every pair's route, or its NoPathError, is the one the best-first
+    search over (hop count, hop sequence) finds."""
+    for src in topology.nodes:
+        for dst in topology.nodes:
+            assert _route(shortest_path, topology, src, dst) == _route(
+                reference.shortest_path, topology, src, dst
+            )
 
 
 class TestDomainSplit:
