@@ -3,8 +3,9 @@
 Message schema, newline-delimited JSON codec, the controller service, and
 the dispatcher that realizes the Or-Vi (orchestrator to VIM) and Or-Wi
 (orchestrator to WIM) reference points; the kind of the target domain
-decides which one an exchange uses. Every request travels through the
-codec, so tests exercise the same bytes the service mode ships.
+decides which one an exchange uses. In process the messages cross as
+objects; the codec makes bytes only where a line crosses TCP (`tsnfv
+serve` and `UniClient`).
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def _as_request(msg: UniMessage) -> StreamRequest | RemoveStream | CapabilityQue
     return msg
 
 
-def malformed_response(line: bytes | str, exc: Exception, domain_id: str | None = None) -> bytes:
+def malformed_response(line: bytes | str, exc: Exception) -> bytes:
     """The failed response to a line that is no usable request, echoing
     its request_id when one can be recovered."""
     return encode_message(
@@ -163,28 +164,20 @@ def malformed_response(line: bytes | str, exc: Exception, domain_id: str | None 
             status="failed",
             cause="malformed",
             detail=str(exc),
-            domain_id=domain_id,
         )
     )
 
 
 class CncService:
-    """One domain controller behind the byte protocol.
+    """One domain controller: answers a request object with a response.
 
     Owns the domain's scheduling state; translates admission outcomes into
-    response causes. A line that cannot be decoded yields a failed
-    response rather than tearing down the transport.
+    response causes. Lines that cannot be decoded are answered at the TCP
+    edge and never reach it.
     """
 
     def __init__(self, state: cnc.CncState):
         self.state = state
-
-    def handle_line(self, line: bytes) -> bytes:
-        try:
-            msg = _as_request(decode_message(line))
-        except DecodeError as exc:
-            return malformed_response(line, exc, self.state.domain_id)
-        return encode_message(self.handle(msg))
 
     def handle(self, msg: StreamRequest | RemoveStream | CapabilityQuery) -> UniResponse:
         if isinstance(msg, StreamRequest):
@@ -288,8 +281,8 @@ class AuditRecord(Codec):
 
 class Dispatcher:
     """Routes UNI requests to the owning domain's controller and keeps the
-    audit log. A handle is anything that answers a request line with a
-    response line through handle_line."""
+    audit log. A handle is anything that answers a request object with a
+    `UniResponse` through handle."""
 
     def __init__(self, topology: Topology, handles: dict):
         self.topology = topology
@@ -308,14 +301,7 @@ class Dispatcher:
                 reference_point=REFERENCE_POINTS[self.topology.domains[domain_id].kind],
             )
         )
-        raw = handle.handle_line(encode_message(request))
-        try:
-            response = decode_message(raw)
-        except DecodeError as exc:
-            raise TransportError(f"domain {domain_id} sent garbage: {exc}") from None
-        if not isinstance(response, UniResponse):
-            raise TransportError(f"domain {domain_id} answered with a {response.kind} message")
-        return response
+        return handle.handle(request)
 
 
 def encode_routed(msg: StreamRequest | RemoveStream | CapabilityQuery, domain_id: str) -> bytes:

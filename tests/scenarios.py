@@ -3,7 +3,8 @@
 Two fixed reference scenarios (one intra-PoP, one PoP-WAN-PoP) plus a
 seeded random generator used for the soundness sweep. Everything is a
 plain JSON document in the formats the parsers accept, so scenarios can
-be fed to the library or written to files for CLI tests.
+be fed to the library or written to files for CLI tests. `record_uni`
+keeps a workspace's UNI exchanges as the lines they would be on the wire.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 
 from tsnfv.descriptors import parse_nsd, parse_placement
 from tsnfv.topology import load_topology
+from tsnfv.uni import decode_message, encode_message
 from tsnfv.workspace import Workspace
 
 GBPS = 1_000_000_000
@@ -221,6 +223,34 @@ def instantiate(ws: Workspace, nsd_doc: dict, placement_doc: dict):
     return ws.instantiate(
         parse_nsd(json.dumps(nsd_doc)), parse_placement(json.dumps(placement_doc))
     )
+
+
+class _RecordingHandle:
+    """Controller handle that keeps every exchange as its (request line,
+    response line) pair, and checks that each line decodes back to an
+    equal message, so the codec is held lossless on whatever a test drives
+    through the dispatcher."""
+
+    def __init__(self, service, exchanges: list):
+        self.service = service
+        self.exchanges = exchanges
+
+    def handle(self, msg):
+        response = self.service.handle(msg)
+        pair = (encode_message(msg), encode_message(response))
+        assert (decode_message(pair[0]), decode_message(pair[1])) == (msg, response)
+        self.exchanges.append(pair)
+        return response
+
+
+def record_uni(ws: Workspace) -> list[tuple[bytes, bytes]]:
+    """Wrap every controller handle of `ws`; the returned list fills with
+    its exchanges in dispatch order."""
+    exchanges: list[tuple[bytes, bytes]] = []
+    ws.dispatcher.handles = {
+        d: _RecordingHandle(h, exchanges) for d, h in ws.dispatcher.handles.items()
+    }
+    return exchanges
 
 
 def parse_nsd_doc(doc: dict):

@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 
 import scenarios as sc
-from tsnfv import cli
+from tsnfv import cli, uni
 from tsnfv.model import DataFrameSpec, EndpointRef, StreamRequirement, TrafficSpec
 from tsnfv.topology import load_topology, shortest_path
-from tsnfv.uni import StreamRequest, UniClient
+from tsnfv.uni import StreamRequest, UniClient, decode_message, encode_routed
 from tsnfv.workspace import Workspace
 
 
@@ -504,6 +504,67 @@ class TestServe:
     def test_bad_listen_spec(self, files, capsys):
         assert run("serve", "--listen", "nonsense") == 1
         assert "must be host:port" in capsys.readouterr().err
+
+
+class TestServeLines:
+    """`_UniServer.handle_line` is where a line becomes a request and a
+    response becomes a line; driven here without a socket loop."""
+
+    @pytest.fixture()
+    def server(self, files):
+        ws = Workspace(load_topology(files["topology"].read_text()))
+        server = cli._UniServer(("127.0.0.1", 0), ws, None)
+        yield server
+        server.server_close()
+
+    def _answer(self, server, line: bytes):
+        return decode_message(server.handle_line(line))
+
+    def test_garbage_line_answers_malformed(self, server):
+        response = self._answer(server, b"not json at all\n")
+        assert (response.status, response.cause) == ("failed", "malformed")
+        assert response.request_id == "unknown"
+
+    def test_unknown_key_answers_malformed(self, server):
+        line = (
+            b'{"color":"blue","domain_id":"d1","kind":"remove_stream",'
+            b'"request_id":"req-0007","stream_id":"s"}\n'
+        )
+        response = self._answer(server, line)
+        assert (response.status, response.cause) == ("failed", "malformed")
+        assert response.request_id == "req-0007"
+        assert "unknown keys ['color']" in response.detail
+
+    def test_response_as_request_is_malformed(self, server):
+        line = b'{"domain_id":"d1","kind":"response","request_id":"req-0009","status":"ok"}\n'
+        response = self._answer(server, line)
+        assert (response.status, response.cause) == ("failed", "malformed")
+        assert response.request_id == "req-0009"
+
+    def test_codec_runs_only_at_the_tcp_edge(self, files, server, monkeypatch):
+        line = encode_routed(_probe_request(files["topology"].read_text()), "d1")
+        calls = {}
+        for module, name in [
+            (uni, "encode_message"),
+            (uni, "decode_message"),
+            (uni, "encode_routed"),
+            (uni, "decode_routed"),
+            (cli, "encode_message"),
+            (cli, "decode_routed"),
+        ]:
+            def counted(*args, _real=getattr(module, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        ws = Workspace(load_topology(files["topology"].read_text()))
+        instance = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+        ws.terminate(instance.instance_id)
+        assert calls == {}
+
+        server.handle_line(line)
+        assert calls == {"decode_routed": 1, "encode_message": 1}
 
 
 class TestDemoFixtures:

@@ -291,6 +291,40 @@ class TestRemoval:
         ]
         assert check_gcl_wellformed(gcl, sc.GBPS) == []
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=GclOverflowError,
+        reason="ROADMAP item 2: a removal can open a gap that needs more "
+        "gate entries than the bridge has",
+    )
+    def test_removal_keeps_the_gate_list_within_the_bridge(self):
+        """Three touching windows of classes 7, 6 and 5 fill B1.p1's six
+        entries. Removing the middle one frees a gap longer than a guard,
+        which becomes an others-open run plus a guard: seven entries."""
+        doc = sc.intra_pop_topology()
+        doc["nodes"][1]["gcl_max_entries"] = 6
+        topo = load_topology(json.dumps(doc))
+        state = _state(topo)
+        windows = [
+            admit_stream(
+                state,
+                _req(sid, "A", "C", pcp=pcp, frame=frame, frames=frames, mac_seed=pcp),
+                B1_EGRESS,
+                BUDGET,
+            ).reservations[0]
+            for sid, pcp, frame, frames in [
+                ("s1", 7, 500, 1), ("s2", 6, 1522, 3), ("s3", 5, 500, 1)
+            ]
+        ]
+        assert [(r.window_start_ns, r.window_end_ns) for r in windows] == [
+            (1000, 5160), (5160, 42_168), (42_168, 46_328)
+        ]
+        assert len(synthesize_gcls(state)["B1.p1"].entries) == 6
+        remove_stream(state, "s2")
+        for gcl in synthesize_gcls(state).values():
+            assert len(gcl.entries) <= 6
+            assert check_gcl_wellformed(gcl, sc.GBPS) == []
+
 
 @st.composite
 def _cycle_layouts(draw):

@@ -83,23 +83,9 @@ def test_demo_show_config(tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / "demo_show_config_vnfA.txt").read_text()
 
 
-class _Recorder:
-    """Controller handle that keeps every (request, response) line pair."""
-
-    def __init__(self, service, exchanges: list):
-        self.service = service
-        self.exchanges = exchanges
-
-    def handle_line(self, line: bytes) -> bytes:
-        out = self.service.handle_line(line)
-        self.exchanges.append((line, out))
-        return out
-
-
 def test_demo_first_uni_exchange():
     ws = Workspace(load_topology((DEMO / "topology.json").read_text()))
-    exchanges: list = []
-    ws.dispatcher.handles = {d: _Recorder(h, exchanges) for d, h in ws.dispatcher.handles.items()}
+    exchanges = sc.record_uni(ws)
     ws.instantiate(
         parse_nsd((DEMO / "nsd.json").read_text()),
         parse_placement((DEMO / "placement.json").read_text()),

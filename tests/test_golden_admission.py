@@ -1,7 +1,8 @@
 """Golden bytes of a fill: 160 streams admitted on one bridge, half the
 services terminated, eight more admitted into the gaps, then everything
-terminated. It pins every UNI line exchanged, the state file after the
-fill and the state file after the drain, so a change to how admission or
+terminated. It pins every UNI exchange as the lines it would be on the
+wire (each checked to decode back to its message), the state file after
+the fill and the state file after the drain, so a change to how admission or
 GCL synthesis is computed that moves one window or one gate entry fails
 here. The state file holds no gate lists, so the lists after the fill
 are pinned on their own."""
@@ -24,23 +25,6 @@ FILLED_GCLS_SHA256 = "3c188e03dae1170f154914f6ef0c20b11ab8fc0167405f893d4558ed6c
 DRAINED_STATE_SHA256 = "c047d32a3e67560db72416ec755ecdcb9780e53c518cacae02b8563826fa2c47"
 
 
-class _Recorder:
-    def __init__(self, service, lines: list):
-        self.service = service
-        self.lines = lines
-
-    def handle_line(self, line: bytes) -> bytes:
-        out = self.service.handle_line(line)
-        self.lines += [line, out]
-        return out
-
-
-def _record_uni(ws) -> list[bytes]:
-    lines: list[bytes] = []
-    ws.dispatcher.handles = {d: _Recorder(h, lines) for d, h in ws.dispatcher.handles.items()}
-    return lines
-
-
 def _state_sha256(ws, path) -> str:
     ws.save(path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -52,7 +36,7 @@ def _gcls_sha256(ws) -> str:
 
 def test_fill_and_drain_bytes(tmp_path):
     ws = sc.build_workspace(sc.fill_topology(PAIRS))
-    lines = _record_uni(ws)
+    exchanges = sc.record_uni(ws)
     ids = [
         sc.instantiate(ws, *sc.fill_service(SEED, k, PAIRS)).instance_id
         for k in range(SERVICES)
@@ -73,7 +57,8 @@ def test_fill_and_drain_bytes(tmp_path):
     assert ws.gcl_docs == {}
     drained = _state_sha256(ws, tmp_path / "drained.json")
 
-    assert (hashlib.sha256(b"".join(lines)).hexdigest(), filled, filled_gcls, drained) == (
+    uni_lines = b"".join(request + response for request, response in exchanges)
+    assert (hashlib.sha256(uni_lines).hexdigest(), filled, filled_gcls, drained) == (
         UNI_LINES_SHA256,
         FILLED_STATE_SHA256,
         FILLED_GCLS_SHA256,

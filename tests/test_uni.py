@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from tsnfv.cnc import CncState
 from tsnfv.errors import (
     DecodeError,
-    TransportError,
     UnknownDomainError,
     ValidationError,
 )
@@ -145,10 +143,9 @@ class TestRouting:
 
 
 class TestCncService:
-    def test_admits_over_the_wire(self, intra_topology):
+    def test_admits_a_request(self, intra_topology):
         service = _service(intra_topology)
-        raw = service.handle_line(encode_message(_stream_request(intra_topology)))
-        response = decode_message(raw)
+        response = service.handle(_stream_request(intra_topology))
         assert response.status == "ok"
         assert response.domain_id == "d1"
         assert response.schedule.e2e_latency_ns == 10_320
@@ -162,29 +159,8 @@ class TestCncService:
             hops=shortest_path(intra_topology, "A", "C").hops,
             latency_budget_ns=5,
         )
-        response = decode_message(service.handle_line(encode_message(msg)))
+        response = service.handle(msg)
         assert (response.status, response.cause) == ("failed", "infeasible_budget")
-
-    def test_garbage_line_answers_malformed(self, intra_topology):
-        service = _service(intra_topology)
-        response = decode_message(service.handle_line(b"not json at all\n"))
-        assert (response.status, response.cause) == ("failed", "malformed")
-        assert response.request_id == "unknown"
-
-    def test_unknown_key_answers_malformed(self, intra_topology):
-        service = _service(intra_topology)
-        line = b'{"kind":"remove_stream","request_id":"req-0007","stream_id":"s","color":"blue"}\n'
-        response = decode_message(service.handle_line(line))
-        assert (response.status, response.cause) == ("failed", "malformed")
-        assert response.request_id == "req-0007"
-        assert "unknown keys ['color']" in response.detail
-
-    def test_response_as_request_is_malformed(self, intra_topology):
-        service = _service(intra_topology)
-        raw = service.handle_line(encode_message(UniResponse("req-0009", "ok")))
-        response = decode_message(raw)
-        assert (response.status, response.cause) == ("failed", "malformed")
-        assert response.request_id == "req-0009"
 
     def test_foreign_hop_rejected(self, cross_topology):
         state = CncState(domain_id="d1", topology=cross_topology)
@@ -195,7 +171,7 @@ class TestCncService:
             hops=shortest_path(cross_topology, "HA", "HB").hops,  # crosses wan and d2
             latency_budget_ns=2_000_000,
         )
-        response = decode_message(service.handle_line(encode_message(msg)))
+        response = service.handle(msg)
         assert (response.status, response.cause) == ("failed", "malformed")
         assert "not in domain d1" in response.detail
 
@@ -203,25 +179,20 @@ class TestCncService:
         service = _service(intra_topology)
         msg = _stream_request(intra_topology)
         hops = (replace(msg.hops[0], egress_port="p9"),) + msg.hops[1:]
-        raw = service.handle_line(encode_message(replace(msg, hops=hops)))
-        response = decode_message(raw)
+        response = service.handle(replace(msg, hops=hops))
         assert (response.status, response.cause) == ("failed", "malformed")
         assert "port A.p9 is not on link l1" in response.detail
         assert service.state.admitted == {}
 
     def test_remove_unknown_stream(self, intra_topology):
         service = _service(intra_topology)
-        response = decode_message(
-            service.handle_line(encode_message(RemoveStream("req-0002", "ghost")))
-        )
+        response = service.handle(RemoveStream("req-0002", "ghost"))
         assert (response.status, response.cause) == ("failed", "unknown_stream")
 
     def test_capability_summaries(self, cross_topology):
         state = CncState(domain_id="d2", topology=cross_topology)
         service = CncService(state)
-        response = decode_message(
-            service.handle_line(encode_message(CapabilityQuery("req-0003")))
-        )
+        response = service.handle(CapabilityQuery("req-0003"))
         assert response.status == "ok"
         assert [c["bridge_id"] for c in response.capabilities] == ["B2", "B3"]
         assert response.capabilities[0]["supports_qbv"] is True
@@ -249,12 +220,4 @@ class TestDispatcher:
         with pytest.raises(UnknownDomainError):
             dispatcher.dispatch(CapabilityQuery("req-0001"), "mars")
         assert dispatcher.audit_log == []
-
-    def test_garbage_response_from_controller(self, intra_topology):
-        class Mumbler:
-            def handle_line(self, line):
-                return b"static noise\n"
-
-        with pytest.raises(TransportError):
-            Dispatcher(intra_topology, {"d1": Mumbler()}).dispatch(CapabilityQuery("req-0001"), "d1")
 
