@@ -291,10 +291,8 @@ class _UniServer(socketserver.ThreadingTCPServer):
                 response = self.workspace.dispatcher.dispatch(msg, domain_id)
             except UnknownDomainError as exc:
                 return malformed_response(line, exc)
-            if msg.kind in ("stream_request", "remove_stream"):
-                self.workspace.refresh_gcls()
-                if self.state_path:
-                    self.workspace.save(self.state_path)
+            if self.state_path and msg.kind in ("stream_request", "remove_stream"):
+                self.workspace.save(self.state_path)
         return encode_message(response)
 
 

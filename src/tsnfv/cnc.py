@@ -20,14 +20,13 @@ Three constraint families keep the synthesized schedule exact under load:
   queue would hand the earlier frame the later window.
 
 All three constrain one egress port at a time, so the state indexes its
-reservations by port: admitting a stream reads and synthesizes only the
-ports of its own segment. On the settled hyperperiod the state also keeps
-each port's layout: its window instances in (start, stream id) order with
-their sorted starts and ends. A candidate start is then checked by
-bisection (the one window that can overlap it first, and the nearest end
-before and start after it for the guard gaps) plus a scan of the
-same-class windows for queue order, instead of against every instance on
-the port.
+reservations by port: admitting a stream reads only the ports of its own
+segment. The state also keeps each port's layout: its window instances
+in (start, stream id) order with their sorted starts and ends, and the
+entry count of the port's gate control list, which is built only when
+read. A candidate start is checked by bisection (the one window that can
+overlap it first, and the nearest end before and start after it for the
+guard gaps) plus a scan of the same-class windows for queue order.
 """
 
 from __future__ import annotations
@@ -76,16 +75,14 @@ class _Snapshot(Codec):
 class CncState:
     """Mutable admission state of one domain's controller.
 
-    Four indexes are derived from the admitted streams, kept current by
+    Three indexes are derived from the admitted streams, kept current by
     admit_stream and remove_stream, and never snapshotted: each egress
     port's reservations by stream id, the number of streams per distinct
-    period (their LCM is the hyperperiod), each port's window layout on
-    the hyperperiod, and each port's synthesized gate control list. A
-    port's list is dropped when a reservation on it changes. Its layout
-    takes an admission in place and notes a removal, whose windows leave
-    on the layout's next read. Every layout and list is dropped when the
-    hyperperiod changes. A missing list is built on first use; a missing
-    layout when a placement on the settled hyperperiod needs it.
+    period (their LCM is the hyperperiod), and each port's window layout
+    on the hyperperiod with its gate entry count. A layout takes an
+    admission in place and notes a removal, whose windows leave on the
+    layout's next read. Every layout is dropped when the hyperperiod
+    changes, and a missing one is built when something next reads it.
 
     Loading checks what the scheduler relies on: the schedules name their
     own streams and existing ports, the hyperperiod is the streams' own,
@@ -102,13 +99,11 @@ class CncState:
     )
     period_counts: dict[int, int] = field(init=False, repr=False, compare=False)
     port_layouts: dict[str, _Layout] = field(init=False, repr=False, compare=False)
-    gcl_cache: dict[str, GateControlList] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.port_reservations = {}
         self.period_counts = {}
         self.port_layouts = {}
-        self.gcl_cache = {}
         # A loaded record is where the gate lists are synthesized from, so
         # its schedules must name their own streams and ports that exist.
         for sid, schedule in self.admitted.items():
@@ -138,7 +133,6 @@ class CncState:
                     f"stream {schedule.stream_id} reserves port {res.port_id} twice"
                 )
             on_port[schedule.stream_id] = res
-            self.gcl_cache.pop(res.port_id, None)
             layout = self.port_layouts.get(res.port_id)
             if layout is not None:
                 layout.insert(_instances(schedule.stream_id, res, period, self.hyperperiod_ns))
@@ -147,7 +141,6 @@ class CncState:
     def _set_hyperperiod(self, cycle: int) -> None:
         if cycle != self.hyperperiod_ns:
             self.port_layouts.clear()
-            self.gcl_cache.clear()
             self.hyperperiod_ns = cycle
 
     def layout(self, port: str) -> _Layout:
@@ -157,7 +150,8 @@ class CncState:
         if layout is not None:
             return layout.current()
         cycle = self.hyperperiod_ns
-        layout = _Layout(_port_windows(self, port, cycle), cycle)
+        guard = wire_occupancy(MAX_FRAME_BYTES, self.topology.link_at(port).speed_bps)
+        layout = _Layout(_port_windows(self, port, cycle), cycle, guard)
         if port in self.port_reservations:
             self.port_layouts[port] = layout
         return layout
@@ -249,18 +243,22 @@ _start = attrgetter("start")
 class _Layout:
     """A port's window instances on one cycle, in (start, stream id) order,
     with their starts in that order, their ends modulo the cycle sorted,
-    and each class's windows in that order.
+    each class's windows in that order, and the entry count of the list
+    _build_entries lays from them with the given guard.
 
     Admission keeps the windows of a port disjoint, so no two share a
     start, and the starts and the ends rise together, except that the
     last window may wrap past the cycle end. A start is thus where a new
-    window goes. A removed stream is only noted; its windows leave in one
-    pass on the next read (current), however many streams left since."""
+    window goes, and it changes only its neighbours' terms of the count.
+    A removed stream is only noted; its windows leave, and the count is
+    taken again, in one pass on the next read (current), however many
+    streams left since."""
 
-    __slots__ = ("cycle", "windows", "starts", "ends", "by_class", "removed")
+    __slots__ = ("cycle", "guard", "windows", "starts", "ends", "by_class", "removed", "entries")
 
-    def __init__(self, windows: list[_Window], cycle: int):
+    def __init__(self, windows: list[_Window], cycle: int, guard: int):
         self.cycle = cycle
+        self.guard = guard
         self.removed: set[str] = set()
         self._lay(windows)
 
@@ -271,6 +269,26 @@ class _Layout:
         self.by_class: dict[int, list[_Window]] = {}
         for w in windows:
             self.by_class.setdefault(w.traffic_class, []).append(w)
+        self.entries = len(windows) + sum(map(self._gap, windows, windows[1:] + windows[:1])) + self._edge()
+
+    def _gap(self, a: _Window, b: _Window) -> int:
+        """Entries the gap from window a to the next window b adds: a closed
+        run, after an others-open one when longer than a guard; none when
+        they touch, and one fewer when they merge (one class, and not cut
+        apart at the cycle start)."""
+        gap = (b.start - a.end) % self.cycle
+        if gap:
+            return 1 + (gap > self.guard)
+        return -(a.traffic_class == b.traffic_class and b.start != 0)
+
+    def _edge(self) -> int:
+        """One entry more where the cycle start cuts a window wrapping past
+        the cycle end, or else the run spanning the start, unless a window
+        or the guard before the first window begins exactly there."""
+        if not self.windows:
+            return 0
+        first_start, last_end = self.windows[0].start, self.windows[-1].end
+        return int(last_end > self.cycle or last_end < self.cycle and 0 < first_start != self.guard)
 
     def current(self) -> _Layout:
         if self.removed:
@@ -279,14 +297,18 @@ class _Layout:
         return self
 
     def insert(self, instances: list[_Window]) -> None:
-        self.current()
+        windows = self.current().windows
         for w in instances:
             i = bisect_left(self.starts, w.start)
-            self.windows.insert(i, w)
+            # an empty layout's one pair is the new window with itself
+            prev, nxt = (windows[i - 1], windows[i % len(windows)]) if windows else (w, w)
+            self.entries += 1 + self._gap(prev, w) + self._gap(w, nxt) - self._gap(prev, nxt) - self._edge()
+            windows.insert(i, w)
             self.starts.insert(i, w.start)
             insort(self.ends, w.end % self.cycle)
             same = self.by_class.setdefault(w.traffic_class, [])
             same.insert(bisect_left(same, w.start, key=_start), w)
+            self.entries += self._edge()
 
 
 def _check_disjoint(port: str, windows: list[_Window], cycle: int) -> None:
@@ -364,8 +386,8 @@ def admit_stream(
     On success the reservations are committed and the returned schedule
     reports the latency from segment entry to the last bit leaving the
     segment. A stream that would give a bridge port more gate control
-    entries than the bridge supports is refused. On any failure the
-    state is unchanged.
+    entries than the bridge supports, by its layout's count, is refused.
+    On any failure the state is unchanged.
     """
     if not segment.hops:
         raise ValidationError(f"stream {req.stream_id}: empty path segment")
@@ -446,7 +468,7 @@ def admit_stream(
             port=port,
             layout=(
                 state.layout(port) if settled
-                else _Layout(_port_windows(state, port, cycle), cycle)
+                else _Layout(_port_windows(state, port, cycle), cycle, guard)
             ),
             earliest=earliest,
             burst=burst,
@@ -486,19 +508,27 @@ def admit_stream(
     state.admitted[req.stream_id] = schedule
     state._set_hyperperiod(cycle)
     state._index(period, schedule)
-    # Only the touched ports' lists change, unless a new cycle re-laid
-    # every port.
+    # Only the touched ports' counts change, unless the cycle did.
     try:
-        synthesize_gcls(state, [res.port_id for res in placed] if settled else None)
+        check_gcl_capacity(state, [res.port_id for res in placed] if settled else None)
     except Exception as exc:
         remove_stream(state, req.stream_id)
         if isinstance(exc, GclOverflowError):
-            raise InfeasibleError(
-                "no_free_window",
-                f"port {exc.port_id} needs {exc.needed} GCL entries, bridge supports {exc.limit}",
-            ) from None
+            raise InfeasibleError("no_free_window", str(exc)) from None
         raise
     return schedule
+
+
+def check_gcl_capacity(state: CncState, ports=None) -> None:
+    """Raise GclOverflowError at the first bridge port, of the given ones
+    or else of every reserved one in port order, whose layout counts more
+    gate control entries than the bridge supports."""
+    for port in sorted(state.port_reservations) if ports is None else ports:
+        node = state.topology.node(port.split(".", 1)[0])
+        if node.kind == "bridge":
+            needed = state.layout(port).entries
+            if needed > node.gcl_max_entries:
+                raise GclOverflowError(port, needed, node.gcl_max_entries)
 
 
 def _place_window(
@@ -623,7 +653,6 @@ def remove_stream(state: CncState, stream_id: str) -> CncState:
             state.port_layouts.pop(res.port_id, None)
         elif res.port_id in state.port_layouts:
             state.port_layouts[res.port_id].removed.add(stream_id)
-        state.gcl_cache.pop(res.port_id, None)
     state.period_counts[period] -= 1
     if not state.period_counts[period]:
         del state.period_counts[period]
@@ -636,7 +665,7 @@ def remove_stream(state: CncState, stream_id: str) -> CncState:
 def synthesize_gcls(state: CncState, ports=None) -> dict[str, GateControlList]:
     """The gate control lists of the given ports, or of every port carrying
     a reservation in port order; a port without reservations has none.
-    Lists are built only for ports missing from the state's cache.
+    Each list is built afresh from the port's layout.
 
     Construction: per-period window instances are laid onto the cycle,
     split at its end, and touching instances of one class merge into a
@@ -648,37 +677,16 @@ def synthesize_gcls(state: CncState, ports=None) -> dict[str, GateControlList]:
     A run of touching windows thus gets one guard, before its first
     window. What the walk lays before the cycle start moves to the end.
     """
-    cycle = state.hyperperiod_ns
-    if cycle == 0:
-        return {}
     if ports is None:
         ports = sorted(state.port_reservations)
-    gcls: dict[str, GateControlList] = {}
-    for port in ports:
-        if port not in state.port_reservations:
-            continue
-        gcl = state.gcl_cache.get(port)
-        if gcl is None:
-            gcl = state.gcl_cache[port] = _port_gcl(state, port, cycle)
-        gcls[port] = gcl
-    return gcls
+    return {port: _port_gcl(state, port) for port in ports if port in state.port_reservations}
 
 
-def _port_gcl(state: CncState, port: str, cycle: int) -> GateControlList:
-    link = state.topology.link_at(port)
-    guard = wire_occupancy(MAX_FRAME_BYTES, link.speed_bps)
-    # A new cycle re-lays every port at once; a layout is kept only once a
-    # placement on the settled cycle needs it, not for each relaid port.
-    layout = state.port_layouts.get(port)
-    if layout is None:
-        windows = _port_windows(state, port, cycle)
-    else:
-        windows = layout.current().windows
-    entries = _build_entries(windows, guard, cycle)
-    node = state.topology.node(port.split(".", 1)[0])
-    if node.kind == "bridge" and len(entries) > node.gcl_max_entries:
-        raise GclOverflowError(port, len(entries), node.gcl_max_entries)
-    return GateControlList(port_id=port, cycle_ns=cycle, entries=tuple(entries))
+def _port_gcl(state: CncState, port: str) -> GateControlList:
+    check_gcl_capacity(state, [port])
+    layout, cycle = state.layout(port), state.hyperperiod_ns
+    entries = tuple(_build_entries(layout.windows, layout.guard, cycle))
+    return GateControlList(port_id=port, cycle_ns=cycle, entries=entries)
 
 
 def _build_entries(windows: list[_Window], guard: int, cycle: int) -> list[GclEntry]:

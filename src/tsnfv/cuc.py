@@ -179,6 +179,7 @@ class Cuc:
         self.dispatcher = dispatcher
         self.gcl_provider = gcl_provider
         self.instances: dict[str, NsInstance] = {}
+        self.holders: dict[str, str] = {}  # stream id -> the active instance deriving it
         self.request_seq = 0
         self.instance_seq = 0
 
@@ -189,6 +190,13 @@ class Cuc:
     def _next_instance_id(self) -> str:
         self.instance_seq += 1
         return f"ns-{self.instance_seq:04d}"
+
+    def restore(self, instances: dict[str, NsInstance]) -> None:
+        """Take loaded instances; an active one holds the ids it has schedules for."""
+        self.instances = instances
+        self.holders = {
+            sid: i.instance_id for i in instances.values() if i.status == "active" for sid in i.schedules
+        }
 
     def instance(self, instance_id: str) -> NsInstance:
         try:
@@ -284,20 +292,17 @@ class Cuc:
 
         instance.schedules = chains
         self.instances[instance_id] = instance
+        self.holders.update(dict.fromkeys(chains, instance_id))
         return instance
 
     def _check_stream_ids(self, instance: NsInstance) -> None:
         """A stream id names one stream on every controller, so no two
         active instances may derive the same one."""
-        wanted = {req.stream_id for req in instance.streams}
-        for other in self.instances.values():
-            if other.status != "active":
-                continue
-            for req in other.streams:
-                if req.stream_id in wanted:
-                    raise ValidationError(
-                        f"stream {req.stream_id} is held by active instance {other.instance_id}"
-                    )
+        for req in instance.streams:
+            holder = self.holders.get(req.stream_id)
+            if holder is not None:
+                raise ValidationError(f"stream {req.stream_id} is held by active instance {holder}")
+
 
     def _rollback(self, granted: list[tuple[str, str]]) -> None:
         # compensate in reverse grant order
@@ -330,32 +335,30 @@ class Cuc:
 
     def terminate_ns(self, instance_id: str) -> NsInstance:
         """Release every reservation of the instance; the schedules stay
-        on the instance for audit. Bridges need no
-        touch beyond the controllers dropping the windows; end stations
-        get no reconfiguration."""
+        on the instance for audit. Bridges need no touch beyond the
+        controllers dropping the windows; end stations get none."""
         instance = self.instance(instance_id)
         if instance.status != "active":
             raise AlreadyTerminatedError(
                 f"instance {instance_id} is {instance.status}, not active"
             )
         self._release_all(instance)
-        instance.status = "terminated"
         return instance
 
     def _release_all(self, instance: NsInstance) -> None:
+        """Remove the instance's streams from their controllers; then it is
+        terminated and holds no stream id."""
         for req in instance.streams:
             for domain_id, _ in instance.schedules.get(req.stream_id, []):
-                response = self.dispatcher.dispatch(
-                    RemoveStream(
-                        request_id=self._next_request_id(), stream_id=req.stream_id
-                    ),
-                    domain_id,
-                )
+                request = RemoveStream(request_id=self._next_request_id(), stream_id=req.stream_id)
+                response = self.dispatcher.dispatch(request, domain_id)
                 if response.status != "ok":
                     raise UnknownStreamError(
-                        f"controller {domain_id} no longer holds {req.stream_id}: "
-                        f"{response.detail}"
+                        f"controller {domain_id} no longer holds {req.stream_id}: {response.detail}"
                     )
+        instance.status = "terminated"
+        for sid in instance.schedules:
+            self.holders.pop(sid, None)
 
     def update_ns(
         self,
@@ -373,7 +376,6 @@ class Cuc:
         old_nsd, old_placement = instance.nsd, instance.placement
 
         self._release_all(instance)
-        instance.status = "terminated"
         try:
             return self.instantiate_ns(new_nsd, new_placement, instance_id=instance_id)
         except Exception as exc:

@@ -1,13 +1,13 @@
 """File-backed workspace: wires orchestrator, controllers, and persistence.
 
 One workspace holds the loaded topology, one in-process controller per
-domain, the orchestrator with its instances, the UNI audit log, and the
-currently synthesized gate control lists. It round-trips losslessly
-through a canonical JSON state file, so repeated runs over the same
-inputs produce byte-identical state. The file holds inputs and decisions
-only: the topology, the controllers' records, the audit log, the
-counters, and each instance's descriptors, schedules and status; gate
-control lists, streams and station configs are derived from them.
+domain, the orchestrator with its instances, and the UNI audit log. It
+round-trips losslessly through a canonical JSON state file, so repeated
+runs over the same inputs produce byte-identical state. The file holds
+inputs and decisions only: the topology, the controllers' records, the
+audit log, the counters, and each instance's descriptors, schedules and
+status. Gate control lists, streams and station configs are derived from
+them when read; mutations keep only each port's gate entry count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from . import cnc
 from .codec import Codec, load_json
 from .cuc import Cuc, NsInstance
 from .errors import ParseError, ValidationError
-from .model import GateControlList
 from .topology import Topology, parse_topology
 from .uni import AuditRecord, CncService, Dispatcher
 
@@ -63,10 +62,6 @@ class Workspace:
             topology, {domain_id: CncService(state) for domain_id, state in self.states.items()}
         )
         self.cuc = Cuc(topology, self.dispatcher, gcl_provider=self._domain_gcls)
-        # port -> document of its synthesized GCL; refreshed after mutations
-        self.gcl_docs: dict[str, dict] = {}
-        # port -> the list its document was encoded from
-        self._gcl_sources: dict[str, GateControlList] = {}
 
     def _domain_gcls(self, domain_id: str, ports=None):
         return cnc.synthesize_gcls(self.states[domain_id], ports)
@@ -74,35 +69,30 @@ class Workspace:
     # -- lifecycle pass-throughs ------------------------------------------
 
     def instantiate(self, nsd, placement) -> NsInstance:
-        try:
-            return self.cuc.instantiate_ns(nsd, placement)
-        finally:
-            self.refresh_gcls()
+        return self.cuc.instantiate_ns(nsd, placement)
 
     def terminate(self, instance_id: str) -> NsInstance:
-        try:
-            return self.cuc.terminate_ns(instance_id)
-        finally:
-            self.refresh_gcls()
+        return self.cuc.terminate_ns(instance_id)
 
     def update(self, instance_id: str, nsd, placement) -> NsInstance:
-        try:
-            return self.cuc.update_ns(instance_id, nsd, placement)
-        finally:
-            self.refresh_gcls()
+        return self.cuc.update_ns(instance_id, nsd, placement)
 
-    def refresh_gcls(self) -> None:
-        """Take every domain's current gate control lists, re-encoding only
-        the ones that changed since the last refresh."""
-        docs: dict[str, dict] = {}
-        sources: dict[str, GateControlList] = {}
+    # -- gate control lists ------------------------------------------------
+
+    @property
+    def gcl_docs(self) -> dict[str, dict]:
+        """port -> document of its gate control list, built on each read."""
+        return self.refresh_gcls()
+
+    def refresh_gcls(self) -> dict[str, dict]:
+        """Build every domain's gate control lists: documents by port."""
+        by_domain = (self._domain_gcls(domain_id) for domain_id in sorted(self.states))
+        return {port: gcl.to_doc() for gcls in by_domain for port, gcl in gcls.items()}
+
+    def check_gcl_capacity(self) -> None:
+        """Raise GclOverflowError at a bridge port counting too many entries."""
         for domain_id in sorted(self.states):
-            for port, gcl in self._domain_gcls(domain_id).items():
-                unchanged = self._gcl_sources.get(port) is gcl
-                docs[port] = self.gcl_docs[port] if unchanged else gcl.to_doc()
-                sources[port] = gcl
-        self.gcl_docs = docs
-        self._gcl_sources = sources
+            cnc.check_gcl_capacity(self.states[domain_id])
 
     # -- persistence -------------------------------------------------------
 
@@ -119,7 +109,9 @@ class Workspace:
     def save(self, path: str | Path) -> None:
         """Write the state file atomically: a temporary file in the same
         directory, renamed over the old one, so a failed save leaves the
-        previous state in place."""
+        previous state in place. A state that loading would refuse for a
+        gate control list overflowing its bridge is not written."""
+        self.check_gcl_capacity()
         path = Path(path)
         text = json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":")) + "\n"
         tmp = path.with_name(f".{path.name}.tmp")
@@ -147,11 +139,11 @@ class Workspace:
             if restored.domain_id != domain_id:
                 raise ValidationError(f"the controller state of domain {domain_id} is for {restored.domain_id}")
         ws = cls(topology, states)
-        ws.cuc.instances = state.instances
+        ws.check_gcl_capacity()
+        ws.cuc.restore(state.instances)
         ws.dispatcher.audit_log = list(state.audit)
         ws.cuc.request_seq = state.counters.request_seq
         ws.cuc.instance_seq = state.counters.instance_seq
-        ws.refresh_gcls()
         return ws
 
     @classmethod

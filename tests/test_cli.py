@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import scenarios as sc
-from tsnfv import cli, uni
+from tsnfv import cli, cnc, uni
 from tsnfv.model import DataFrameSpec, EndpointRef, StreamRequirement, TrafficSpec
 from tsnfv.topology import load_topology, shortest_path
 from tsnfv.uni import StreamRequest, UniClient, decode_message, encode_routed
@@ -50,17 +50,17 @@ def instantiate_demo(files) -> None:
 
 
 def load_corrupted(monkeypatch, corrupt) -> None:
-    """Make every load hand out port A.p0's GCL document as `corrupt`
-    leaves it: the lists are derived on load, so a bad list can only be
-    planted in memory."""
-    load = Workspace.load
+    """Make every read of a workspace's GCL documents hand out port A.p0's
+    as `corrupt` leaves it: the lists are built on each read, so a bad
+    list can only be planted in what the read returns."""
+    build = Workspace.gcl_docs.fget
 
-    def corrupted(path):
-        ws = load(path)
-        corrupt(ws.gcl_docs["A.p0"])
-        return ws
+    def corrupted(ws):
+        docs = build(ws)
+        corrupt(docs["A.p0"])
+        return docs
 
-    monkeypatch.setattr(Workspace, "load", corrupted)
+    monkeypatch.setattr(Workspace, "gcl_docs", property(corrupted))
 
 
 def config_documents(out: str) -> list[dict]:
@@ -541,6 +541,24 @@ class TestServeLines:
         assert (response.status, response.cause) == ("failed", "malformed")
         assert response.request_id == "req-0009"
 
+    def test_mutations_build_no_gate_list(self, files, monkeypatch):
+        """A mutation line is dispatched and saved without building a gate
+        list; the saved state is the one an in-process admission leaves."""
+        ws = Workspace(load_topology(files["topology"].read_text()))
+        server = cli._UniServer(("127.0.0.1", 0), ws, str(files["state"]))
+        try:
+            monkeypatch.setattr(cnc, "_build_entries", lambda *args: pytest.fail("a list was built"))
+            request = _probe_request(files["topology"].read_text())
+            assert self._answer(server, encode_routed(request, "d1")).status == "ok"
+            remove = uni.RemoveStream("req-9002", request.requirement.stream_id)
+            assert self._answer(server, encode_routed(remove, "d1")).status == "ok"
+        finally:
+            server.server_close()
+        local = Workspace(load_topology(files["topology"].read_text()))
+        local.dispatcher.dispatch(request, "d1")
+        local.dispatcher.dispatch(remove, "d1")
+        assert Workspace.load(files["state"]).to_doc() == local.to_doc()
+
     def test_codec_runs_only_at_the_tcp_edge(self, files, server, monkeypatch):
         line = encode_routed(_probe_request(files["topology"].read_text()), "d1")
         calls = {}
@@ -682,6 +700,18 @@ class TestMalformedInput:
                 "error: port B1.p00: the window of s000a~rev at [5756, 7964) "
                 "overlaps the window of s000b~rev at [5756, 10012)"
             )
+
+    def test_state_whose_bridge_has_too_few_gate_entries(self, files, capsys):
+        instantiate_demo(files)
+
+        def edit(doc):
+            bridge = next(n for n in doc["topology"]["nodes"] if n["node_id"] == "B1")
+            bridge["gcl_max_entries"] = 3
+
+        self._edit_state(files, edit)
+        capsys.readouterr()
+        assert run("show", "streams", "--state", files["state"]) == 1
+        assert self._single_error(capsys) == "error: port B1.p0 needs 4 GCL entries, bridge supports 3"
 
     def test_state_with_a_controller_filed_under_another_domain(self, files, capsys):
         Workspace(load_topology(json.dumps(sc.cross_pop_topology()))).save(files["state"])

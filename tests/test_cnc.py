@@ -24,7 +24,14 @@ from tsnfv.errors import (
     UnknownStreamError,
     ValidationError,
 )
-from tsnfv.model import DataFrameSpec, EndpointRef, StreamRequirement, TrafficSpec
+from tsnfv.model import (
+    MAX_FRAME_BYTES,
+    DataFrameSpec,
+    EndpointRef,
+    StreamRequirement,
+    TrafficSpec,
+    wire_occupancy,
+)
 from tsnfv.topology import Hop, PathSegment, load_topology, shortest_path, split_by_domain
 from tsnfv.verifier import check_gcl_wellformed
 
@@ -99,8 +106,8 @@ class TestAdmission:
             admit_stream(state, _req("s2", "A", "C", mac_seed=2), seg, 1)
         assert state.snapshot() == before
 
-    def test_failed_synthesis_leaves_state_untouched(self, intra_topology, monkeypatch):
-        # a synthesis that fails for a reason other than an entry overflow
+    def test_failed_capacity_check_leaves_state_untouched(self, intra_topology, monkeypatch):
+        # a gate entry check that fails for a reason other than an overflow
         # must not leave the admission behind, even one that re-lays every
         # port
         state = _state(intra_topology)
@@ -110,11 +117,11 @@ class TestAdmission:
         remove_stream(state, "s1")
         before = state.snapshot()
 
-        def broken(windows, guard, cycle):
-            raise ValidationError("entries sum to more than the cycle")
+        def broken(state, ports=None):
+            raise ValidationError("entry count went negative")
 
-        monkeypatch.setattr(cnc, "_build_entries", broken)
-        with pytest.raises(ValidationError, match="entries sum to"):
+        monkeypatch.setattr(cnc, "check_gcl_capacity", broken)
+        with pytest.raises(ValidationError, match="entry count went negative"):
             admit_stream(state, _req("s3", "A", "C", period=125_000), _segment(intra_topology, "A", "C"), BUDGET)
         assert state.snapshot() == before
 
@@ -294,7 +301,7 @@ class TestRemoval:
     @pytest.mark.xfail(
         strict=True,
         raises=GclOverflowError,
-        reason="ROADMAP item 2: a removal can open a gap that needs more "
+        reason="ROADMAP item 3: a removal can open a gap that needs more "
         "gate entries than the bridge has",
     )
     def test_removal_keeps_the_gate_list_within_the_bridge(self):
@@ -393,6 +400,27 @@ class TestGclSynthesis:
         assert sum(e.interval_ns for e in entries) == cycle
         laid = [e.gate_states for e in entries for _ in range(e.interval_ns)]
         assert laid == _gate_masks_by_rule(windows, guard, cycle)
+
+    @settings(max_examples=300, deadline=None)
+    @given(layout=_cycle_layouts(), data=st.data())
+    def test_kept_count_is_the_built_lists_length(self, layout, data):
+        """A layout's entry count is the length of the list _build_entries
+        lays from its windows: laid whole, taking its windows one insert
+        at a time in any order, and after removals that leave on the next
+        read."""
+        windows, guard, cycle = layout
+
+        def built(laid):
+            return len(cnc._build_entries(laid, guard, cycle)) if laid else 0
+
+        assert cnc._Layout(list(windows), cycle, guard).entries == built(windows)
+        kept = cnc._Layout([], cycle, guard)
+        for w in data.draw(st.permutations(windows)):
+            kept.insert([w])
+            assert kept.entries == built(kept.windows)
+        gone = data.draw(st.sets(st.sampled_from([w.stream_id for w in windows])))
+        kept.removed |= gone
+        assert kept.current().entries == built([w for w in windows if w.stream_id not in gone])
 
     def _two_streams(self, topology):
         state = _state(topology)
@@ -512,12 +540,8 @@ def _outcome(synthesis):
         return type(exc), str(exc)
 
 
-def _apply(state, topology, n, step) -> None:
-    """Run one step; a refused admission must leave the state as it was."""
-    if step[0] == "remove":
-        if state.admitted:
-            remove_stream(state, list(state.admitted)[step[1] % len(state.admitted)])
-        return
+def _admission(topology, n, step):
+    """The request, segment and entry offset of admit step n."""
     _, route, period, frame, frames, pcp, offset = step
     if route == "B1>C":
         talker, listener, segment = "A", "C", B1_EGRESS
@@ -525,6 +549,20 @@ def _apply(state, topology, n, step) -> None:
         talker, listener = route.split(">")
         segment, offset = _segment(topology, talker, listener), 0
     req = _req(f"s{n}", talker, listener, pcp=pcp, period=period, frame=frame, frames=frames)
+    return req, segment, offset
+
+
+def _remove(state, step) -> None:
+    if state.admitted:
+        remove_stream(state, list(state.admitted)[step[1] % len(state.admitted)])
+
+
+def _apply(state, topology, n, step) -> None:
+    """Run one step; a refused admission must leave the state as it was."""
+    if step[0] == "remove":
+        _remove(state, step)
+        return
+    req, segment, offset = _admission(topology, n, step)
     before = state.snapshot()
     try:
         admit_stream(state, req, segment, BUDGET, entry_offset_ns=offset)
@@ -536,8 +574,9 @@ def _apply(state, topology, n, step) -> None:
 @given(steps=st.lists(_STEPS, min_size=1, max_size=14))
 def test_incremental_gcls_match_a_cold_synthesis(intra_topology, steps):
     """After every admission (granted or refused) and every removal, the
-    state's indexed and cached gate control lists are the ones a state
-    rebuilt from its snapshot synthesizes, whole or one port at a time.
+    gate control lists the state builds from its kept layouts are the
+    ones a state rebuilt from its snapshot synthesizes, whole or one port
+    at a time.
     Where the cold synthesis fails, the warm one fails the same way."""
     state = _state(intra_topology)
     for n, step in enumerate(steps):
@@ -551,6 +590,62 @@ def test_incremental_gcls_match_a_cold_synthesis(intra_topology, steps):
         if isinstance(full, dict):
             assert list(full) == ports
             assert all(partial[p] == {p: full[p]} for p in ports)
+
+
+def _built_length(state, port) -> int:
+    """The length of the port's gate control list, built from a plain
+    expansion of its reservations."""
+    cycle = state.hyperperiod_ns
+    guard = wire_occupancy(MAX_FRAME_BYTES, state.topology.link_at(port).speed_bps)
+    return len(cnc._build_entries(reference.port_windows(state, port, cycle), guard, cycle))
+
+
+def _limited_topology(limit):
+    doc = sc.intra_pop_topology()
+    doc["nodes"][1]["gcl_max_entries"] = limit
+    return load_topology(json.dumps(doc))
+
+
+@settings(deadline=None)
+@given(steps=st.lists(_STEPS, min_size=1, max_size=14), limit=st.integers(min_value=2, max_value=8))
+def test_entry_limit_is_checked_on_the_kept_counts(steps, limit):
+    """Admissions and removals on B1 with a small gcl_max_entries, through
+    lazy removals and changes of the hyperperiod, against a twin bridge
+    without the limit. A stream is refused exactly when, admitted on the
+    twin, it leaves a B1 port that admission checks (its own ports, or
+    every port on a new cycle) needing more entries than the limit, by a
+    built list; the refusal names the first such port. Every count that
+    admission reads, and at the end every kept count, is the length of
+    the list built from the port's reservations."""
+    small, roomy = _limited_topology(limit), _limited_topology(1024)
+    state, twin = _state(small), _state(roomy)
+    for n, step in enumerate(steps):
+        if step[0] == "remove":
+            _remove(state, step)
+            _remove(twin, step)
+            continue
+        req, segment, offset = _admission(small, n, step)
+        settled = twin.hyperperiod_ns == cnc.hyperperiod([*twin.period_counts, req.traffic.period_ns])
+        expected = _outcome(lambda: admit_stream(twin, req, segment, BUDGET, entry_offset_ns=offset))
+        got = _outcome(lambda: admit_stream(state, req, segment, BUDGET, entry_offset_ns=offset))
+        if isinstance(expected, tuple):
+            assert got == expected
+            continue
+        checked = [res.port_id for res in expected.reservations] if settled else sorted(twin.port_reservations)
+        checked = [port for port in checked if port.startswith("B1.")]
+        over = [(port, _built_length(twin, port)) for port in checked if _built_length(twin, port) > limit]
+        if over:
+            port, needed = over[0]
+            detail = f"port {port} needs {needed} GCL entries, bridge supports {limit}"
+            assert got == (InfeasibleError, str(InfeasibleError("no_free_window", detail)))
+            remove_stream(twin, req.stream_id)
+        else:
+            assert got == expected
+            for port in checked:
+                assert state.layout(port).entries == _built_length(state, port), port
+        assert state.snapshot() == twin.snapshot()
+    for port in state.port_reservations:
+        assert state.layout(port).entries == _built_length(state, port), port
 
 
 def _mixes_periods(steps) -> bool:
@@ -578,7 +673,10 @@ def test_kept_layouts_match_a_cold_build(intra_topology, steps):
 
 
 def _fields(layout: cnc._Layout) -> tuple:
-    return layout.cycle, layout.windows, layout.starts, layout.ends, layout.by_class, layout.removed
+    return (
+        layout.cycle, layout.guard, layout.windows, layout.starts, layout.ends, layout.by_class,
+        layout.removed, layout.entries,
+    )
 
 
 @st.composite
@@ -647,7 +745,7 @@ class TestBisectingCheck:
             start, c["burst"], c["guard"], c["period"], c["cycle"] // c["period"], c["cycle"],
             c["traffic_class"], c["queue_from"], "P",
         )
-        layout = cnc._Layout(list(windows), c["cycle"])
+        layout = cnc._Layout(list(windows), c["cycle"], c["guard"])
         assert _outcome(lambda: cnc._check_candidate(layout, *args)) == _outcome(
             lambda: reference.check_candidate(windows, *args)
         )
@@ -656,7 +754,7 @@ class TestBisectingCheck:
     @given(case=_port_and_candidate())
     def test_placement_matches_the_full_scan(self, case):
         windows, earliest, c = case
-        layout = cnc._Layout(list(windows), c["cycle"])
+        layout = cnc._Layout(list(windows), c["cycle"], c["guard"])
         assert _outcome(lambda: cnc._place_window("P", layout, earliest, **c)) == _outcome(
             lambda: reference.place_window("P", windows, earliest, **c)
         )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import scenarios as sc
 from tsnfv.cuc import partition_latency_budget
 from tsnfv.verifier import SimConfig, verify_ns
+from tsnfv.workspace import Workspace
 from tsnfv.errors import (
     AdmissionFailedError,
     AlreadyTerminatedError,
@@ -294,6 +295,38 @@ class TestStreamIdClash:
         first = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
         ws.terminate(first.instance_id)
         again = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+        assert again.status == "active"
+
+    def test_failed_instance_holds_no_stream(self):
+        ws = sc.build_workspace(sc.intra_pop_topology())
+        with pytest.raises(AdmissionFailedError):
+            sc.instantiate(ws, sc.demo_nsd(latency=10_000), sc.demo_placement())
+        assert ws.cuc.instances["ns-0001"].status == "failed"
+        assert sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement()).status == "active"
+
+    def test_failed_update_holds_the_restored_streams_again(self):
+        ws = sc.build_workspace(sc.intra_pop_topology())
+        first = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+        with pytest.raises(UpdateFailedError):
+            ws.update(
+                first.instance_id,
+                sc.parse_nsd_doc(sc.demo_nsd(latency=10_000)),
+                sc.parse_placement_doc(sc.demo_placement()),
+            )
+        with pytest.raises(ValidationError, match="stream vl1~fwd is held by active instance ns-0001"):
+            sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+
+    def test_refusal_holds_after_save_and_load(self, tmp_path):
+        ws = sc.build_workspace(sc.intra_pop_topology())
+        first = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+        path = tmp_path / "state.json"
+        ws.save(path)
+        restored = Workspace.load(path)
+        with pytest.raises(ValidationError, match="stream vl1~fwd is held by active instance ns-0001"):
+            sc.instantiate(restored, sc.demo_nsd(), sc.demo_placement())
+        restored.terminate(first.instance_id)
+        restored.save(path)
+        again = sc.instantiate(Workspace.load(path), sc.demo_nsd(), sc.demo_placement())
         assert again.status == "active"
 
     def test_update_to_its_own_nsd(self):

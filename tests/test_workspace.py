@@ -8,7 +8,7 @@ import pytest
 
 import scenarios as sc
 from tsnfv import cnc
-from tsnfv.errors import ParseError, ValidationError
+from tsnfv.errors import GclOverflowError, ParseError, ValidationError
 from tsnfv.workspace import Workspace
 
 V1_DEMO_STATE = Path(__file__).resolve().parent / "golden" / "demo_state.json"
@@ -129,18 +129,14 @@ class TestVersion1:
 
 
 
-class TestIncrementalSynthesis:
-    def test_gcl_builds_follow_the_new_service(self, monkeypatch):
-        """Instantiating a service next to 64 resident streams builds at
-        most one gate list per port reservation its streams make (its
-        four streams reserve two ports each), whatever else the domain
-        holds, and the refresh keeps every other port's document."""
+class TestGclView:
+    def test_mutations_build_no_gate_list(self, monkeypatch):
+        """Instantiating 16 services (64 streams, three periods), updating
+        one and terminating them all builds no gate list; each read of
+        gcl_docs builds every list afresh, equal to the lists of a cold
+        rebuild of each controller from its snapshot."""
         pairs = 8
         ws = sc.build_workspace(sc.fill_topology(pairs))
-        for k in range(16):
-            sc.instantiate(ws, *sc.fill_service(1, k, pairs))
-        assert len(ws.states["d1"].admitted) == 64
-        before = dict(ws.gcl_docs)
         calls = 0
         build = cnc._build_entries
 
@@ -150,17 +146,29 @@ class TestIncrementalSynthesis:
             return build(*args)
 
         monkeypatch.setattr(cnc, "_build_entries", counting)
-        instance = sc.instantiate(ws, *sc.fill_service(1, 16, pairs))
-        reserved = [
-            res.port_id
-            for _, chain in instance.stream_schedules()
-            for _, schedule in chain
-            for res in schedule.reservations
-        ]
-        assert 0 < calls <= len(reserved)
-        unchanged = set(before) - set(reserved)
-        assert len(unchanged) == len(before) - 4
-        assert all(ws.gcl_docs[port] is before[port] for port in unchanged)
+
+        def cold_docs() -> dict:
+            docs = {}
+            for domain_id in sorted(ws.states):
+                cold = cnc.CncState.from_doc(ws.states[domain_id].snapshot(), ws.topology)
+                docs.update({port: gcl.to_doc() for port, gcl in cnc.synthesize_gcls(cold).items()})
+            return docs
+
+        def step(mutate):
+            nonlocal calls
+            calls = 0
+            result = mutate()
+            assert calls == 0
+            assert ws.gcl_docs == cold_docs()
+            return result
+
+        ids = [step(lambda k=k: sc.instantiate(ws, *sc.fill_service(1, k, pairs))).instance_id for k in range(16)]
+        assert len(ws.states["d1"].admitted) == 64
+        nsd, placement = sc.fill_service(1, 16, pairs)
+        step(lambda: ws.update(ids[3], sc.parse_nsd_doc(nsd), sc.parse_placement_doc(placement)))
+        for iid in ids:
+            step(lambda iid=iid: ws.terminate(iid))
+        assert ws.gcl_docs == {}
 
 
 class TestLoadErrors:
@@ -229,6 +237,19 @@ class TestLoadErrors:
 
         with pytest.raises(ValidationError, match="names stream other"):
             self._load_edited(tmp_path, edit)
+
+    def test_bridge_port_needing_more_gate_entries_than_its_bridge_has(self, tmp_path):
+        """The demo's bridge ports each need four gate entries; a state
+        file whose topology gives B1 three is refused, at the first
+        overflowing port in domain and port order."""
+
+        def edit(doc):
+            bridge = next(n for n in doc["topology"]["nodes"] if n["node_id"] == "B1")
+            bridge["gcl_max_entries"] = 3
+
+        with pytest.raises(GclOverflowError) as info:
+            self._load_edited(tmp_path, edit)
+        assert (info.value.port_id, info.value.needed, info.value.limit) == ("B1.p0", 4, 3)
 
     def test_active_instance_with_an_empty_chain(self, tmp_path):
         def edit(doc):

@@ -4,13 +4,13 @@ a controller already holds.
 Each row instantiates fill services (two VLs, four streams each, from
 `tests/scenarios.py`) on a fresh workspace of one bridge with 43 fixed
 talker/listener host pairs, until the row's stream count, and times the
-instantiations (routing, admission and GCL synthesis, in process). A row
+instantiations (routing and admission, in process). A row
 is run three times and reports the median. The script prints one row per
 size and writes them to a JSON file with the host's Python and CPU
 count, and a SHA-256 of each row's final state file, so two versions of
 the code can be checked for identical decisions.
 
-    python3 tools/admission_curve.py [--max-streams 2048] [--out BENCH_admission.json]
+    python3 tools/admission_curve.py [--max-streams 4096] [--out BENCH_admission.json]
 
 Stdlib only; it reads the package from `src/` and the generators from
 `tests/`, and needs nothing else from the repository.
@@ -38,7 +38,7 @@ from tsnfv.workspace import Workspace  # noqa: E402
 
 PAIRS = 43
 SEED = 1
-SIZES = (256, 512, 1024, 2048)
+SIZES = (256, 512, 1024, 2048, 4096)
 REPEATS = 3
 
 
