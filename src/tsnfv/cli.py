@@ -179,10 +179,13 @@ def _show_gcl(ws: Workspace, port: str | None) -> int:
     if not port:
         print("show gcl needs a port key (node.port)", file=sys.stderr)
         return 1
-    doc = ws.gcl_docs.get(port)
-    if doc is None:
+    # only the port's own list is built, in the domain of its node
+    node = ws.topology.nodes.get(port.split(".", 1)[0])
+    gcl = node and ws._domain_gcls(node.domain_id, [port]).get(port)
+    if not gcl:
         print(f"no gate control list for port {port}", file=sys.stderr)
         return 1
+    doc = gcl.to_doc()
     print(f"gcl {port}  cycle_ns={doc['cycle_ns']}  base_time_ns={doc['base_time_ns']}")
     t = 0
     for entry in doc["entries"]:

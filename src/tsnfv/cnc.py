@@ -1,5 +1,4 @@
-"""Per-domain controller: stream admission, gate schedule synthesis, and
-bridge configuration emission.
+"""Per-domain controller: stream admission and gate schedule synthesis.
 
 Admission uses a greedy as-soon-as-possible search. Each stream gets one
 reserved window per hop, expressed as an offset from the stream's release
@@ -19,20 +18,20 @@ Three constraint families keep the synthesized schedule exact under load:
   at the same time must transmit in their arrival order, or the FIFO
   queue would hand the earlier frame the later window.
 
-All three constrain one egress port at a time, so the state indexes its
-reservations by port: admitting a stream reads only the ports of its own
-segment. The state also keeps each port's layout: its window instances
-in (start, stream id) order with their sorted starts and ends, and the
-entry count of the port's gate control list, which is built only when
-read. A candidate start is checked by bisection (the one window that can
-overlap it first, and the nearest end before and start after it for the
-guard gaps) plus a scan of the same-class windows for queue order.
+All three constrain one egress port at a time, so the state keeps one
+record per port: its reservations, and its window instances laid from
+them on one cycle in (start, stream id) order, with the entry count of
+the port's gate control list, which is built only when read. Admitting a
+stream reads only the records of its own segment. A candidate start is
+checked by bisection (the one window that can overlap it first, and the
+nearest end before and start after it for the guard gaps) plus a scan of
+the same-class windows for queue order.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -75,14 +74,13 @@ class _Snapshot(Codec):
 class CncState:
     """Mutable admission state of one domain's controller.
 
-    Three indexes are derived from the admitted streams, kept current by
-    admit_stream and remove_stream, and never snapshotted: each egress
-    port's reservations by stream id, the number of streams per distinct
-    period (their LCM is the hyperperiod), and each port's window layout
-    on the hyperperiod with its gate entry count. A layout takes an
-    admission in place and notes a removal, whose windows leave on the
-    layout's next read. Every layout is dropped when the hyperperiod
-    changes, and a missing one is built when something next reads it.
+    Two indexes are derived from the admitted streams, kept current by
+    admit_stream and remove_stream, and never snapshotted: the number of
+    streams per distinct period (their LCM is the hyperperiod), and one
+    record per egress port holding reservations, its _Layout. A layout
+    takes an admission in place. A removal only marks it stale; a stale
+    layout, or one laid on another cycle than the hyperperiod, is laid
+    again from its reservations, in one pass, when next read.
 
     Loading checks what the scheduler relies on: the schedules name their
     own streams and existing ports, the hyperperiod is the streams' own,
@@ -94,16 +92,12 @@ class CncState:
     requirements: dict[str, StreamRequirement] = field(default_factory=dict)
     admitted: dict[str, StreamSchedule] = field(default_factory=dict)
     hyperperiod_ns: int = 0
-    port_reservations: dict[str, dict[str, HopReservation]] = field(
-        init=False, repr=False, compare=False
-    )
     period_counts: dict[int, int] = field(init=False, repr=False, compare=False)
-    port_layouts: dict[str, _Layout] = field(init=False, repr=False, compare=False)
+    ports: dict[str, _Layout] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.port_reservations = {}
         self.period_counts = {}
-        self.port_layouts = {}
+        self.ports = {}
         # A loaded record is where the gate lists are synthesized from, so
         # its schedules must name their own streams and ports that exist.
         for sid, schedule in self.admitted.items():
@@ -122,39 +116,26 @@ class CncState:
             )
         # placement bisects each port's layout, which only works on
         # windows that admission keeps disjoint
-        for port in sorted(self.port_reservations):
+        for port in sorted(self.ports):
             _check_disjoint(port, self.layout(port).windows, cycle)
 
     def _index(self, period: int, schedule: StreamSchedule) -> None:
+        sid = schedule.stream_id
         for res in schedule.reservations:
-            on_port = self.port_reservations.setdefault(res.port_id, {})
-            if schedule.stream_id in on_port:
-                raise ValidationError(
-                    f"stream {schedule.stream_id} reserves port {res.port_id} twice"
-                )
-            on_port[schedule.stream_id] = res
-            layout = self.port_layouts.get(res.port_id)
-            if layout is not None:
-                layout.insert(_instances(schedule.stream_id, res, period, self.hyperperiod_ns))
+            layout = self.ports.get(res.port_id)
+            if layout is None:
+                guard = wire_occupancy(MAX_FRAME_BYTES, self.topology.link_at(res.port_id).speed_bps)
+                layout = self.ports[res.port_id] = _Layout(guard)
+            elif sid in layout.reservations:
+                raise ValidationError(f"stream {sid} reserves port {res.port_id} twice")
+            layout.reservations[sid] = (res, period)
+            if layout.cycle:
+                layout.insert(_instances(sid, res, period, layout.cycle))
         self.period_counts[period] = self.period_counts.get(period, 0) + 1
 
-    def _set_hyperperiod(self, cycle: int) -> None:
-        if cycle != self.hyperperiod_ns:
-            self.port_layouts.clear()
-            self.hyperperiod_ns = cycle
-
     def layout(self, port: str) -> _Layout:
-        """The port's window layout on the hyperperiod, built on first use
-        and kept while the port holds reservations."""
-        layout = self.port_layouts.get(port)
-        if layout is not None:
-            return layout.current()
-        cycle = self.hyperperiod_ns
-        guard = wire_occupancy(MAX_FRAME_BYTES, self.topology.link_at(port).speed_bps)
-        layout = _Layout(_port_windows(self, port, cycle), cycle, guard)
-        if port in self.port_reservations:
-            self.port_layouts[port] = layout
-        return layout
+        """The layout of a port holding reservations, on the hyperperiod."""
+        return self.ports[port].on(self.hyperperiod_ns)
 
     def snapshot(self) -> dict:
         """Canonical document of the state, for persistence and for the
@@ -227,45 +208,45 @@ def _instances(sid: str, res: HopReservation, period: int, cycle: int) -> list[_
     ]
 
 
-def _port_windows(state: CncState, port: str, cycle: int) -> list[_Window]:
-    """Expand the port's committed reservations into their per-period
-    instances on the given cycle, in (start, stream id) order."""
-    windows = []
-    for sid, res in state.port_reservations.get(port, {}).items():
-        windows += _instances(sid, res, state.requirements[sid].traffic.period_ns, cycle)
-    windows.sort(key=lambda w: (w.start, w.stream_id))
-    return windows
-
-
 _start = attrgetter("start")
+_order = attrgetter("start", "stream_id")
 
 
 class _Layout:
-    """A port's window instances on one cycle, in (start, stream id) order,
-    with their starts in that order, their ends modulo the cycle sorted,
-    each class's windows in that order, and the entry count of the list
-    _build_entries lays from them with the given guard.
+    """One port's record: its reservations, stream id -> (reservation,
+    period), and their window instances laid on one cycle, in (start,
+    stream id) order, with their starts in that order, each class's
+    windows in that order, and the entry count of the list _build_entries
+    lays from them with the given guard.
 
     Admission keeps the windows of a port disjoint, so no two share a
     start, and the starts and the ends rise together, except that the
     last window may wrap past the cycle end. A start is thus where a new
     window goes, and it changes only its neighbours' terms of the count.
-    A removed stream is only noted; its windows leave, and the count is
-    taken again, in one pass on the next read (current), however many
-    streams left since."""
+    A removal marks the windows stale (cycle 0). `on` returns the layout
+    on a given cycle, laid again from the reservations in one pass when
+    stale or laid on another cycle."""
 
-    __slots__ = ("cycle", "guard", "windows", "starts", "ends", "by_class", "removed", "entries")
+    __slots__ = ("guard", "reservations", "cycle", "windows", "starts", "by_class", "entries")
 
-    def __init__(self, windows: list[_Window], cycle: int, guard: int):
-        self.cycle = cycle
+    def __init__(self, guard: int):
         self.guard = guard
-        self.removed: set[str] = set()
-        self._lay(windows)
+        self.reservations: dict[str, tuple[HopReservation, int]] = {}
+        self.cycle = 0
 
-    def _lay(self, windows: list[_Window]) -> None:
+    def on(self, cycle: int) -> _Layout:
+        if cycle != self.cycle:
+            windows = []
+            for sid, (res, period) in self.reservations.items():
+                windows += _instances(sid, res, period, cycle)
+            windows.sort(key=_order)
+            self._lay(windows, cycle)
+        return self
+
+    def _lay(self, windows: list[_Window], cycle: int) -> None:
+        self.cycle = cycle
         self.windows = windows
         self.starts = [w.start for w in windows]
-        self.ends = sorted(w.end % self.cycle for w in windows)
         self.by_class: dict[int, list[_Window]] = {}
         for w in windows:
             self.by_class.setdefault(w.traffic_class, []).append(w)
@@ -290,14 +271,8 @@ class _Layout:
         first_start, last_end = self.windows[0].start, self.windows[-1].end
         return int(last_end > self.cycle or last_end < self.cycle and 0 < first_start != self.guard)
 
-    def current(self) -> _Layout:
-        if self.removed:
-            self._lay([w for w in self.windows if w.stream_id not in self.removed])
-            self.removed.clear()
-        return self
-
     def insert(self, instances: list[_Window]) -> None:
-        windows = self.current().windows
+        windows = self.windows
         for w in instances:
             i = bisect_left(self.starts, w.start)
             # an empty layout's one pair is the new window with itself
@@ -305,7 +280,6 @@ class _Layout:
             self.entries += 1 + self._gap(prev, w) + self._gap(w, nxt) - self._gap(prev, nxt) - self._edge()
             windows.insert(i, w)
             self.starts.insert(i, w.start)
-            insort(self.ends, w.end % self.cycle)
             same = self.by_class.setdefault(w.traffic_class, [])
             same.insert(bisect_left(same, w.start, key=_start), w)
             self.entries += self._edge()
@@ -411,8 +385,6 @@ def admit_stream(
 
     period = req.traffic.period_ns
     cycle = hyperperiod([*state.period_counts, period])
-    # Only the settled cycle's layouts are kept; an admission that changes
-    # the cycle checks against a plain expansion on its new cycle.
     settled = cycle == state.hyperperiod_ns
     traffic_class = req.frame.pcp
     talker_first_hop = segment.hops[0].egress_node == req.talker.node_id
@@ -464,12 +436,10 @@ def admit_stream(
             # it alone has been stored and forwarded.
             queue_from = prev_start + prev_wire + prev_prop + node.forwarding_delay_ns
 
+        # a port new to the state checks against an empty layout
         start = _place_window(
             port=port,
-            layout=(
-                state.layout(port) if settled
-                else _Layout(_port_windows(state, port, cycle), cycle, guard)
-            ),
+            layout=(state.ports.get(port) or _Layout(guard)).on(cycle),
             earliest=earliest,
             burst=burst,
             guard=guard,
@@ -506,7 +476,7 @@ def admit_stream(
     )
     state.requirements[req.stream_id] = req
     state.admitted[req.stream_id] = schedule
-    state._set_hyperperiod(cycle)
+    state.hyperperiod_ns = cycle
     state._index(period, schedule)
     # Only the touched ports' counts change, unless the cycle did.
     try:
@@ -523,7 +493,7 @@ def check_gcl_capacity(state: CncState, ports=None) -> None:
     """Raise GclOverflowError at the first bridge port, of the given ones
     or else of every reserved one in port order, whose layout counts more
     gate control entries than the bridge supports."""
-    for port in sorted(state.port_reservations) if ports is None else ports:
+    for port in sorted(state.ports) if ports is None else ports:
         node = state.topology.node(port.split(".", 1)[0])
         if node.kind == "bridge":
             needed = state.layout(port).entries
@@ -574,7 +544,7 @@ def _check_candidate(
 ) -> int:
     """Return 0 when the candidate fits, otherwise the smallest advance of
     the window start worth trying next. Raises when no advance can help."""
-    windows, starts, ends = layout.windows, layout.starts, layout.ends
+    windows, starts = layout.windows, layout.starts
     same_class = layout.by_class.get(traffic_class, ())
     last = len(windows) - 1
     q_rel = start if queue_from is None else queue_from
@@ -608,8 +578,10 @@ def _check_candidate(
                             "no_free_window", f"port {port} is fully reserved"
                         )
                     return adv
-            # guard spacing against the nearest end before and start after
-            prev_gap = (a - ends[bisect_right(ends, a) - 1]) % cycle
+            # guard spacing against the nearest end before and start after;
+            # with no overlap, the nearest end is that of the last window to
+            # start before a
+            prev_gap = (a - windows[after - 1].end) % cycle
             a_end %= cycle
             following = bisect_left(starts, a_end)
             next_gap = (starts[following if following <= last else 0] - a_end) % cycle
@@ -621,16 +593,12 @@ def _check_candidate(
         q_at = (q_rel + k * period) % cycle
         for other in same_class:
             verdict = _queue_order_conflict(q_at, q_len, burst, other, cycle)
-            if verdict == "advance":
-                if queue_from is None:
+            if verdict:
+                if verdict == "advance" and queue_from is None:
                     return (other.end - a) % cycle or cycle
-                # They queued first but my queueing point is fixed before
-                # their window ended; FIFO order cannot be repaired.
-                raise InfeasibleError(
-                    "no_free_window",
-                    f"queue order conflict with {other.stream_id} on {port}",
-                )
-            if verdict == "abort":
+                # An abort, or they queued first but my queueing point is
+                # fixed before their window ended: FIFO order cannot be
+                # repaired.
                 raise InfeasibleError(
                     "no_free_window",
                     f"queue order conflict with {other.stream_id} on {port}",
@@ -646,19 +614,15 @@ def remove_stream(state: CncState, stream_id: str) -> CncState:
     schedule = state.admitted.pop(stream_id)
     period = state.requirements.pop(stream_id).traffic.period_ns
     for res in schedule.reservations:
-        on_port = state.port_reservations[res.port_id]
-        del on_port[stream_id]
-        if not on_port:
-            del state.port_reservations[res.port_id]
-            state.port_layouts.pop(res.port_id, None)
-        elif res.port_id in state.port_layouts:
-            state.port_layouts[res.port_id].removed.add(stream_id)
+        layout = state.ports[res.port_id]
+        del layout.reservations[stream_id]
+        layout.cycle = 0
+        if not layout.reservations:
+            del state.ports[res.port_id]
     state.period_counts[period] -= 1
     if not state.period_counts[period]:
         del state.period_counts[period]
-    state._set_hyperperiod(
-        hyperperiod(list(state.period_counts)) if state.period_counts else 0
-    )
+    state.hyperperiod_ns = hyperperiod(list(state.period_counts)) if state.period_counts else 0
     return state
 
 
@@ -678,8 +642,8 @@ def synthesize_gcls(state: CncState, ports=None) -> dict[str, GateControlList]:
     window. What the walk lays before the cycle start moves to the end.
     """
     if ports is None:
-        ports = sorted(state.port_reservations)
-    return {port: _port_gcl(state, port) for port in ports if port in state.port_reservations}
+        ports = sorted(state.ports)
+    return {port: _port_gcl(state, port) for port in ports if port in state.ports}
 
 
 def _port_gcl(state: CncState, port: str) -> GateControlList:
@@ -751,34 +715,3 @@ def _build_entries(windows: list[_Window], guard: int, cycle: int) -> list[GclEn
             entry = made[step] = GclEntry(*step)
         entries.append(entry)
     return entries
-
-
-def bridge_config(state: CncState) -> list[dict]:
-    """One configuration document per bridge owning at least one scheduled
-    port: its gate control lists plus the VLAN memberships of the streams
-    crossing it. Ordered by bridge id."""
-    gcls = synthesize_gcls(state)
-    by_bridge: dict[str, list[str]] = {}
-    for port in gcls:
-        node_id = port.split(".", 1)[0]
-        if state.topology.node(node_id).kind == "bridge":
-            by_bridge.setdefault(node_id, []).append(port)
-
-    docs = []
-    for bridge_id in sorted(by_bridge):
-        ports = sorted(by_bridge[bridge_id])
-        vlans = set()
-        for port in ports:
-            for sid in state.port_reservations[port]:
-                frame = state.requirements[sid].frame
-                vlans.add((frame.vlan_id, frame.pcp))
-        docs.append(
-            {
-                "bridge_id": bridge_id,
-                "gcls": [gcls[p].to_doc() for p in ports],
-                "vlans": [
-                    {"vlan_id": v, "pcp": p} for v, p in sorted(vlans)
-                ],
-            }
-        )
-    return docs

@@ -166,12 +166,6 @@ class Nsd(Codec):
                 return pnf.capabilities
         raise ValidationError(f"unknown member {member_id}")
 
-    def is_pnf(self, member_id: str) -> bool:
-        return any(p.pnf_id == member_id for p in self.pnfs)
-
-    def tsn_links(self) -> list[VirtualLink]:
-        return [vl for vl in self.virtual_links if vl.tsn is not None]
-
 
 @dataclass(frozen=True)
 class PlacementEntry(Codec):

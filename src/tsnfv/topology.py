@@ -213,11 +213,6 @@ class Topology:
     def link_at(self, key: str) -> Link | None:
         return self._port_link.get(key)
 
-    def ports_of(self, node_id: str) -> list[str]:
-        return sorted(
-            link.port_of(node_id) for link in self._adjacency.get(node_id, [])
-        )
-
     def bridges_in_domain(self, domain_id: str) -> list[Node]:
         return [
             n for n in self.nodes.values() if n.kind == "bridge" and n.domain_id == domain_id

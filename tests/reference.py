@@ -21,23 +21,25 @@ from tsnfv.topology import Hop, Path
 
 
 def port_windows(state, port: str, cycle: int) -> list[_Window]:
-    """Expand the port's committed reservations into their per-period
-    instances on the given cycle, in (start, stream id) order."""
+    """Expand the port's committed reservations, read from the admitted
+    schedules, into their per-period instances on the given cycle, in
+    (start, stream id) order."""
     windows = []
-    for sid, res in state.port_reservations.get(port, {}).items():
+    for sid, schedule in state.admitted.items():
         period = state.requirements[sid].traffic.period_ns
-        for k in range(cycle // period):
-            shift = k * period
-            windows.append(
-                _Window(
-                    start=(res.window_start_ns + shift) % cycle,
-                    length=res.length_ns,
-                    traffic_class=res.traffic_class,
-                    stream_id=sid,
-                    queue_at=(res.queue_from_ns + shift) % cycle,
-                    queue_len=res.window_end_ns - res.queue_from_ns,
+        for res in [res for res in schedule.reservations if res.port_id == port]:
+            for k in range(cycle // period):
+                shift = k * period
+                windows.append(
+                    _Window(
+                        start=(res.window_start_ns + shift) % cycle,
+                        length=res.length_ns,
+                        traffic_class=res.traffic_class,
+                        stream_id=sid,
+                        queue_at=(res.queue_from_ns + shift) % cycle,
+                        queue_len=res.window_end_ns - res.queue_from_ns,
+                    )
                 )
-            )
     windows.sort(key=lambda w: (w.start, w.stream_id))
     return windows
 

@@ -123,7 +123,7 @@ def test_criterion_04_virtual_links_map_to_direction_pairs(sweep):
         nsd = parse_nsd(json.dumps(case.nsd_doc))
         placement = parse_placement(json.dumps(case.placement_doc))
         streams = derive_streams(nsd, placement)
-        tsn_vls = nsd.tsn_links()
+        tsn_vls = [vl for vl in nsd.virtual_links if vl.tsn is not None]
         assert len(streams) == 2 * len(tsn_vls), case.seed
         by_id = {s.stream_id: s for s in streams}
         for vl in tsn_vls:

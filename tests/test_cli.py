@@ -283,10 +283,25 @@ class TestShow:
             "  entries=4  sum_ns=250000",
         ]
 
+    def test_gcl_builds_only_the_ports_own_list(self, files, monkeypatch):
+        instantiate_demo(files)
+        assert len(Workspace.load(files["state"]).gcl_docs) > 1
+        built = []
+        build = cnc._build_entries
+        monkeypatch.setattr(cnc, "_build_entries", lambda *args: built.append(args) or build(*args))
+        assert run("show", "gcl", "B1.p1", "--state", files["state"]) == 0
+        assert len(built) == 1
+
     def test_gcl_unknown_port(self, files, capsys):
         instantiate_demo(files)
         assert run("show", "gcl", "B9.p9", "--state", files["state"]) == 1
         assert "no gate control list for port B9.p9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port", ["B1.p9", "B1"])
+    def test_gcl_unknown_port_of_a_known_node(self, files, capsys, port):
+        instantiate_demo(files)
+        assert run("show", "gcl", port, "--state", files["state"]) == 1
+        assert f"no gate control list for port {port}" in capsys.readouterr().err
 
     def test_gcl_needs_selector(self, files, capsys):
         instantiate_demo(files)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -12,7 +12,6 @@ from tsnfv import cnc
 from tsnfv.cnc import (
     CncState,
     admit_stream,
-    bridge_config,
     remove_stream,
     synthesize_gcls,
 )
@@ -368,6 +367,14 @@ def _cycle_layouts(draw):
     return windows, guard, cycle
 
 
+def _laid(windows, cycle, guard) -> cnc._Layout:
+    """A layout of exactly the given windows, in (start, stream id) order,
+    on the cycle."""
+    layout = cnc._Layout(guard)
+    layout._lay(list(windows), cycle)
+    return layout
+
+
 def _gate_masks_by_rule(windows, guard, cycle):
     """The gate mask of every ns of the cycle, read from the rules: a
     window's own class inside it; all closed within min(guard, gap) before
@@ -406,21 +413,20 @@ class TestGclSynthesis:
     def test_kept_count_is_the_built_lists_length(self, layout, data):
         """A layout's entry count is the length of the list _build_entries
         lays from its windows: laid whole, taking its windows one insert
-        at a time in any order, and after removals that leave on the next
-        read."""
+        at a time in any order, and laid again after removals."""
         windows, guard, cycle = layout
 
         def built(laid):
             return len(cnc._build_entries(laid, guard, cycle)) if laid else 0
 
-        assert cnc._Layout(list(windows), cycle, guard).entries == built(windows)
-        kept = cnc._Layout([], cycle, guard)
+        assert _laid(windows, cycle, guard).entries == built(windows)
+        kept = _laid([], cycle, guard)
         for w in data.draw(st.permutations(windows)):
             kept.insert([w])
             assert kept.entries == built(kept.windows)
         gone = data.draw(st.sets(st.sampled_from([w.stream_id for w in windows])))
-        kept.removed |= gone
-        assert kept.current().entries == built([w for w in windows if w.stream_id not in gone])
+        left = [w for w in kept.windows if w.stream_id not in gone]
+        assert _laid(left, cycle, guard).entries == built([w for w in windows if w.stream_id not in gone])
 
     def _two_streams(self, topology):
         state = _state(topology)
@@ -498,12 +504,6 @@ class TestGclSynthesis:
 
     def test_empty_state_has_no_gcls(self, intra_topology):
         assert synthesize_gcls(_state(intra_topology)) == {}
-
-    def test_bridge_config_docs(self, intra_topology):
-        docs = bridge_config(self._two_streams(intra_topology))
-        assert [d["bridge_id"] for d in docs] == ["B1"]
-        assert [g["port_id"] for g in docs[0]["gcls"]] == ["B1.p1"]
-        assert docs[0]["vlans"] == [{"vlan_id": 100, "pcp": 7}]
 
 
 def test_state_snapshot_round_trip(intra_topology):
@@ -610,7 +610,7 @@ def _limited_topology(limit):
 @given(steps=st.lists(_STEPS, min_size=1, max_size=14), limit=st.integers(min_value=2, max_value=8))
 def test_entry_limit_is_checked_on_the_kept_counts(steps, limit):
     """Admissions and removals on B1 with a small gcl_max_entries, through
-    lazy removals and changes of the hyperperiod, against a twin bridge
+    stale layouts and changes of the hyperperiod, against a twin bridge
     without the limit. A stream is refused exactly when, admitted on the
     twin, it leaves a B1 port that admission checks (its own ports, or
     every port on a new cycle) needing more entries than the limit, by a
@@ -631,7 +631,7 @@ def test_entry_limit_is_checked_on_the_kept_counts(steps, limit):
         if isinstance(expected, tuple):
             assert got == expected
             continue
-        checked = [res.port_id for res in expected.reservations] if settled else sorted(twin.port_reservations)
+        checked = [res.port_id for res in expected.reservations] if settled else sorted(twin.ports)
         checked = [port for port in checked if port.startswith("B1.")]
         over = [(port, _built_length(twin, port)) for port in checked if _built_length(twin, port) > limit]
         if over:
@@ -644,7 +644,7 @@ def test_entry_limit_is_checked_on_the_kept_counts(steps, limit):
             for port in checked:
                 assert state.layout(port).entries == _built_length(state, port), port
         assert state.snapshot() == twin.snapshot()
-    for port in state.port_reservations:
+    for port in state.ports:
         assert state.layout(port).entries == _built_length(state, port), port
 
 
@@ -654,28 +654,43 @@ def _mixes_periods(steps) -> bool:
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(steps=st.lists(_STEPS, min_size=2, max_size=14).filter(_mixes_periods))
+# a 400 us stream finds no window on B1.p1 on the new 2 ms cycle, after
+# its layout was laid there; the next stream there reads the kept cycle
+@example(steps=[
+    ("admit", "B1>C", 250_000, 962, 3, 1, 2019),
+    ("admit", "B1>C", 250_000, 1304, 1, 7, 17_065),
+    ("admit", "A>C", 400_000, 418, 2, 2, 0),
+    ("admit", "A>C", 250_000, 474, 2, 3, 0),
+])
+# a removal marks A.p0 and B1.p1 stale; the next admission there re-lays them
+@example(steps=[
+    ("admit", "A>C", 100_000, 500, 1, 7, 0),
+    ("admit", "A>C", 400_000, 500, 1, 6, 0),
+    ("admit", "A>C", 400_000, 800, 2, 5, 0),
+    ("remove", 1),
+    ("admit", "A>C", 400_000, 300, 1, 6, 0),
+])
 def test_kept_layouts_match_a_cold_build(intra_topology, steps):
-    """The layouts a state keeps through admissions and removals, across
-    changes of the hyperperiod, are after every step the ones a state
-    rebuilt from its snapshot builds; a port with no reservation keeps
-    none."""
+    """The layouts a state keeps through admissions (granted, or refused
+    on a new cycle) and removals, across changes of the hyperperiod, read
+    after every step as the ones a state rebuilt from its snapshot lays;
+    a port with no reservation keeps none."""
     state = _state(intra_topology)
     for n, step in enumerate(steps):
         _apply(state, intra_topology, n, step)
         cold = CncState.from_doc(state.snapshot(), intra_topology)
         assert cold.hyperperiod_ns == state.hyperperiod_ns
-        assert set(cold.port_layouts) == set(state.port_reservations)
-        assert set(state.port_layouts) <= set(cold.port_layouts)
-        for port in list(state.port_layouts):
+        assert set(cold.ports) == set(state.ports)
+        for port in state.ports:
             layout = state.layout(port)
-            assert _fields(layout) == _fields(cold.port_layouts[port]), port
+            assert _fields(layout) == _fields(cold.layout(port)), port
             assert layout.windows == reference.port_windows(state, port, state.hyperperiod_ns)
 
 
 def _fields(layout: cnc._Layout) -> tuple:
     return (
-        layout.cycle, layout.guard, layout.windows, layout.starts, layout.ends, layout.by_class,
-        layout.removed, layout.entries,
+        layout.cycle, layout.guard, layout.reservations, layout.windows, layout.starts,
+        layout.by_class, layout.entries,
     )
 
 
@@ -745,7 +760,7 @@ class TestBisectingCheck:
             start, c["burst"], c["guard"], c["period"], c["cycle"] // c["period"], c["cycle"],
             c["traffic_class"], c["queue_from"], "P",
         )
-        layout = cnc._Layout(list(windows), c["cycle"], c["guard"])
+        layout = _laid(windows, c["cycle"], c["guard"])
         assert _outcome(lambda: cnc._check_candidate(layout, *args)) == _outcome(
             lambda: reference.check_candidate(windows, *args)
         )
@@ -754,7 +769,7 @@ class TestBisectingCheck:
     @given(case=_port_and_candidate())
     def test_placement_matches_the_full_scan(self, case):
         windows, earliest, c = case
-        layout = cnc._Layout(list(windows), c["cycle"], c["guard"])
+        layout = _laid(windows, c["cycle"], c["guard"])
         assert _outcome(lambda: cnc._place_window("P", layout, earliest, **c)) == _outcome(
             lambda: reference.place_window("P", windows, earliest, **c)
         )

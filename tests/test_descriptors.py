@@ -33,7 +33,7 @@ class TestNsdParsing:
         nsd = _nsd(sc.demo_nsd())
         assert nsd.ns_id == "demo"
         assert nsd.member_ids == ["vnfA", "vnfC"]
-        assert [vl.vl_id for vl in nsd.tsn_links()] == ["vl1"]
+        assert [vl.vl_id for vl in nsd.virtual_links if vl.tsn is not None] == ["vl1"]
 
     def test_rejects_bad_json(self):
         with pytest.raises(ParseError):
@@ -80,7 +80,7 @@ class TestNsdParsing:
             pnfs=[sc.pnf("cam1")],
         )
         nsd = _nsd(doc)
-        assert nsd.is_pnf("cam1") and not nsd.is_pnf("m1")
+        assert [p.pnf_id for p in nsd.pnfs] == ["cam1"]
         assert nsd.member_capabilities("cam1").qbv_shaping
 
     def test_round_trip(self):
