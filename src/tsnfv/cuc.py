@@ -110,6 +110,9 @@ class _ChainLink(Codec):
 
 _decode_chains = decoder(dict[str, list[_ChainLink]])
 
+# an instance is active until terminated; a failed one is kept for audit
+STATUSES = ("active", "terminated", "failed")
+
 
 @dataclass
 class NsInstance(Codec):
@@ -192,11 +195,30 @@ class Cuc:
         return f"ns-{self.instance_seq:04d}"
 
     def restore(self, instances: dict[str, NsInstance]) -> None:
-        """Take loaded instances; an active one holds the ids it has schedules for."""
+        """Take loaded instances; an active one holds the ids it has
+        schedules for. Refuses an instance filed under another id, one of
+        an unknown status, and a stream id held by two active instances."""
+        holders = {}
+        for iid, instance in instances.items():
+            if instance.instance_id != iid:
+                raise ValidationError(
+                    f"instances.{iid}.instance_id: the instance filed under {iid} is {instance.instance_id}"
+                )
+            if instance.status not in STATUSES:
+                raise ValidationError(
+                    f"instances.{iid}.status: expected one of {', '.join(STATUSES)}, got {instance.status!r}"
+                )
+            if instance.status != "active":
+                continue
+            for sid in instance.schedules:
+                if sid in holders:
+                    raise ValidationError(
+                        f"instances.{iid}.schedules.{sid}: stream {sid} is held by active instances "
+                        f"{holders[sid]} and {iid}"
+                    )
+                holders[sid] = iid
         self.instances = instances
-        self.holders = {
-            sid: i.instance_id for i in instances.values() if i.status == "active" for sid in i.schedules
-        }
+        self.holders = holders
 
     def instance(self, instance_id: str) -> NsInstance:
         try:

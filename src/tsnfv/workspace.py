@@ -8,12 +8,17 @@ inputs and decisions only: the topology, the controllers' records, the
 audit log, the counters, and each instance's descriptors, schedules and
 status. Gate control lists, streams and station configs are derived from
 them when read; mutations keep only each port's gate entry count.
+
+A save writes the bytes of `to_doc()` encoded as sorted, compact JSON,
+but encodes only the parts that changed since the previous save (see
+_StateText), so that `tsnfv serve` can save after every mutation.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +27,7 @@ from . import cnc
 from .codec import Codec, load_json
 from .cuc import Cuc, NsInstance
 from .errors import ParseError, ValidationError
+from .model import StreamRequirement, StreamSchedule
 from .topology import Topology, parse_topology
 from .uni import AuditRecord, CncService, Dispatcher
 
@@ -62,6 +68,7 @@ class Workspace:
             topology, {domain_id: CncService(state) for domain_id, state in self.states.items()}
         )
         self.cuc = Cuc(topology, self.dispatcher, gcl_provider=self._domain_gcls)
+        self._saved = _StateText()
 
     def _domain_gcls(self, domain_id: str, ports=None):
         return cnc.synthesize_gcls(self.states[domain_id], ports)
@@ -97,6 +104,7 @@ class Workspace:
     # -- persistence -------------------------------------------------------
 
     def to_doc(self) -> dict:
+        """The state file's document; save writes it as sorted, compact JSON."""
         return _StateDoc(
             version=STATE_VERSION,
             topology=self.topology.to_doc(),
@@ -113,10 +121,11 @@ class Workspace:
         gate control list overflowing its bridge is not written."""
         self.check_gcl_capacity()
         path = Path(path)
-        text = json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":")) + "\n"
+        parts = self._saved.encode(self)
         tmp = path.with_name(f".{path.name}.tmp")
         try:
-            tmp.write_text(text)
+            with tmp.open("wb") as out:
+                out.writelines(parts)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -155,6 +164,102 @@ class Workspace:
     def snapshot_states(self) -> dict[str, dict]:
         """Deep snapshot of every controller, for baseline comparisons."""
         return {d: self.states[d].snapshot() for d in sorted(self.states)}
+
+
+class _StateText:
+    """The JSON text of the state's parts at the last save, so that a save
+    encodes only what changed since. A part's text is reused while the
+    objects it was encoded from are the same ones:
+
+    - the topology, which a workspace never changes;
+    - each admitted stream, while its (frozen) requirement and schedule are;
+    - each instance, while its id, descriptors, status and schedule chains are;
+    - the audit log, which only grows: the text of the records already
+      encoded is kept while the log is the same list, at least as long,
+      with the same record at the old end, and the new records are appended
+      to it in place.
+
+    Texts of parts that have gone are dropped at the next save. The file is
+    written from the parts as they are, without joining them into one
+    string: a fresh copy of a long audit log costs more than encoding what
+    changed. The bytes are those of json.dumps(to_doc(), sort_keys=True,
+    separators=(",", ":")) and a newline."""
+
+    def __init__(self):
+        self.topology: tuple[Topology, bytes] | None = None
+        self.streams: dict[tuple[str, str], tuple[StreamRequirement, StreamSchedule, bytes]] = {}
+        self.instances: dict[str, tuple[list, bytes]] = {}
+        # the log, its length and last record when encoded, and their JSON list
+        self.audit: tuple[list | None, int, AuditRecord | None, bytearray] = (None, 0, None, bytearray())
+
+    def encode(self, ws: Workspace) -> list[bytes]:
+        """The bytes of the state file, in parts."""
+        counters = _Counters(ws.cuc.request_seq, ws.cuc.instance_seq)
+        shell = _StateDoc(STATE_VERSION, {}, {}, {}, (), counters).to_doc()
+        streams = {}
+        controllers = {d: self._controller(ws.states[d], streams) for d in ws.states}
+        self.streams = streams
+        self.instances = {iid: self._instance(iid, i) for iid, i in ws.cuc.instances.items()}
+        texts = {
+            "topology": self._topology(ws.topology),
+            "cnc": b"".join(_object({}, controllers)),
+            "instances": b"".join(_object({}, {iid: text for iid, (_, text) in self.instances.items()})),
+            "audit": self._audit(ws.dispatcher.audit_log),
+        }
+        return [*_object(shell, texts), b"\n"]
+
+    def _topology(self, topology: Topology) -> bytes:
+        if self.topology is None or self.topology[0] is not topology:
+            self.topology = (topology, _encode(topology.to_doc()))
+        return self.topology[1]
+
+    def _controller(self, state: cnc.CncState, streams: dict) -> bytes:
+        texts = []
+        for sid, schedule in state.admitted.items():
+            requirement = state.requirements[sid]
+            kept = self.streams.get((state.domain_id, sid))
+            if kept is None or kept[0] is not requirement or kept[1] is not schedule:
+                kept = (requirement, schedule, _encode(cnc._AdmittedStream(requirement, schedule).to_doc()))
+            streams[state.domain_id, sid] = kept
+            texts.append(kept[2])
+        shell = cnc._Snapshot(state.domain_id, state.hyperperiod_ns, ()).to_doc()
+        return b"".join(_object(shell, {"streams": b"".join((b"[", b",".join(texts), b"]"))}))
+
+    def _instance(self, iid: str, instance: NsInstance) -> tuple[list, bytes]:
+        parts = [instance.instance_id, instance.nsd, instance.placement, instance.status]
+        for sid, chain in instance.schedules.items():
+            parts += (sid, chain, *chain)
+        kept = self.instances.get(iid)
+        if kept is not None and len(kept[0]) == len(parts) and all(map(operator.is_, kept[0], parts)):
+            return kept
+        return parts, _encode(instance.to_doc())
+
+    def _audit(self, log: list[AuditRecord]) -> bytearray:
+        kept_log, count, last, text = self.audit
+        if not (log is kept_log and len(log) >= count and (count == 0 or log[count - 1] is last)):
+            count, text = 0, bytearray(b"[]")
+        if len(log) > count:
+            new = _encode([record.to_doc() for record in log[count:]])
+            del text[-1]  # the closing bracket
+            text += b"," + new[1:] if count else new[1:]
+        self.audit = (log, len(log), log[-1] if log else None, text)
+        return text
+
+
+def _encode(doc) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _object(doc: dict, texts: dict[str, bytes]) -> list[bytes]:
+    """The compact JSON of doc with sorted keys, in parts, where the
+    members in texts are given as JSON already and take the place of doc's."""
+    members = {key: _encode(value) for key, value in doc.items() if key not in texts}
+    members.update(texts)
+    parts = [b"{"]
+    for key in sorted(members):
+        parts += (b"," if len(parts) > 1 else b"", _encode(key), b":", members[key])
+    parts.append(b"}")
+    return parts
 
 
 def _from_v1(doc: dict) -> dict:

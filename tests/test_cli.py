@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import scenarios as sc
-from tsnfv import cli, cnc, uni
+from tsnfv import cli, cnc, cuc, uni
 from tsnfv.model import DataFrameSpec, EndpointRef, StreamRequirement, TrafficSpec
 from tsnfv.topology import load_topology, shortest_path
 from tsnfv.uni import StreamRequest, UniClient, decode_message, encode_routed
@@ -439,6 +439,22 @@ def _probe_request(topology_text: str) -> StreamRequest:
     )
 
 
+def _serve_request(topology, talker: str, listener: str) -> StreamRequest:
+    """A stream request between two hosts of a fill topology."""
+    return StreamRequest(
+        request_id="req-serve",
+        requirement=StreamRequirement(
+            stream_id="cli~serve",
+            talker=EndpointRef("t", "eth0", talker),
+            listener=EndpointRef("l", "eth0", listener),
+            frame=DataFrameSpec("02:aa:00:00:00:03", "02:aa:00:00:00:04", 300, 7),
+            traffic=TrafficSpec(1_000_000, 128, 1, 2_000_000),
+        ),
+        hops=shortest_path(topology, talker, listener).hops,
+        latency_budget_ns=2_000_000,
+    )
+
+
 class TestServe:
     def _start(self, files, state_name="serve_state.json"):
         state = files["state"].parent / state_name
@@ -599,6 +615,44 @@ class TestServeLines:
         server.handle_line(line)
         assert calls == {"decode_routed": 1, "encode_message": 1}
 
+    def test_a_save_encodes_only_what_changed(self, tmp_path, monkeypatch):
+        """Once the server has saved, a mutation's save encodes the audit
+        records appended since the last save and no instance, however long
+        the log has grown; the file still holds every record."""
+        pairs = 4
+        ws = sc.build_workspace(sc.fill_topology(pairs))
+        for k in range(8):
+            sc.instantiate(ws, *sc.fill_service(1, k, pairs))
+        state = tmp_path / "state.json"
+        server = cli._UniServer(("127.0.0.1", 0), ws, str(state))
+        counts = {"audit": 0, "instance": 0}
+        for key, cls in (("audit", uni.AuditRecord), ("instance", cuc.NsInstance)):
+
+            def counted(self, _real=cls.to_doc, _key=key):
+                counts[_key] += 1
+                return _real(self)
+
+            monkeypatch.setattr(cls, "to_doc", counted)
+        request = _serve_request(ws.topology, "T00", "L00")
+        remove = uni.RemoveStream("req-remove", request.requirement.stream_id)
+        query = encode_routed(uni.CapabilityQuery("req-query"), "d1")
+        try:
+            server.handle_line(encode_routed(request, "d1"))  # the first save encodes everything
+            for queries in (3, 300):
+                for _ in range(queries):
+                    server.handle_line(query)
+                counts.update(audit=0, instance=0)
+                assert self._answer(server, encode_routed(remove, "d1")).status == "ok"
+                assert counts == {"audit": queries + 1, "instance": 0}
+                counts.update(audit=0, instance=0)
+                assert self._answer(server, encode_routed(request, "d1")).status == "ok"
+                assert counts == {"audit": 1, "instance": 0}
+        finally:
+            server.server_close()
+        monkeypatch.undo()
+        assert state.read_text() == json.dumps(ws.to_doc(), sort_keys=True, separators=(",", ":")) + "\n"
+        assert len(ws.dispatcher.audit_log) == 32 + 1 + 3 + 1 + 1 + 300 + 1 + 1
+
 
 class TestDemoFixtures:
     DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -734,6 +788,35 @@ class TestMalformedInput:
         capsys.readouterr()
         assert run("show", "streams", "--state", files["state"]) == 1
         assert "the controller state of domain d2 is for d1" in self._single_error(capsys)
+
+    def test_state_with_an_instance_filed_under_another_id(self, files, capsys):
+        instantiate_demo(files)
+        self._edit_state(files, lambda doc: doc["instances"].update({"ns-9999": doc["instances"]["ns-0001"]}))
+        capsys.readouterr()
+        assert run("show", "streams", "--state", files["state"]) == 1
+        error = self._single_error(capsys)
+        assert "instances.ns-9999.instance_id: the instance filed under ns-9999 is ns-0001" in error
+
+    def test_state_with_an_instance_of_unknown_status(self, files, capsys):
+        instantiate_demo(files)
+        self._edit_state(files, lambda doc: doc["instances"]["ns-0001"].update(status="bogus"))
+        capsys.readouterr()
+        assert run("show", "streams", "--state", files["state"]) == 1
+        error = self._single_error(capsys)
+        assert "instances.ns-0001.status: expected one of active, terminated, failed, got 'bogus'" in error
+
+    def test_state_with_two_active_instances_holding_one_stream(self, files, capsys):
+        instantiate_demo(files)
+
+        def copy_instance(doc):
+            twin = dict(doc["instances"]["ns-0001"], instance_id="ns-9999")
+            doc["instances"]["ns-9999"] = twin
+
+        self._edit_state(files, copy_instance)
+        capsys.readouterr()
+        assert run("show", "streams", "--state", files["state"]) == 1
+        error = self._single_error(capsys)
+        assert "stream vl1~fwd is held by active instances ns-0001 and ns-9999" in error
 
     def test_verify_reports_string_gcl_interval(self, files, capsys, monkeypatch):
         instantiate_demo(files)

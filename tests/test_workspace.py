@@ -5,10 +5,13 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import scenarios as sc
-from tsnfv import cnc
-from tsnfv.errors import GclOverflowError, ParseError, ValidationError
+from tsnfv import cnc, descriptors, uni
+from tsnfv.errors import GclOverflowError, ParseError, TsnNfvError, ValidationError
+from tsnfv.topology import shortest_path
 from tsnfv.workspace import Workspace
 
 V1_DEMO_STATE = Path(__file__).resolve().parent / "golden" / "demo_state.json"
@@ -86,6 +89,125 @@ class TestPersistence:
         restored = Workspace.load(path)
         assert restored.gcl_docs == ws.gcl_docs
         assert restored.cuc.instance("ns-0001").streams == ws.cuc.instance("ns-0001").streams
+
+
+def _reference_bytes(ws: Workspace) -> bytes:
+    """The state file as the document defines it."""
+    return (json.dumps(ws.to_doc(), sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+class TestIncrementalSave:
+    """A save encodes only what changed since the last one, and writes the
+    bytes of the whole document's encoding."""
+
+    PAIRS = 4
+
+    def _refused(self, k: int) -> tuple[dict, dict]:
+        """A service whose forward stream is granted, then refused on its
+        reverse one's 3 us bound, so the forward grant is rolled back."""
+        doc = sc.nsd(
+            f"refused{k}",
+            [sc.vnf("m1", sc.CAPS_RT), sc.vnf("m2", sc.CAPS_RT)],
+            [
+                sc.vl(
+                    f"r{k}", "m1", "m2", 900 + k, 6,
+                    sc.traffic(period=250_000, frame=128),
+                    sc.traffic(period=1_000_000, frame=128, latency=3_000),
+                )
+            ],
+        )
+        pair = k % self.PAIRS
+        return doc, sc.placement({"m1": f"T{pair:02d}", "m2": f"L{pair:02d}"})
+
+    def _uni_request(self, ws: Workspace, n: int, k: int) -> uni.StreamRequest:
+        nsd, placement = sc.fill_service(2, k, self.PAIRS)
+        req = descriptors.derive_streams(sc.parse_nsd_doc(nsd), sc.parse_placement_doc(placement))[0]
+        hops = shortest_path(ws.topology, req.talker.node_id, req.listener.node_id).hops
+        return uni.StreamRequest(f"prop-{n}", req, hops, req.traffic.max_latency_ns)
+
+    def _apply(self, ws: Workspace, n: int, step: tuple, path: Path) -> Workspace:
+        kind, k = step
+        active = sorted(i for i, inst in ws.cuc.instances.items() if inst.status == "active")
+        try:
+            if kind == "instantiate":
+                sc.instantiate(ws, *sc.fill_service(1, k, self.PAIRS))
+            elif kind == "refused":
+                sc.instantiate(ws, *self._refused(k))
+            elif kind == "terminate" and active:
+                ws.terminate(active[k % len(active)])
+            elif kind == "update" and active:
+                nsd, placement = sc.fill_service(1, 100 + k, self.PAIRS)
+                ws.update(active[k % len(active)], sc.parse_nsd_doc(nsd), sc.parse_placement_doc(placement))
+            elif kind == "update_refused" and active:
+                # the old descriptors are admitted again, where there is room now
+                nsd, placement = self._refused(k)
+                ws.update(active[k % len(active)], sc.parse_nsd_doc(nsd), sc.parse_placement_doc(placement))
+            elif kind == "stream_request":
+                ws.dispatcher.dispatch(self._uni_request(ws, n, k), "d1")
+            elif kind == "remove_stream":
+                held = sorted(ws.states["d1"].admitted) or ["nothing"]
+                ws.dispatcher.dispatch(uni.RemoveStream(f"prop-{n}", held[k % len(held)]), "d1")
+            elif kind == "capability_query":
+                ws.dispatcher.dispatch(uni.CapabilityQuery(f"prop-{n}"), "d1")
+            elif kind == "reload":
+                return Workspace.load(path)
+        except TsnNfvError:
+            pass  # a refusal is a step too: it leaves a failed instance or audit records
+        return ws
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    [
+                        "instantiate", "refused", "terminate", "update", "update_refused",
+                        "stream_request", "remove_stream", "capability_query", "reload",
+                    ]
+                ),
+                st.integers(min_value=0, max_value=5),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    # two services on pair 0; the first goes, and the second, on a failed
+    # update, is admitted again with the same descriptors in the first's place
+    @example(steps=[("instantiate", 0), ("instantiate", 4), ("terminate", 0), ("update_refused", 0)])
+    def test_saves_are_the_documents_bytes(self, tmp_path, steps):
+        """After every step the saved bytes are the document's encoding,
+        and the ones a freshly loaded copy saves."""
+        path, again = tmp_path / "state.json", tmp_path / "again.json"
+        ws = sc.build_workspace(sc.fill_topology(self.PAIRS))
+        ws.save(path)
+        for n, step in enumerate(steps):
+            ws = self._apply(ws, n, step, path)
+            ws.save(path)
+            saved = path.read_bytes()
+            assert saved == _reference_bytes(ws), step
+            Workspace.load(path).save(again)
+            assert again.read_bytes() == saved, step
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda log: log[:3],  # another list, shorter
+            lambda log: log + [log[0]],  # another list, longer
+            lambda log: log.__setitem__(-1, log[0]),  # the same list, another record at the old end
+            lambda log: log.__delitem__(slice(-2, None)),  # the same list, shorter
+        ],
+    )
+    def test_audit_log_replaced_or_cut(self, tmp_path, edit):
+        """A log that is not the saved one grown at its end is encoded
+        afresh."""
+        ws = _populated()
+        path = tmp_path / "state.json"
+        ws.save(path)
+        replaced = edit(ws.dispatcher.audit_log)
+        if replaced is not None:
+            ws.dispatcher.audit_log = replaced
+        ws.save(path)
+        assert path.read_bytes() == _reference_bytes(ws)
 
 
 class TestVersion1:

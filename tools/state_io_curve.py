@@ -1,0 +1,173 @@
+"""State save/load curve: what saving after a `tsnfv serve` mutation, and
+loading the state file, cost as the audit log grows.
+
+The script builds the serve_tcp benchmark's pre-filled state (24 fill
+services, 96 streams, from `perfbench/gen.py`), saves and loads it, and
+serves it in process through `_UniServer.handle_line`, the way
+`tsnfv serve` handles each line: a mutation is dispatched, then the state
+is saved. Each round is the benchmark's: one stream request, four
+capability queries, and the stream's removal. Every exchange adds one
+audit record. At each row's exchange count, a window of 60 more
+exchanges (20 mutations) is timed, and the row reports the median ms of a
+mutation's `Workspace.save`, the median ms of `Workspace.load` of the file
+left after the window (five loads), its size, and its SHA-256, so that two
+versions of the code can be checked for identical state files.
+
+    python3 tools/state_io_curve.py [--max-exchanges 16000] [--out BENCH_state_io.json]
+
+Stdlib only; it reads the package from `src/` and the generators from
+`perfbench/`, and writes nothing but the output file and a temporary
+directory. The first save after the load encodes the whole state; it is
+one of row 0's 20 saves.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import gen  # noqa: E402
+from tsnfv import cli, descriptors  # noqa: E402
+from tsnfv.topology import load_topology, shortest_path  # noqa: E402
+from tsnfv.uni import (  # noqa: E402
+    CapabilityQuery,
+    RemoveStream,
+    StreamRequest,
+    decode_message,
+    encode_routed,
+)
+from tsnfv.workspace import Workspace  # noqa: E402
+
+SEED = 1
+SIZES = (0, 1000, 4000, 16000)
+WINDOW = 60  # timed exchanges per row: ten rounds, 20 mutations
+LOADS = 5
+QUERIES = 4  # capability queries per round, as in serve_tcp
+
+
+def prefill(path: Path) -> None:
+    """The serve_tcp state file: the fill generator's first 24 services."""
+    ws = Workspace(load_topology(json.dumps(gen.fill_topology())))
+    for k in range(gen.SERVE_SERVICES):
+        nsd, placement = gen.fill_service(SEED, k)
+        ws.instantiate(
+            descriptors.parse_nsd(json.dumps(nsd)), descriptors.parse_placement(json.dumps(placement))
+        )
+    ws.save(path)
+
+
+def lines(topology):
+    """The serve_tcp client's request lines, round after round."""
+    seq = 0
+
+    def rid() -> str:
+        nonlocal seq
+        seq += 1
+        return f"io-{seq:06d}"
+
+    r = 0
+    while True:
+        nsd, placement = gen.serve_stream_service(SEED, r)
+        req = descriptors.derive_streams(
+            descriptors.parse_nsd(json.dumps(nsd)), descriptors.parse_placement(json.dumps(placement))
+        )[0]
+        hops = tuple(shortest_path(topology, req.talker.node_id, req.listener.node_id).hops)
+        msgs = [StreamRequest(rid(), req, hops, req.traffic.max_latency_ns)]
+        msgs += [CapabilityQuery(rid()) for _ in range(QUERIES)]
+        msgs.append(RemoveStream(rid(), req.stream_id))
+        yield from (encode_routed(msg, "d1") for msg in msgs)
+        r += 1
+
+
+def curve(max_exchanges: int, workdir: Path) -> list[dict]:
+    path = workdir / "state.json"
+    prefill(path)
+    ws = Workspace.load(path)
+    save_ms: list[float] = []
+    save = ws.save
+
+    def timed_save(*args):
+        t0 = time.perf_counter()
+        save(*args)
+        save_ms.append((time.perf_counter() - t0) * 1e3)
+
+    ws.save = timed_save  # the server saves through its workspace's attribute
+    server = cli._UniServer(("127.0.0.1", 0), ws, str(path))
+    rows = []
+    try:
+        feed = lines(ws.topology)
+        done = failed = 0
+
+        def play(n: int) -> None:
+            nonlocal done, failed
+            for _ in range(n):
+                failed += decode_message(server.handle_line(next(feed))).status != "ok"
+                done += 1
+
+        for size in (n for n in SIZES if n <= max_exchanges):
+            play(size - done)
+            save_ms.clear()
+            play(WINDOW)
+            loads = []
+            for _ in range(LOADS):
+                t0 = time.perf_counter()
+                Workspace.load(path)
+                loads.append((time.perf_counter() - t0) * 1e3)
+            data = path.read_bytes()
+            rows.append(
+                {
+                    "exchanges": size,
+                    "audit_records": len(ws.dispatcher.audit_log),
+                    "saves": len(save_ms),
+                    "save_ms_p50": round(statistics.median(save_ms), 3),
+                    "load_ms_p50": round(statistics.median(loads), 3),
+                    "state_bytes": len(data),
+                    "state_sha256": hashlib.sha256(data).hexdigest(),
+                    "failed_exchanges": failed,
+                }
+            )
+            row = rows[-1]
+            print(
+                f"{size:>9} {row['audit_records']:>8} {row['save_ms_p50']:>8.3f} "
+                f"{row['load_ms_p50']:>8.3f} {row['state_bytes']:>9}"
+            )
+    finally:
+        server.server_close()
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--max-exchanges", type=int, default=SIZES[-1])
+    parser.add_argument("--out", default=str(ROOT / "BENCH_state_io.json"))
+    args = parser.parse_args(argv)
+
+    print(f"{'exchanges':>9} {'records':>8} {'save ms':>8} {'load ms':>8} {'bytes':>9}")
+    with tempfile.TemporaryDirectory() as workdir:
+        rows = curve(args.max_exchanges, Path(workdir))
+    doc = {
+        "script": "tools/state_io_curve.py",
+        "seed": SEED,
+        "window_exchanges": WINDOW,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "rows": rows,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
