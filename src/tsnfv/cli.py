@@ -209,7 +209,7 @@ def _show_config(ws: Workspace, station: str | None) -> int:
         if station not in instance.nsd.member_ids:
             continue
         known = True
-        entry = instance.placement.entries.get(station)
+        entry = instance.placement.get(station)
         if entry is not None:
             node = ws.topology.nodes.get(entry.node_id)
             if node is not None and not node.is_managed_station:
@@ -332,6 +332,10 @@ def cmd_serve(args) -> int:
         pass
     finally:
         server.server_close()
+        # queries are saved only here: their audit records change no decision
+        if args.state:
+            with server.mutation_lock:
+                ws.save(args.state)
     return 0
 
 

@@ -89,8 +89,7 @@ class CncState:
 
     domain_id: str
     topology: Topology
-    requirements: dict[str, StreamRequirement] = field(default_factory=dict)
-    admitted: dict[str, StreamSchedule] = field(default_factory=dict)
+    admitted: dict[str, _AdmittedStream] = field(default_factory=dict)
     hyperperiod_ns: int = 0
     period_counts: dict[int, int] = field(init=False, repr=False, compare=False)
     ports: dict[str, _Layout] = field(init=False, repr=False, compare=False)
@@ -100,13 +99,14 @@ class CncState:
         self.ports = {}
         # A loaded record is where the gate lists are synthesized from, so
         # its schedules must name their own streams and ports that exist.
-        for sid, schedule in self.admitted.items():
+        for sid, entry in self.admitted.items():
+            schedule = entry.schedule
             if schedule.stream_id != sid:
                 raise ValidationError(f"schedule of stream {sid} names stream {schedule.stream_id}")
             for res in schedule.reservations:
                 if self.topology.link_at(res.port_id) is None:
                     raise ValidationError(f"stream {sid} reserves port {res.port_id}, which no link has")
-            self._index(self.requirements[sid].traffic.period_ns, schedule)
+            self._index(entry.requirement.traffic.period_ns, schedule)
         # every gate list is laid out on this cycle, so it must be the streams' own
         cycle = math.lcm(*self.period_counts) if self.period_counts else 0
         if self.hyperperiod_ns != cycle:
@@ -140,25 +140,13 @@ class CncState:
     def snapshot(self) -> dict:
         """Canonical document of the state, for persistence and for the
         deep-equality checks of rollback and termination."""
-        return _Snapshot(
-            self.domain_id,
-            self.hyperperiod_ns,
-            tuple(
-                _AdmittedStream(self.requirements[sid], schedule)
-                for sid, schedule in self.admitted.items()
-            ),
-        ).to_doc()
+        return _Snapshot(self.domain_id, self.hyperperiod_ns, tuple(self.admitted.values())).to_doc()
 
     @classmethod
     def from_doc(cls, doc: dict, topology: Topology, path="") -> CncState:
         snapshot = _Snapshot.from_doc(doc, path)
-        return cls(
-            snapshot.domain_id,
-            topology,
-            {entry.requirement.stream_id: entry.requirement for entry in snapshot.streams},
-            {entry.requirement.stream_id: entry.schedule for entry in snapshot.streams},
-            snapshot.hyperperiod_ns,
-        )
+        admitted = {entry.requirement.stream_id: entry for entry in snapshot.streams}
+        return cls(snapshot.domain_id, topology, admitted, snapshot.hyperperiod_ns)
 
 
 @dataclass(frozen=True)
@@ -474,8 +462,7 @@ def admit_stream(
         e2e_latency_ns=e2e,
         entry_offset_ns=entry_offset_ns,
     )
-    state.requirements[req.stream_id] = req
-    state.admitted[req.stream_id] = schedule
+    state.admitted[req.stream_id] = _AdmittedStream(req, schedule)
     state.hyperperiod_ns = cycle
     state._index(period, schedule)
     # Only the touched ports' counts change, unless the cycle did.
@@ -611,9 +598,9 @@ def remove_stream(state: CncState, stream_id: str) -> CncState:
     The cycle shrinks to the LCM of the remaining periods."""
     if stream_id not in state.admitted:
         raise UnknownStreamError(f"stream {stream_id} is not admitted")
-    schedule = state.admitted.pop(stream_id)
-    period = state.requirements.pop(stream_id).traffic.period_ns
-    for res in schedule.reservations:
+    entry = state.admitted.pop(stream_id)
+    period = entry.requirement.traffic.period_ns
+    for res in entry.schedule.reservations:
         layout = state.ports[res.port_id]
         del layout.reservations[stream_id]
         layout.cycle = 0

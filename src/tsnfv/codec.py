@@ -1,5 +1,5 @@
-"""One strict codec between the package's dataclasses and their JSON
-documents.
+"""One strict codec between the package's records and their JSON
+documents, and the one canonical way of writing JSON as bytes.
 
 A dataclass that derives from Codec gets to_doc() and from_doc() from its
 fields. to_doc() maps each field to the key of the same name, leaves out
@@ -12,15 +12,17 @@ in each class's __post_init__ and raise ValidationError.
 
 The hints a field may use are int, str, bool, dict (any object),
 ``X | None``, ``tuple[X, ...]``, fixed ``tuple[X, Y]``, ``list[X]``,
-``dict[str, X]``, and any class with to_doc()/from_doc(). A class whose
+``dict[str, X]``, a ``typing.NamedTuple`` record, and any class with
+to_doc()/from_doc(). A named tuple's document is its field list, as a
+dataclass's is, so a record can stay a tuple in memory. A class whose
 document is not its field list overrides to_doc()/from_doc() and reshapes
 around the derived ones.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+import inspect
 import json
 import operator
 import types
@@ -39,6 +41,12 @@ _JSON_TYPES = {
 }
 # hints whose values are JSON as they are
 _PLAIN = (int, str, bool, dict)
+
+
+def dump_json(doc) -> bytes:
+    """The canonical encoding of a document: sorted keys, no spaces. A UNI
+    line and each part of the state file are written this way."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
 def load_json(text: str, what: str):
@@ -93,36 +101,37 @@ class _Methods(typing.NamedTuple):
 
 @functools.cache
 def _compiled(cls: type) -> _Methods:
-    """to_doc and from_doc of one dataclass, built once from its fields."""
+    """to_doc and from_doc of one dataclass or named tuple, built once from
+    its fields: name -> whether the constructor has a default for it."""
     hints = typing.get_type_hints(cls)
-    fields = dataclasses.fields(cls)
+    fields = {p.name: p.default is not p.empty for p in inspect.signature(cls).parameters.values()}
     return _Methods(_to_doc_function(fields, hints), _from_doc_function(cls, fields, hints))
 
 
-def _to_doc_function(fields, hints: dict):
+def _to_doc_function(fields: dict[str, bool], hints: dict):
     """Generated code, the way dataclasses generates __init__: a dict
     literal runs as fast as a hand-written to_doc, and every UNI exchange,
     state save and schedule refresh calls one per object."""
     env = {}
     items = []  # "key: value" of the keys always written
     optional = []  # statements writing an optional key that holds a value
-    for f in fields:
-        inner = _optional(hints[f.name])
-        value = f"self.{f.name}"
-        encode = _encoder(hints[f.name])
+    for name in fields:
+        inner = _optional(hints[name])
+        value = f"self.{name}"
+        encode = _encoder(hints[name])
         if encode is not None:
-            env[f"encode_{f.name}"] = encode
-            value = f"encode_{f.name}({value})"
+            env[f"encode_{name}"] = encode
+            value = f"encode_{name}({value})"
         if inner is None:
-            items.append(f"{f.name!r}: {value}")
+            items.append(f"{name!r}: {value}")
         else:
-            optional.append(f"    if self.{f.name} is not None:\n        doc[{f.name!r}] = {value}\n")
+            optional.append(f"    if self.{name} is not None:\n        doc[{name!r}] = {value}\n")
     source = f"def to_doc(self):\n    doc = {{{', '.join(items)}}}\n{''.join(optional)}    return doc\n"
     exec(source, env)
     return env["to_doc"]
 
 
-def _from_doc_function(cls: type, fields, hints: dict):
+def _from_doc_function(cls: type, fields: dict[str, bool], hints: dict):
     """A closure over the field table, with the checks in C where they
     can be: one comparison of the key set, one of the types of the plain
     values. The constructor then takes the document itself, with nested
@@ -131,16 +140,16 @@ def _from_doc_function(cls: type, fields, hints: dict):
     plain = []  # (key, JSON type, admits None) of the required plain keys
     nested = []  # (key, decoder) of the other required keys
     defaulted = {}  # key -> decoder of the keys that may be left out
-    for f in fields:
-        inner = _optional(hints[f.name])
-        hint = hints[f.name] if inner is None else inner
-        if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING:
-            defaulted[f.name] = decoder(hints[f.name])
+    for name, has_default in fields.items():
+        inner = _optional(hints[name])
+        hint = hints[name] if inner is None else inner
+        if has_default:
+            defaulted[name] = decoder(hints[name])
         elif hint in _PLAIN:
-            plain.append((f.name, hint, inner is not None))
+            plain.append((name, hint, inner is not None))
         else:
-            nested.append((f.name, decoder(hints[f.name])))
-    names = frozenset(f.name for f in fields)
+            nested.append((name, decoder(hints[name])))
+    names = frozenset(fields)
     required = names - defaulted.keys()
     plain_names = [name for name, _, _ in plain]
     plain_types = tuple(json_type for _, json_type, _ in plain)
@@ -189,9 +198,11 @@ def _optional(hint) -> object | None:
 
 
 def _derived(hint, method: str) -> bool:
-    """Whether a Codec class keeps the derived method, so that its
-    compiled function can be called directly, saving a dispatch per
-    nested object."""
+    """Whether the hint is a named tuple or a Codec class keeping the
+    derived method, so that its compiled function can be called directly,
+    saving a dispatch per nested object."""
+    if isinstance(hint, type) and issubclass(hint, tuple) and hasattr(hint, "_fields"):
+        return True
     if not (isinstance(hint, type) and issubclass(hint, Codec)):
         return False
     own, derived = getattr(hint, method), getattr(Codec, method)

@@ -11,10 +11,11 @@ controller exactly as it was.
 from __future__ import annotations
 
 import functools
+import typing
 from dataclasses import dataclass, field
 
 from . import descriptors
-from .codec import Codec, decoder, expect
+from .codec import Codec
 from .errors import (
     AdmissionFailedError,
     AlreadyTerminatedError,
@@ -102,13 +103,11 @@ def generate_endstation_config(
     )
 
 
-@dataclass(frozen=True)
-class _ChainLink(Codec):
+class ChainLink(typing.NamedTuple):
+    """One domain's part of a stream's schedule chain."""
+
     domain_id: str
     schedule: StreamSchedule
-
-
-_decode_chains = decoder(dict[str, list[_ChainLink]])
 
 # an instance is active until terminated; a failed one is kept for audit
 STATUSES = ("active", "terminated", "failed")
@@ -119,8 +118,8 @@ class NsInstance(Codec):
     instance_id: str
     nsd: descriptors.Nsd
     placement: descriptors.Placement
-    # per stream id, the (domain, schedule) chain in talker->listener order
-    schedules: dict[str, list[tuple[str, StreamSchedule]]] = field(default_factory=dict)
+    # per stream id, the chain of domain schedules in talker->listener order
+    schedules: dict[str, list[ChainLink]] = field(default_factory=dict)
     status: str = "active"
 
     @functools.cached_property
@@ -137,28 +136,6 @@ class NsInstance(Codec):
                     f"instance {self.instance_id} has no schedule for stream {req.stream_id}"
                 )
         return pairs
-
-    # A chain link is written as a {"domain_id", "schedule"} object, not
-    # as the (domain, schedule) pair it is in memory.
-
-    def to_doc(self) -> dict:
-        doc = super().to_doc()
-        doc["schedules"] = {
-            sid: [{"domain_id": domain, "schedule": schedule} for domain, schedule in chain]
-            for sid, chain in doc["schedules"].items()
-        }
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc, path="") -> NsInstance:
-        rest = dict(expect(dict, doc, path))
-        chains = _decode_chains(rest.pop("schedules", {}), (path, "schedules"))
-        instance = super().from_doc(rest, path)
-        instance.schedules = {
-            sid: [(link.domain_id, link.schedule) for link in chain]
-            for sid, chain in chains.items()
-        }
-        return instance
 
 
 @dataclass(frozen=True)
@@ -182,7 +159,7 @@ class Cuc:
         self.dispatcher = dispatcher
         self.gcl_provider = gcl_provider
         self.instances: dict[str, NsInstance] = {}
-        self.holders: dict[str, str] = {}  # stream id -> the active instance deriving it
+        self.holders = dispatcher.holders  # stream id -> the active instance deriving it
         self.request_seq = 0
         self.instance_seq = 0
 
@@ -218,7 +195,8 @@ class Cuc:
                     )
                 holders[sid] = iid
         self.instances = instances
-        self.holders = holders
+        self.holders.clear()
+        self.holders.update(holders)
 
     def instance(self, instance_id: str) -> NsInstance:
         try:
@@ -276,10 +254,10 @@ class Cuc:
         )
 
         granted: list[tuple[str, str]] = []  # (domain_id, stream_id)
-        chains: dict[str, list[tuple[str, StreamSchedule]]] = {}
+        chains: dict[str, list[ChainLink]] = {}
         for item in order:
             req = item.requirement
-            chain: list[tuple[str, StreamSchedule]] = []
+            chain: list[ChainLink] = []
             entry_offset = 0
             entry_stride = 0
             for segment, budget in zip(item.segments, item.budgets):
@@ -303,7 +281,7 @@ class Cuc:
                         response.detail or "",
                     )
                 granted.append((segment.domain_id, req.stream_id))
-                chain.append((segment.domain_id, response.schedule))
+                chain.append(ChainLink(segment.domain_id, response.schedule))
                 entry_offset = response.schedule.exit_offset_ns
                 last_hop = segment.hops[-1]
                 entry_stride = wire_occupancy(
@@ -369,18 +347,21 @@ class Cuc:
 
     def _release_all(self, instance: NsInstance) -> None:
         """Remove the instance's streams from their controllers; then it is
-        terminated and holds no stream id."""
+        terminated. It gives up its stream ids first, as the dispatcher
+        removes no stream an active instance holds, and takes them back
+        when a removal fails."""
+        for sid in instance.schedules:
+            self.holders.pop(sid, None)
         for req in instance.streams:
             for domain_id, _ in instance.schedules.get(req.stream_id, []):
                 request = RemoveStream(request_id=self._next_request_id(), stream_id=req.stream_id)
                 response = self.dispatcher.dispatch(request, domain_id)
                 if response.status != "ok":
+                    self.holders.update(dict.fromkeys(instance.schedules, instance.instance_id))
                     raise UnknownStreamError(
                         f"controller {domain_id} no longer holds {req.stream_id}: {response.detail}"
                     )
         instance.status = "terminated"
-        for sid in instance.schedules:
-            self.holders.pop(sid, None)
 
     def update_ns(
         self,

@@ -39,6 +39,14 @@ class ConnectionPoint(Codec):
         check_identifier(self.interface, "interface")
 
 
+def _check_unique_cps(member: str, connection_points: tuple[ConnectionPoint, ...]) -> None:
+    seen = set()
+    for cp in connection_points:
+        if cp.cp_id in seen:
+            raise ValidationError(f"{member}: duplicate cp {cp.cp_id}")
+        seen.add(cp.cp_id)
+
+
 @dataclass(frozen=True)
 class Vnfd(Codec):
     """Virtualized function descriptor: its connection points and the
@@ -50,11 +58,7 @@ class Vnfd(Codec):
 
     def __post_init__(self):
         check_identifier(self.vnf_id, "vnf_id")
-        seen = set()
-        for cp in self.connection_points:
-            if cp.cp_id in seen:
-                raise ValidationError(f"vnf {self.vnf_id}: duplicate cp {cp.cp_id}")
-            seen.add(cp.cp_id)
+        _check_unique_cps(f"vnf {self.vnf_id}", self.connection_points)
 
 
 @dataclass(frozen=True)
@@ -68,11 +72,7 @@ class PnfRef(Codec):
 
     def __post_init__(self):
         check_identifier(self.pnf_id, "pnf_id")
-        seen = set()
-        for cp in self.connection_points:
-            if cp.cp_id in seen:
-                raise ValidationError(f"pnf {self.pnf_id}: duplicate cp {cp.cp_id}")
-            seen.add(cp.cp_id)
+        _check_unique_cps(f"pnf {self.pnf_id}", self.connection_points)
 
 
 @dataclass(frozen=True)
@@ -180,28 +180,9 @@ class PlacementEntry(Codec):
         object.__setattr__(self, "mac", check_mac(self.mac, "mac"))
 
 
-@dataclass(frozen=True)
-class Placement:
-    """Binding of every NS member to its substrate node and addresses. The
-    document is the map itself, keyed by member id."""
-
-    entries: dict[str, PlacementEntry]
-
-    def entry(self, member_id: str) -> PlacementEntry:
-        try:
-            return self.entries[member_id]
-        except KeyError:
-            raise UnplacedMemberError(f"member {member_id} has no placement entry") from None
-
-    def to_doc(self) -> dict:
-        return {member: entry.to_doc() for member, entry in self.entries.items()}
-
-    @classmethod
-    def from_doc(cls, doc, path="") -> Placement:
-        return cls(_decode_entries(doc, path))
-
-
-_decode_entries = decoder(dict[str, PlacementEntry])
+# Binding of every NS member to its substrate node and addresses, keyed by
+# member id: the document and the record are the same map.
+Placement = dict[str, PlacementEntry]
 
 
 def parse_nsd(text: str) -> Nsd:
@@ -211,7 +192,7 @@ def parse_nsd(text: str) -> Nsd:
 
 def parse_placement(text: str) -> Placement:
     """Parse a placement JSON document: member id to node binding."""
-    return Placement.from_doc(load_json(text, "placement"), "placement")
+    return decoder(Placement)(load_json(text, "placement"), "placement")
 
 
 def derive_streams(nsd: Nsd, placement: Placement) -> list[StreamRequirement]:
@@ -225,8 +206,10 @@ def derive_streams(nsd: Nsd, placement: Placement) -> list[StreamRequirement]:
         if vl.tsn is None:
             continue
         end_a, end_b = vl.endpoints
-        place_a = placement.entry(end_a.member_id)
-        place_b = placement.entry(end_b.member_id)
+        for end in vl.endpoints:
+            if end.member_id not in placement:
+                raise UnplacedMemberError(f"member {end.member_id} has no placement entry")
+        place_a, place_b = placement[end_a.member_id], placement[end_b.member_id]
         ref_a = EndpointRef(end_a.member_id, place_a.interface, place_a.node_id)
         ref_b = EndpointRef(end_b.member_id, place_b.interface, place_b.node_id)
         for suffix, talker_ref, listener_ref, talker_pl, listener_pl, traffic in (

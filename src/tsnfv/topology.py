@@ -118,16 +118,11 @@ class Link(Codec):
 
 
 @dataclass(frozen=True)
-class Domain:
-    domain_id: str
+class Domain(Codec):
+    """An entry of the domain map, keyed by domain id; parse_topology checks it."""
+
     kind: str
     controller_id: str
-
-    def __post_init__(self):
-        check_identifier(self.domain_id, "domain_id")
-        check_identifier(self.controller_id, "controller_id")
-        if self.kind not in DOMAIN_KINDS:
-            raise ValidationError(f"domain {self.domain_id}: unknown kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -175,14 +170,14 @@ class Topology:
 
     def _validate(self):
         controllers_seen: dict[str, str] = {}
-        for domain in self.domains.values():
+        for domain_id, domain in self.domains.items():
             # one CNC per domain: controllers may not be shared
             prev = controllers_seen.get(domain.controller_id)
             if prev is not None:
                 raise ValidationError(
-                    f"controller {domain.controller_id} assigned to domains {prev} and {domain.domain_id}"
+                    f"controller {domain.controller_id} assigned to domains {prev} and {domain_id}"
                 )
-            controllers_seen[domain.controller_id] = domain.domain_id
+            controllers_seen[domain.controller_id] = domain_id
         for node in self.nodes.values():
             if node.domain_id not in self.domains:
                 raise ValidationError(f"node {node.node_id}: domain {node.domain_id} not in domain map")
@@ -253,22 +248,14 @@ class Topology:
         return sorted(self._port_link)
 
     def to_doc(self) -> dict:
-        # the domain map is keyed by domain id
-        domains = {d.domain_id: _DomainDoc(d.kind, d.controller_id) for d in self.domains.values()}
-        return _TopologyDoc(tuple(self.nodes.values()), tuple(self.links.values()), domains).to_doc()
-
-
-@dataclass(frozen=True)
-class _DomainDoc(Codec):
-    kind: str
-    controller_id: str
+        return _TopologyDoc(tuple(self.nodes.values()), tuple(self.links.values()), self.domains).to_doc()
 
 
 @dataclass(frozen=True)
 class _TopologyDoc(Codec):
     nodes: tuple[Node, ...]
     links: tuple[Link, ...]
-    domains: dict[str, _DomainDoc]
+    domains: dict[str, Domain]
 
 
 def parse_topology(doc: dict) -> Topology:
@@ -287,11 +274,12 @@ def parse_topology(doc: dict) -> Topology:
             raise ValidationError(f"duplicate link id {link.link_id}")
         links[link.link_id] = link
 
-    domains = {
-        domain_id: Domain(domain_id, entry.kind, entry.controller_id)
-        for domain_id, entry in parsed.domains.items()
-    }
-    return Topology(nodes, links, domains)
+    for domain_id, domain in parsed.domains.items():
+        check_identifier(domain_id, "domain_id")
+        check_identifier(domain.controller_id, "controller_id")
+        if domain.kind not in DOMAIN_KINDS:
+            raise ValidationError(f"domain {domain_id}: unknown kind {domain.kind!r}")
+    return Topology(nodes, links, parsed.domains)
 
 
 def load_topology(text: str) -> Topology:

@@ -14,7 +14,7 @@ import json
 import socket
 from dataclasses import dataclass
 
-from .codec import Codec, expect, parse_error
+from .codec import Codec, dump_json
 
 from .errors import (
     CapabilityError,
@@ -50,14 +50,6 @@ class _Message(Codec):
         doc = super().to_doc()
         doc["kind"] = self.kind
         return doc
-
-    @classmethod
-    def from_doc(cls, doc, path=""):
-        if expect(dict, doc, path).get("kind") != cls.kind:
-            raise parse_error(path, f"kind is not {cls.kind!r}")
-        fields = dict(doc)
-        del fields["kind"]
-        return super().from_doc(fields, path)
 
 
 @dataclass(frozen=True)
@@ -110,13 +102,9 @@ UniMessage = StreamRequest | RemoveStream | CapabilityQuery | UniResponse
 _MESSAGES = {cls.kind: cls for cls in (StreamRequest, RemoveStream, CapabilityQuery, UniResponse)}
 
 
-def _line(doc: dict) -> bytes:
-    """One canonical JSON object per line."""
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
-
-
 def encode_message(msg: UniMessage) -> bytes:
-    return _line(msg.to_doc())
+    """One canonical JSON object per line."""
+    return dump_json(msg.to_doc()) + b"\n"
 
 
 def _load_line(line: bytes | str) -> dict:
@@ -135,7 +123,7 @@ def _load_line(line: bytes | str) -> dict:
 
 
 def _decode_doc(doc: dict) -> UniMessage:
-    kind = doc.get("kind")
+    kind = doc.pop("kind", None)
     cls = _MESSAGES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise DecodeError(f"unknown message kind {kind!r}")
@@ -282,12 +270,15 @@ class AuditRecord(Codec):
 class Dispatcher:
     """Routes UNI requests to the owning domain's controller and keeps the
     audit log. A handle is anything that answers a request object with a
-    `UniResponse` through handle."""
+    `UniResponse` through handle. It refuses to remove a stream an active
+    NS instance holds: only releasing the instance, which drops the stream
+    from holders first, may, or the instance would disagree with the GCLs."""
 
     def __init__(self, topology: Topology, handles: dict):
         self.topology = topology
         self.handles = handles
         self.audit_log: list[AuditRecord] = []
+        self.holders: dict[str, str] = {}  # stream id -> the active instance holding it
 
     def dispatch(self, request: StreamRequest | RemoveStream | CapabilityQuery, domain_id: str) -> UniResponse:
         try:
@@ -301,6 +292,10 @@ class Dispatcher:
                 reference_point=REFERENCE_POINTS[self.topology.domains[domain_id].kind],
             )
         )
+        holder = self.holders.get(request.stream_id) if isinstance(request, RemoveStream) else None
+        if holder is not None:
+            detail = f"stream {request.stream_id} is held by active instance {holder}"
+            return UniResponse(request.request_id, "failed", cause="malformed", detail=detail, domain_id=domain_id)
         return handle.handle(request)
 
 
@@ -310,7 +305,7 @@ def encode_routed(msg: StreamRequest | RemoveStream | CapabilityQuery, domain_id
     key cannot collide."""
     doc = msg.to_doc()
     doc["domain_id"] = domain_id
-    return _line(doc)
+    return dump_json(doc) + b"\n"
 
 
 def decode_routed(line: bytes | str) -> tuple[str, StreamRequest | RemoveStream | CapabilityQuery]:

@@ -17,17 +17,15 @@ _StateText), so that `tsnfv serve` can save after every mutation.
 from __future__ import annotations
 
 import copy
-import json
 import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import cnc
-from .codec import Codec, load_json
-from .cuc import Cuc, NsInstance
+from .codec import Codec, dump_json, load_json
+from .cuc import ChainLink, Cuc, NsInstance
 from .errors import ParseError, ValidationError
-from .model import StreamRequirement, StreamSchedule
 from .topology import Topology, parse_topology
 from .uni import AuditRecord, CncService, Dispatcher
 
@@ -150,6 +148,7 @@ class Workspace:
         ws = cls(topology, states)
         ws.check_gcl_capacity()
         ws.cuc.restore(state.instances)
+        _adopt_schedules(state.instances, states)
         ws.dispatcher.audit_log = list(state.audit)
         ws.cuc.request_seq = state.counters.request_seq
         ws.cuc.instance_seq = state.counters.instance_seq
@@ -166,13 +165,31 @@ class Workspace:
         return {d: self.states[d].snapshot() for d in sorted(self.states)}
 
 
+def _adopt_schedules(instances: dict[str, NsInstance], states: dict[str, cnc.CncState]) -> None:
+    """Refuse an active instance's chain link that is not its controller's
+    record, as configs from the links must agree with GCLs from the records;
+    each link then holds the record's schedule, as after an instantiation."""
+    for iid, instance in instances.items():
+        if instance.status != "active":
+            continue
+        for sid, chain in instance.schedules.items():
+            for i, (domain_id, schedule) in enumerate(chain):
+                entry = states[domain_id].admitted.get(sid) if domain_id in states else None
+                if entry is None or entry.schedule != schedule:
+                    raise ValidationError(
+                        f"instances.{iid}.schedules.{sid}: the schedule in domain {domain_id} "
+                        "is not its controller's record"
+                    )
+                chain[i] = ChainLink(domain_id, entry.schedule)
+
+
 class _StateText:
     """The JSON text of the state's parts at the last save, so that a save
     encodes only what changed since. A part's text is reused while the
     objects it was encoded from are the same ones:
 
     - the topology, which a workspace never changes;
-    - each admitted stream, while its (frozen) requirement and schedule are;
+    - each admitted stream, while its (frozen) record is;
     - each instance, while its id, descriptors, status and schedule chains are;
     - the audit log, which only grows: the text of the records already
       encoded is kept while the log is the same list, at least as long,
@@ -182,12 +199,11 @@ class _StateText:
     Texts of parts that have gone are dropped at the next save. The file is
     written from the parts as they are, without joining them into one
     string: a fresh copy of a long audit log costs more than encoding what
-    changed. The bytes are those of json.dumps(to_doc(), sort_keys=True,
-    separators=(",", ":")) and a newline."""
+    changed. The bytes are those of dump_json(to_doc()) and a newline."""
 
     def __init__(self):
         self.topology: tuple[Topology, bytes] | None = None
-        self.streams: dict[tuple[str, str], tuple[StreamRequirement, StreamSchedule, bytes]] = {}
+        self.streams: dict[tuple[str, str], tuple[cnc._AdmittedStream, bytes]] = {}
         self.instances: dict[str, tuple[list, bytes]] = {}
         # the log, its length and last record when encoded, and their JSON list
         self.audit: tuple[list | None, int, AuditRecord | None, bytearray] = (None, 0, None, bytearray())
@@ -210,18 +226,17 @@ class _StateText:
 
     def _topology(self, topology: Topology) -> bytes:
         if self.topology is None or self.topology[0] is not topology:
-            self.topology = (topology, _encode(topology.to_doc()))
+            self.topology = (topology, dump_json(topology.to_doc()))
         return self.topology[1]
 
     def _controller(self, state: cnc.CncState, streams: dict) -> bytes:
         texts = []
-        for sid, schedule in state.admitted.items():
-            requirement = state.requirements[sid]
+        for sid, entry in state.admitted.items():
             kept = self.streams.get((state.domain_id, sid))
-            if kept is None or kept[0] is not requirement or kept[1] is not schedule:
-                kept = (requirement, schedule, _encode(cnc._AdmittedStream(requirement, schedule).to_doc()))
+            if kept is None or kept[0] is not entry:
+                kept = (entry, dump_json(entry.to_doc()))
             streams[state.domain_id, sid] = kept
-            texts.append(kept[2])
+            texts.append(kept[1])
         shell = cnc._Snapshot(state.domain_id, state.hyperperiod_ns, ()).to_doc()
         return b"".join(_object(shell, {"streams": b"".join((b"[", b",".join(texts), b"]"))}))
 
@@ -232,32 +247,28 @@ class _StateText:
         kept = self.instances.get(iid)
         if kept is not None and len(kept[0]) == len(parts) and all(map(operator.is_, kept[0], parts)):
             return kept
-        return parts, _encode(instance.to_doc())
+        return parts, dump_json(instance.to_doc())
 
     def _audit(self, log: list[AuditRecord]) -> bytearray:
         kept_log, count, last, text = self.audit
         if not (log is kept_log and len(log) >= count and (count == 0 or log[count - 1] is last)):
             count, text = 0, bytearray(b"[]")
         if len(log) > count:
-            new = _encode([record.to_doc() for record in log[count:]])
+            new = dump_json([record.to_doc() for record in log[count:]])
             del text[-1]  # the closing bracket
             text += b"," + new[1:] if count else new[1:]
         self.audit = (log, len(log), log[-1] if log else None, text)
         return text
 
 
-def _encode(doc) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
 def _object(doc: dict, texts: dict[str, bytes]) -> list[bytes]:
     """The compact JSON of doc with sorted keys, in parts, where the
     members in texts are given as JSON already and take the place of doc's."""
-    members = {key: _encode(value) for key, value in doc.items() if key not in texts}
+    members = {key: dump_json(value) for key, value in doc.items() if key not in texts}
     members.update(texts)
     parts = [b"{"]
     for key in sorted(members):
-        parts += (b"," if len(parts) > 1 else b"", _encode(key), b":", members[key])
+        parts += (b"," if len(parts) > 1 else b"", dump_json(key), b":", members[key])
     parts.append(b"}")
     return parts
 

@@ -25,9 +25,9 @@ def port_windows(state, port: str, cycle: int) -> list[_Window]:
     schedules, into their per-period instances on the given cycle, in
     (start, stream id) order."""
     windows = []
-    for sid, schedule in state.admitted.items():
-        period = state.requirements[sid].traffic.period_ns
-        for res in [res for res in schedule.reservations if res.port_id == port]:
+    for sid, entry in state.admitted.items():
+        period = entry.requirement.traffic.period_ns
+        for res in [res for res in entry.schedule.reservations if res.port_id == port]:
             for k in range(cycle // period):
                 shift = k * period
                 windows.append(

@@ -532,6 +532,24 @@ class TestServe:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=10) == 0
 
+    def test_shutdown_saves_the_audit_records_of_queries(self, files):
+        """A query changes no decision, so the server does not save after
+        one; the save at shutdown writes its audit record."""
+        instantiate_demo(files)
+        before = [r.request_id for r in Workspace.load(files["state"]).dispatcher.audit_log]
+        probe = _probe_request(files["topology"].read_text())
+        queries = [uni.CapabilityQuery(f"query-{k}") for k in range(3)]
+        proc, port, state = self._start(files, state_name=files["state"].name)
+        try:
+            client = UniClient("127.0.0.1", port)
+            for msg in [probe, *queries]:
+                assert client.request(msg, "d1").status == "ok"
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+        after = [r.request_id for r in Workspace.load(state).dispatcher.audit_log]
+        assert after == before + [probe.request_id] + [q.request_id for q in queries]
+
     def test_bad_listen_spec(self, files, capsys):
         assert run("serve", "--listen", "nonsense") == 1
         assert "must be host:port" in capsys.readouterr().err
@@ -717,6 +735,25 @@ class TestMalformedInput:
             self._single_error(capsys)
         )
         assert not files["state"].exists()
+
+    def test_state_whose_instance_copy_disagrees_with_its_controller(self, files, capsys):
+        """The talker config is emitted from the instance's copy and the
+        gate list from the controller's record, so a copy that differs is
+        refused on load."""
+        instantiate_demo(files)
+
+        def edit(doc):
+            window = doc["instances"]["ns-0001"]["schedules"]["vl1~fwd"][0]["schedule"]["reservations"][0]
+            window["window_start_ns"] += 2000
+            window["window_end_ns"] += 2000
+
+        self._edit_state(files, edit)
+        capsys.readouterr()
+        assert run("show", "config", "vnfA", "--state", files["state"]) == 1
+        assert self._single_error(capsys) == (
+            "error: instances.ns-0001.schedules.vl1~fwd: "
+            "the schedule in domain d1 is not its controller's record"
+        )
 
     def test_state_with_string_window_end(self, files, capsys):
         instantiate_demo(files)

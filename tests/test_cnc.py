@@ -582,7 +582,7 @@ def test_incremental_gcls_match_a_cold_synthesis(intra_topology, steps):
     for n, step in enumerate(steps):
         _apply(state, intra_topology, n, step)
         cold = CncState.from_doc(state.snapshot(), intra_topology)
-        ports = sorted({res.port_id for sched in state.admitted.values() for res in sched.reservations})
+        ports = sorted({res.port_id for entry in state.admitted.values() for res in entry.schedule.reservations})
         partial = {p: _outcome(lambda p=p: synthesize_gcls(state, [p])) for p in reversed(ports)}
         assert partial == {p: _outcome(lambda p=p: synthesize_gcls(cold, [p])) for p in ports}
         full = _outcome(lambda: synthesize_gcls(state))

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scenarios as sc
+from tsnfv import uni
 from tsnfv.cuc import partition_latency_budget
 from tsnfv.verifier import SimConfig, verify_ns
 from tsnfv.workspace import Workspace
@@ -16,6 +17,7 @@ from tsnfv.errors import (
     TransportError,
     TsnNfvError,
     UnknownInstanceError,
+    UnknownStreamError,
     UpdateFailedError,
     ValidationError,
 )
@@ -296,6 +298,23 @@ class TestStreamIdClash:
         ws.terminate(first.instance_id)
         again = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
         assert again.status == "active"
+
+    def test_failed_release_keeps_the_stream_ids(self):
+        """A release gives up the ids before its removals, which the
+        dispatcher would refuse otherwise, and takes them back when one
+        fails: the instance stays active and holds them."""
+        ws = sc.build_workspace(sc.intra_pop_topology())
+        first = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+
+        class _Refuses:
+            def handle(self, request):
+                return uni.UniResponse(request.request_id, "failed", cause="unknown_stream", detail="gone")
+
+        ws.dispatcher.handles["d1"] = _Refuses()
+        with pytest.raises(UnknownStreamError):
+            ws.terminate(first.instance_id)
+        assert first.status == "active"
+        assert ws.cuc.holders == {"vl1~fwd": "ns-0001", "vl1~rev": "ns-0001"}
 
     def test_failed_instance_holds_no_stream(self):
         ws = sc.build_workspace(sc.intra_pop_topology())

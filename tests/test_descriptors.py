@@ -91,19 +91,14 @@ class TestNsdParsing:
 class TestPlacementParsing:
     def test_demo(self):
         placement = _placement(sc.demo_placement())
-        entry = placement.entry("vnfA")
+        entry = placement["vnfA"]
         assert entry.node_id == "A"
         assert entry.mac == "02:00:00:00:00:01"
 
     def test_mac_lower_cased(self):
         doc = sc.demo_placement()
         doc["vnfA"]["mac"] = "02:00:00:00:00:AA"
-        assert _placement(doc).entry("vnfA").mac == "02:00:00:00:00:aa"
-
-    def test_missing_member(self):
-        placement = _placement(sc.demo_placement())
-        with pytest.raises(UnplacedMemberError):
-            placement.entry("ghost")
+        assert _placement(doc)["vnfA"].mac == "02:00:00:00:00:aa"
 
     def test_rejects_bad_mac(self):
         doc = sc.demo_placement()

@@ -60,14 +60,50 @@ class TestParsing:
     def test_duplicate_controller(self):
         doc = sc.cross_pop_topology()
         doc["domains"]["d2"]["controller_id"] = "cnc-1"
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^controller cnc-1 assigned to domains d1 and d2$"):
             parse_topology(doc)
 
     def test_rejects_unknown_domain_kind(self):
         doc = sc.intra_pop_topology()
         doc["domains"]["d1"]["kind"] = "metro_ring"
-        with pytest.raises(ValidationError, match="unknown kind 'metro_ring'"):
+        with pytest.raises(ValidationError, match="^domain d1: unknown kind 'metro_ring'$"):
             parse_topology(doc)
+
+    @pytest.mark.parametrize(
+        "domains, error, message",
+        [
+            (
+                {"d 9": {"kind": "nfvi_pop", "controller_id": "cnc-9"}},
+                ValidationError,
+                "domain_id must match [A-Za-z0-9_-]+, got 'd 9'",
+            ),
+            (
+                {"d9": {"kind": "nfvi_pop", "controller_id": "cnc 9"}},
+                ValidationError,
+                "controller_id must match [A-Za-z0-9_-]+, got 'cnc 9'",
+            ),
+            (
+                {"d9": {"kind": "nfvi_pop"}},
+                ParseError,
+                "topology.domains.d9: missing keys ['controller_id']",
+            ),
+            # the entries are checked in document order, not in id order
+            (
+                {
+                    "zz": {"kind": "metro_ring", "controller_id": "cnc-z"},
+                    "a a": {"kind": "nfvi_pop", "controller_id": "cnc-a"},
+                },
+                ValidationError,
+                "domain zz: unknown kind 'metro_ring'",
+            ),
+        ],
+    )
+    def test_domain_map_errors(self, domains, error, message):
+        doc = sc.cross_pop_topology()
+        doc["domains"].update(domains)
+        with pytest.raises(error) as info:
+            parse_topology(doc)
+        assert str(info.value) == message
 
     def test_node_in_unknown_domain(self):
         doc = sc.intra_pop_topology()

@@ -250,6 +250,56 @@ class TestVersion1:
             Workspace.from_doc(doc)
 
 
+class TestChainLinks:
+    """A chain link is a (domain, schedule) pair in memory and a
+    {"domain_id", "schedule"} object in the state file."""
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda link: [link["domain_id"], link["schedule"]], "expected an object, got a list"),
+            (lambda link: {**link, "domain": "d1"}, "unknown keys ['domain']"),
+            (lambda link: {"domain_id": link["domain_id"]}, "missing keys ['schedule']"),
+        ],
+    )
+    def test_decode_errors_name_the_link(self, edit, problem):
+        doc = _populated().to_doc()
+        chain = doc["instances"]["ns-0001"]["schedules"]["vl1~fwd"]
+        chain[0] = edit(chain[0])
+        with pytest.raises(ParseError) as info:
+            Workspace.from_doc(doc)
+        assert str(info.value) == f"instances.ns-0001.schedules.vl1~fwd[0]: {problem}"
+
+    def test_a_loaded_link_holds_its_controllers_schedule(self):
+        ws = Workspace.from_doc(_populated().to_doc())
+        link = ws.cuc.instance("ns-0001").schedules["vl1~fwd"][0]
+        assert link == ("d1", link.schedule)
+        assert link.schedule is ws.states["d1"].admitted["vl1~fwd"].schedule
+
+    def test_a_copy_that_disagrees_with_its_controller_is_refused(self):
+        doc = _populated().to_doc()
+        window = doc["instances"]["ns-0001"]["schedules"]["vl1~fwd"][0]["schedule"]["reservations"][0]
+        window["window_start_ns"] += 2000
+        window["window_end_ns"] += 2000
+        with pytest.raises(ValidationError, match=r"^instances\.ns-0001\.schedules\.vl1~fwd: "):
+            Workspace.from_doc(doc)
+        doc["instances"]["ns-0001"]["status"] = "terminated"
+        doc["cnc"]["d1"].update(hyperperiod_ns=0, streams=[])
+        Workspace.from_doc(doc)  # only active instances are checked
+
+    def test_a_uni_removal_of_a_held_stream_is_refused(self):
+        """Only the orchestrator removes a stream an active instance holds,
+        so that the instance's copy keeps matching its controller."""
+        ws = Workspace.from_doc(_populated().to_doc())
+        response = ws.dispatcher.dispatch(uni.RemoveStream("r-1", "vl1~fwd"), "d1")
+        assert (response.status, response.cause, response.detail) == (
+            "failed", "malformed", "stream vl1~fwd is held by active instance ns-0001",
+        )
+        assert "vl1~fwd" in ws.states["d1"].admitted
+        ws.terminate("ns-0001")
+        assert ws.states["d1"].admitted == {}
+
+
 
 class TestGclView:
     def test_mutations_build_no_gate_list(self, monkeypatch):

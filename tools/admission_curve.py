@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import scenarios as sc  # noqa: E402
+from tsnfv.codec import dump_json  # noqa: E402
 from tsnfv.descriptors import parse_nsd, parse_placement  # noqa: E402
 from tsnfv.errors import AdmissionFailedError  # noqa: E402
 from tsnfv.topology import load_topology  # noqa: E402
@@ -54,8 +55,7 @@ def fill(services: list[tuple[str, str]]) -> tuple[float, int, str]:
         except AdmissionFailedError:
             rejected += 1
     seconds = time.perf_counter() - t0
-    state = json.dumps(ws.to_doc(), sort_keys=True, separators=(",", ":")) + "\n"
-    return seconds, rejected, hashlib.sha256(state.encode()).hexdigest()
+    return seconds, rejected, hashlib.sha256(dump_json(ws.to_doc()) + b"\n").hexdigest()
 
 
 def run_row(streams: int) -> dict:
