@@ -309,14 +309,16 @@ class _UniHandler(socketserver.StreamRequestHandler):
 
 def cmd_serve(args) -> int:
     host, _, port_text = args.listen.rpartition(":")
-    if not host or not port_text.isdigit():
+    # a port has at most 5 digits, and int() refuses a string of thousands
+    port = int(port_text) if port_text.isdecimal() and len(port_text) <= 5 else -1
+    if not host or not 0 <= port <= 65535:
         raise ParseError(f"--listen must be host:port, got {args.listen!r}")
     created = not (args.state and Path(args.state).exists())
     ws = _open_workspace(args.state or "", args.topology)
     if args.state and created:
         ws.save(args.state)  # a loaded state would save back byte-identically
     try:
-        server = _UniServer((host, int(port_text)), ws, args.state)
+        server = _UniServer((host, port), ws, args.state)
     except OSError as exc:
         raise ParseError(f"cannot bind {args.listen}: {exc}") from None
 

@@ -113,13 +113,16 @@ class ChainLink(typing.NamedTuple):
 STATUSES = ("active", "terminated", "failed")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NsInstance(Codec):
+    """One NS instance at one step of its lifecycle. A step stores a new
+    record in place of the old one, which stays as it was."""
+
     instance_id: str
     nsd: descriptors.Nsd
     placement: descriptors.Placement
     # per stream id, the chain of domain schedules in talker->listener order
-    schedules: dict[str, list[ChainLink]] = field(default_factory=dict)
+    schedules: dict[str, tuple[ChainLink, ...]] = field(default_factory=dict)
     status: str = "active"
 
     @functools.cached_property
@@ -224,10 +227,10 @@ class Cuc:
         if prior is not None and prior.status == "active":
             raise ValidationError(f"instance {instance_id} is already active")
 
-        instance = NsInstance(instance_id=instance_id, nsd=nsd, placement=placement)
-        self._check_stream_ids(instance)
+        streams = descriptors.derive_streams(nsd, placement)
+        self._check_stream_ids(streams)
         routed: list[_RoutedStream] = []
-        for req in instance.streams:
+        for req in streams:
             descriptors.validate_capabilities(
                 req,
                 nsd.member_capabilities(req.talker.station_id),
@@ -241,7 +244,7 @@ class Cuc:
             routed.append(_RoutedStream(req, segments, budgets))
         # an input rejected before any UNI traffic consumes no instance id
         if instance_id is None:
-            instance_id = instance.instance_id = self._next_instance_id()
+            instance_id = self._next_instance_id()
 
         # Deterministic global admission order; tightest periods first.
         order = sorted(
@@ -254,7 +257,7 @@ class Cuc:
         )
 
         granted: list[tuple[str, str]] = []  # (domain_id, stream_id)
-        chains: dict[str, list[ChainLink]] = {}
+        chains: dict[str, tuple[ChainLink, ...]] = {}
         for item in order:
             req = item.requirement
             chain: list[ChainLink] = []
@@ -272,8 +275,7 @@ class Cuc:
                 response = self.dispatcher.dispatch(request, segment.domain_id)
                 if response.status != "ok":
                     self._rollback(granted)
-                    instance.status = "failed"
-                    self.instances[instance_id] = instance
+                    self.instances[instance_id] = NsInstance(instance_id, nsd, placement, {}, "failed")
                     raise AdmissionFailedError(
                         req.stream_id,
                         segment.domain_id,
@@ -288,21 +290,21 @@ class Cuc:
                     req.traffic.max_frame_bytes,
                     self.topology.link(last_hop.link_id).speed_bps,
                 )
-            chains[req.stream_id] = chain
+            chains[req.stream_id] = tuple(chain)
 
-        instance.schedules = chains
+        instance = NsInstance(instance_id, nsd, placement, chains)
+        instance.__dict__["streams"] = streams  # cached as derived, so terminate derives none
         self.instances[instance_id] = instance
         self.holders.update(dict.fromkeys(chains, instance_id))
         return instance
 
-    def _check_stream_ids(self, instance: NsInstance) -> None:
+    def _check_stream_ids(self, streams: list[StreamRequirement]) -> None:
         """A stream id names one stream on every controller, so no two
         active instances may derive the same one."""
-        for req in instance.streams:
+        for req in streams:
             holder = self.holders.get(req.stream_id)
             if holder is not None:
                 raise ValidationError(f"stream {req.stream_id} is held by active instance {holder}")
-
 
     def _rollback(self, granted: list[tuple[str, str]]) -> None:
         # compensate in reverse grant order
@@ -334,22 +336,22 @@ class Cuc:
         return configs
 
     def terminate_ns(self, instance_id: str) -> NsInstance:
-        """Release every reservation of the instance; the schedules stay
-        on the instance for audit. Bridges need no touch beyond the
-        controllers dropping the windows; end stations get none."""
+        """Release every reservation of the instance and return its
+        terminated record; the schedules stay on it for audit. Bridges
+        need no touch beyond the controllers dropping the windows; end
+        stations get none."""
         instance = self.instance(instance_id)
         if instance.status != "active":
             raise AlreadyTerminatedError(
                 f"instance {instance_id} is {instance.status}, not active"
             )
-        self._release_all(instance)
-        return instance
+        return self._release_all(instance)
 
-    def _release_all(self, instance: NsInstance) -> None:
-        """Remove the instance's streams from their controllers; then it is
-        terminated. It gives up its stream ids first, as the dispatcher
-        removes no stream an active instance holds, and takes them back
-        when a removal fails."""
+    def _release_all(self, instance: NsInstance) -> NsInstance:
+        """Remove the instance's streams from their controllers, then store
+        and return its terminated record. It gives up its stream ids first,
+        as the dispatcher removes no stream an active instance holds, and
+        takes them back when a removal fails."""
         for sid in instance.schedules:
             self.holders.pop(sid, None)
         for req in instance.streams:
@@ -361,7 +363,10 @@ class Cuc:
                     raise UnknownStreamError(
                         f"controller {domain_id} no longer holds {req.stream_id}: {response.detail}"
                     )
-        instance.status = "terminated"
+        iid = instance.instance_id
+        done = NsInstance(iid, instance.nsd, instance.placement, instance.schedules, "terminated")
+        self.instances[iid] = done
+        return done
 
     def update_ns(
         self,
@@ -371,23 +376,21 @@ class Cuc:
     ) -> NsInstance:
         """Replace an instance's descriptors: terminate, then re-instantiate
         under the same id. If the new spec cannot be admitted, the original
-        one is re-admitted; capacity was just freed, so greedy re-admission
-        succeeds, though possibly with different window positions."""
+        one goes through greedy admission again, which may place its
+        windows elsewhere or fail even though its capacity was just freed;
+        UpdateFailedError then says whether the instance is active again
+        (restored) or was left failed or terminated (not restored)."""
         instance = self.instance(instance_id)
         if instance.status != "active":
             raise UnknownInstanceError(f"instance {instance_id} is {instance.status}")
-        old_nsd, old_placement = instance.nsd, instance.placement
-
         self._release_all(instance)
         try:
             return self.instantiate_ns(new_nsd, new_placement, instance_id=instance_id)
         except Exception as exc:
-            cause = str(exc)
             try:
-                restored_instance = self.instantiate_ns(
-                    old_nsd, old_placement, instance_id=instance_id
-                )
-                restored = restored_instance.status == "active"
+                # the old record still holds the original descriptors
+                self.instantiate_ns(instance.nsd, instance.placement, instance_id=instance_id)
+                restored = True
             except Exception:
                 restored = False
-            raise UpdateFailedError(cause, restored) from exc
+            raise UpdateFailedError(str(exc), restored) from exc

@@ -10,14 +10,16 @@ status. Gate control lists, streams and station configs are derived from
 them when read; mutations keep only each port's gate entry count.
 
 A save writes the bytes of `to_doc()` encoded as sorted, compact JSON,
-but encodes only the parts that changed since the previous save (see
-_StateText), so that `tsnfv serve` can save after every mutation.
+but encodes only the parts that changed since the previous save, so that
+`tsnfv serve` can save after every mutation. The topology, the admitted
+streams and the instances are immutable records, so one rule decides
+what is encoded again: a record's text is reused while it is the same
+object (see _StateText).
 """
 
 from __future__ import annotations
 
 import copy
-import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -132,10 +134,10 @@ class Workspace:
     @classmethod
     def from_doc(cls, doc: dict) -> Workspace:
         version = doc.get("version") if isinstance(doc, dict) else None
+        if type(version) is not int or version not in (1, STATE_VERSION):
+            raise ParseError(f"not a version 1 or {STATE_VERSION} state file (version {version!r})")
         if version == 1:
             doc = _from_v1(doc)
-        elif version != STATE_VERSION:
-            raise ParseError(f"not a version 1 or {STATE_VERSION} state file (version {version!r})")
         state = _StateDoc.from_doc(doc)
         topology = parse_topology(state.topology)
         states = {}
@@ -148,7 +150,7 @@ class Workspace:
         ws = cls(topology, states)
         ws.check_gcl_capacity()
         ws.cuc.restore(state.instances)
-        _adopt_schedules(state.instances, states)
+        _adopt_schedules(ws.cuc.instances, states)
         ws.dispatcher.audit_log = list(state.audit)
         ws.cuc.request_seq = state.counters.request_seq
         ws.cuc.instance_seq = state.counters.instance_seq
@@ -168,86 +170,70 @@ class Workspace:
 def _adopt_schedules(instances: dict[str, NsInstance], states: dict[str, cnc.CncState]) -> None:
     """Refuse an active instance's chain link that is not its controller's
     record, as configs from the links must agree with GCLs from the records;
-    each link then holds the record's schedule, as after an instantiation."""
+    the instance is then stored as a record whose links hold the records'
+    schedules, as after an instantiation."""
     for iid, instance in instances.items():
         if instance.status != "active":
             continue
+        chains = {}
         for sid, chain in instance.schedules.items():
-            for i, (domain_id, schedule) in enumerate(chain):
+            links = []
+            for domain_id, schedule in chain:
                 entry = states[domain_id].admitted.get(sid) if domain_id in states else None
                 if entry is None or entry.schedule != schedule:
                     raise ValidationError(
                         f"instances.{iid}.schedules.{sid}: the schedule in domain {domain_id} "
                         "is not its controller's record"
                     )
-                chain[i] = ChainLink(domain_id, entry.schedule)
+                links.append(ChainLink(domain_id, entry.schedule))
+            chains[sid] = tuple(links)
+        instances[iid] = NsInstance(iid, instance.nsd, instance.placement, chains)
 
 
 class _StateText:
     """The JSON text of the state's parts at the last save, so that a save
-    encodes only what changed since. A part's text is reused while the
-    objects it was encoded from are the same ones:
+    encodes only what changed since. The topology, each admitted stream
+    and each instance are immutable records, and one rule covers them all:
+    a record's text is reused while it is the same object. The audit log
+    only grows: the text of the records already encoded is kept while the
+    log is the same list, at least as long, with the same record at the
+    old end, and the new records are appended to it in place, as joining
+    the texts of a long log afresh costs more than encoding what changed.
 
-    - the topology, which a workspace never changes;
-    - each admitted stream, while its (frozen) record is;
-    - each instance, while its id, descriptors, status and schedule chains are;
-    - the audit log, which only grows: the text of the records already
-      encoded is kept while the log is the same list, at least as long,
-      with the same record at the old end, and the new records are appended
-      to it in place.
-
-    Texts of parts that have gone are dropped at the next save. The file is
-    written from the parts as they are, without joining them into one
-    string: a fresh copy of a long audit log costs more than encoding what
-    changed. The bytes are those of dump_json(to_doc()) and a newline."""
+    Texts of records that have gone are dropped at the next save. The file
+    is written from the parts as they are, without joining them into one
+    string. The bytes are those of dump_json(to_doc()) and a newline."""
 
     def __init__(self):
-        self.topology: tuple[Topology, bytes] | None = None
-        self.streams: dict[tuple[str, str], tuple[cnc._AdmittedStream, bytes]] = {}
-        self.instances: dict[str, tuple[list, bytes]] = {}
+        # id of a record -> the record and its text; holding the record
+        # keeps its id from being reused while the entry is kept
+        self.texts: dict[int, tuple[object, bytes]] = {}
         # the log, its length and last record when encoded, and their JSON list
         self.audit: tuple[list | None, int, AuditRecord | None, bytearray] = (None, 0, None, bytearray())
 
     def encode(self, ws: Workspace) -> list[bytes]:
         """The bytes of the state file, in parts."""
+        kept, self.texts = self.texts, {}
+
+        def text(record) -> bytes:
+            entry = kept.get(id(record)) or (record, dump_json(record.to_doc()))
+            self.texts[id(record)] = entry
+            return entry[1]
+
+        controllers = {}
+        for domain_id, state in ws.states.items():
+            shell = cnc._Snapshot(state.domain_id, state.hyperperiod_ns, ()).to_doc()
+            streams = b",".join(map(text, state.admitted.values()))
+            controllers[domain_id] = b"".join(_object(shell, {"streams": b"[%s]" % streams}))
         counters = _Counters(ws.cuc.request_seq, ws.cuc.instance_seq)
         shell = _StateDoc(STATE_VERSION, {}, {}, {}, (), counters).to_doc()
-        streams = {}
-        controllers = {d: self._controller(ws.states[d], streams) for d in ws.states}
-        self.streams = streams
-        self.instances = {iid: self._instance(iid, i) for iid, i in ws.cuc.instances.items()}
         texts = {
-            "topology": self._topology(ws.topology),
+            "topology": text(ws.topology),
             "cnc": b"".join(_object({}, controllers)),
-            "instances": b"".join(_object({}, {iid: text for iid, (_, text) in self.instances.items()})),
+            "instances": b"".join(_object({}, {iid: text(i) for iid, i in ws.cuc.instances.items()})),
             "audit": self._audit(ws.dispatcher.audit_log),
         }
         return [*_object(shell, texts), b"\n"]
-
-    def _topology(self, topology: Topology) -> bytes:
-        if self.topology is None or self.topology[0] is not topology:
-            self.topology = (topology, dump_json(topology.to_doc()))
-        return self.topology[1]
-
-    def _controller(self, state: cnc.CncState, streams: dict) -> bytes:
-        texts = []
-        for sid, entry in state.admitted.items():
-            kept = self.streams.get((state.domain_id, sid))
-            if kept is None or kept[0] is not entry:
-                kept = (entry, dump_json(entry.to_doc()))
-            streams[state.domain_id, sid] = kept
-            texts.append(kept[1])
-        shell = cnc._Snapshot(state.domain_id, state.hyperperiod_ns, ()).to_doc()
-        return b"".join(_object(shell, {"streams": b"".join((b"[", b",".join(texts), b"]"))}))
-
-    def _instance(self, iid: str, instance: NsInstance) -> tuple[list, bytes]:
-        parts = [instance.instance_id, instance.nsd, instance.placement, instance.status]
-        for sid, chain in instance.schedules.items():
-            parts += (sid, chain, *chain)
-        kept = self.instances.get(iid)
-        if kept is not None and len(kept[0]) == len(parts) and all(map(operator.is_, kept[0], parts)):
-            return kept
-        return parts, dump_json(instance.to_doc())
 
     def _audit(self, log: list[AuditRecord]) -> bytearray:
         kept_log, count, last, text = self.audit

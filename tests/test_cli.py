@@ -469,8 +469,21 @@ class TestServe:
             text=True,
         )
         banner = proc.stdout.readline().strip()
-        assert banner.startswith("listening on 127.0.0.1:")
+        if not banner.startswith("listening on 127.0.0.1:"):
+            self._stop(proc)
+            pytest.fail(f"no banner: {banner!r}")
         return proc, int(banner.rsplit(":", 1)[1]), state
+
+    def _stop(self, proc):
+        """Stop the server as an operator would, with SIGTERM, and close
+        the pipe its banner came through."""
+        proc.send_signal(signal.SIGTERM)
+        try:
+            assert proc.wait(timeout=10) == 0
+        finally:
+            proc.kill()  # a no-op once the server has exited
+            proc.wait()
+            proc.stdout.close()
 
     def test_wire_admission_and_shutdown(self, files):
         proc, port, state = self._start(files)
@@ -490,8 +503,7 @@ class TestServe:
             assert answer["cause"] == "malformed"
             assert answer["request_id"] == "unknown"
         finally:
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=10) == 0
+            self._stop(proc)
         doc = json.loads(state.read_text())
         admitted = [s["requirement"]["stream_id"] for s in doc["cnc"]["d1"]["streams"]]
         assert admitted == ["cli~probe"]
@@ -503,8 +515,7 @@ class TestServe:
                 _probe_request(files["topology"].read_text()), "d1"
             )
         finally:
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=10) == 0
+            self._stop(proc)
 
         # the wire must be a transparent transport: same request in
         # process, byte-identical state file
@@ -529,8 +540,7 @@ class TestServe:
             assert response.status == "ok"
             assert state.read_bytes() != golden
         finally:
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=10) == 0
+            self._stop(proc)
 
     def test_shutdown_saves_the_audit_records_of_queries(self, files):
         """A query changes no decision, so the server does not save after
@@ -545,14 +555,23 @@ class TestServe:
             for msg in [probe, *queries]:
                 assert client.request(msg, "d1").status == "ok"
         finally:
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=10) == 0
+            self._stop(proc)
         after = [r.request_id for r in Workspace.load(state).dispatcher.audit_log]
         assert after == before + [probe.request_id] + [q.request_id for q in queries]
 
     def test_bad_listen_spec(self, files, capsys):
         assert run("serve", "--listen", "nonsense") == 1
         assert "must be host:port" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["127.0.0.1:65536", "127.0.0.1:99999", "127.0.0.1:\u00b2", "127.0.0.1:" + "9" * 5000],
+        ids=["65536", "99999", "superscript-two", "5000-digits"],
+    )
+    def test_port_outside_the_range_is_refused(self, files, capsys, spec):
+        assert run("serve", "--listen", spec, "--topology", files["topology"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --listen must be host:port, got {spec!r}"]
 
 
 class TestServeLines:
@@ -718,6 +737,17 @@ class TestMalformedInput:
         files["state"].write_text(json.dumps(doc))
         assert run("show", "streams", "--state", files["state"]) == 1
         assert "instances.ns-0001.status: expected a string, got an integer" in self._single_error(capsys)
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_state_whose_version_is_not_an_integer(self, files, capsys, version):
+        """A version 1 file but for its version, which equals 1 in Python."""
+        doc = json.loads((Path(__file__).resolve().parent / "golden" / "demo_state.json").read_text())
+        doc["version"] = version
+        files["state"].write_text(json.dumps(doc))
+        assert run("show", "streams", "--state", files["state"]) == 1
+        assert self._single_error(capsys) == (
+            f"error: not a version 1 or 2 state file (version {version!r})"
+        )
 
     def test_nsd_with_string_period(self, files, capsys):
         doc = sc.demo_nsd()

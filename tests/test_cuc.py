@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scenarios as sc
-from tsnfv import uni
+from tsnfv import descriptors, uni
 from tsnfv.cuc import partition_latency_budget
 from tsnfv.verifier import SimConfig, verify_ns
 from tsnfv.workspace import Workspace
@@ -358,6 +359,47 @@ class TestStreamIdClash:
         )
         assert updated.status == "active"
         assert updated.schedules == instance.schedules
+
+
+class TestImmutableRecords:
+    """A lifecycle step stores a new instance record in place of the old
+    one, which stays as it was."""
+
+    def test_a_record_cannot_be_assigned_to(self, demo_instance):
+        _, instance = demo_instance
+        for name, value in [("status", "terminated"), ("instance_id", "ns-0002"), ("schedules", {})]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(instance, name, value)
+        assert all(type(chain) is tuple for chain in instance.schedules.values())
+
+    def test_terminate_stores_a_new_record(self, demo_instance):
+        ws, instance = demo_instance
+        before = instance.to_doc()
+        done = ws.terminate(instance.instance_id)
+        assert ws.cuc.instance(instance.instance_id) is done is not instance
+        assert (done.status, done.schedules) == ("terminated", instance.schedules)
+        assert instance.status == "active"
+        assert instance.to_doc() == before
+
+    def test_update_stores_a_new_record(self, demo_instance):
+        ws, instance = demo_instance
+        before = instance.to_doc()
+        bigger = sc.demo_nsd()
+        bigger["virtual_links"][0]["tsn"]["traffic_fwd"]["frames_per_period"] = 2
+        updated = ws.update(
+            instance.instance_id,
+            sc.parse_nsd_doc(bigger),
+            sc.parse_placement_doc(sc.demo_placement()),
+        )
+        assert ws.cuc.instance(instance.instance_id) is updated is not instance
+        assert updated.schedules != instance.schedules
+        assert instance.to_doc() == before
+
+    def test_terminate_reuses_the_streams_derived_at_instantiation(self, demo_instance, monkeypatch):
+        ws, instance = demo_instance
+        assert ws.cuc.instance(instance.instance_id) is instance
+        monkeypatch.setattr(descriptors, "derive_streams", lambda *args: pytest.fail("derived again"))
+        assert ws.terminate(instance.instance_id).status == "terminated"
 
 
 class TestUpdate:

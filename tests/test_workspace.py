@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import scenarios as sc
 from tsnfv import cnc, descriptors, uni
+from tsnfv.cuc import NsInstance
 from tsnfv.errors import GclOverflowError, ParseError, TsnNfvError, ValidationError
 from tsnfv.topology import shortest_path
 from tsnfv.workspace import Workspace
@@ -187,6 +188,22 @@ class TestIncrementalSave:
             assert saved == _reference_bytes(ws), step
             Workspace.load(path).save(again)
             assert again.read_bytes() == saved, step
+
+    def test_a_save_after_terminate_encodes_one_instance(self, tmp_path, monkeypatch):
+        """The terminated record is the one new instance record; the others
+        are the objects the last save encoded, so their texts are reused."""
+        ws = sc.build_workspace(sc.fill_topology(self.PAIRS))
+        instances = [sc.instantiate(ws, *sc.fill_service(1, k, self.PAIRS)) for k in range(4)]
+        path = tmp_path / "state.json"
+        ws.save(path)
+        encoded = []
+        encode = NsInstance.to_doc
+        monkeypatch.setattr(NsInstance, "to_doc", lambda self: encoded.append(self.instance_id) or encode(self))
+        ws.terminate(instances[1].instance_id)
+        ws.save(path)
+        assert encoded == [instances[1].instance_id]
+        monkeypatch.undo()
+        assert path.read_bytes() == _reference_bytes(ws)
 
     @pytest.mark.parametrize(
         "edit",
