@@ -241,14 +241,10 @@ class _Layout:
         self.entries = len(windows) + sum(map(self._gap, windows, windows[1:] + windows[:1])) + self._edge()
 
     def _gap(self, a: _Window, b: _Window) -> int:
-        """Entries the gap from window a to the next window b adds: a closed
-        run, after an others-open one when longer than a guard; none when
-        they touch, and one fewer when they merge (one class, and not cut
-        apart at the cycle start)."""
-        gap = (b.start - a.end) % self.cycle
-        if gap:
-            return 1 + (gap > self.guard)
-        return -(a.traffic_class == b.traffic_class and b.start != 0)
+        """Entries the gap from window a to the next window b adds: one per
+        run _gap_runs lays in it, and one fewer when b merges into a's run."""
+        others_open, closed, merges = _gap_runs(a, b, self.guard, self.cycle)
+        return (others_open > 0) + (closed > 0) - merges
 
     def _edge(self) -> int:
         """One entry more where the cycle start cuts a window wrapping past
@@ -616,89 +612,78 @@ def remove_stream(state: CncState, stream_id: str) -> CncState:
 def synthesize_gcls(state: CncState, ports=None) -> dict[str, GateControlList]:
     """The gate control lists of the given ports, or of every port carrying
     a reservation in port order; a port without reservations has none.
-    Each list is built afresh from the port's layout.
+    Each list is built afresh from the port's layout, once the layout's
+    entry count is known to fit the bridge.
 
-    Construction: per-period window instances are laid onto the cycle,
-    split at its end, and touching instances of one class merge into a
-    single window. One walk around the cycle, from the last window's end
-    one cycle earlier, fills the gap before each window: all gates closed
-    for its last full best-effort frame time (the guard), or for the whole
-    gap when it is shorter, and before that every gate open except the
-    classes that own windows on the port, which stay closed outside them.
-    A run of touching windows thus gets one guard, before its first
-    window. What the walk lays before the cycle start moves to the end.
+    Construction: one walk over the port's windows, which are disjoint
+    and in start order, with only the last one wrapping past the cycle
+    end. It starts at the last window's end one cycle earlier, and lays
+    each window after the gap before it, by _gap_runs, which the entry
+    count reads too: every gate open except the classes that own windows
+    on the port, which stay closed outside them, then all gates closed
+    for the last full best-effort frame time (the guard), or for the
+    whole gap when it is shorter. A window merges into the run before it
+    when the two touch and share a class, so a run of touching windows
+    gets one guard, before its first window. The walk is then cut at the
+    cycle start, as _Layout._edge counts.
     """
-    if ports is None:
-        ports = sorted(state.ports)
-    return {port: _port_gcl(state, port) for port in ports if port in state.ports}
+    ports = sorted(state.ports) if ports is None else [port for port in ports if port in state.ports]
+    check_gcl_capacity(state, ports)
+    cycle = state.hyperperiod_ns
+    gcls = {}
+    for port in ports:
+        layout = state.layout(port)
+        gcls[port] = GateControlList(port, cycle, _build_entries(layout.windows, layout.guard, cycle))
+    return gcls
 
 
-def _port_gcl(state: CncState, port: str) -> GateControlList:
-    check_gcl_capacity(state, [port])
-    layout, cycle = state.layout(port), state.hyperperiod_ns
-    entries = tuple(_build_entries(layout.windows, layout.guard, cycle))
-    return GateControlList(port_id=port, cycle_ns=cycle, entries=entries)
+def _gap_runs(a: _Window, b: _Window, guard: int, cycle: int) -> tuple[int, int, bool]:
+    """The runs of the gap from window a to the next window b: its
+    others-open length, its all-closed length (one guard, or the whole
+    gap when shorter), and whether b merges into a's run: they touch,
+    share a class, and b does not start at the cycle start, where the
+    list is cut anyway."""
+    gap = (b.start - a.start - a.length) % cycle
+    if gap > guard:
+        return gap - guard, guard, False
+    return 0, gap, not gap and a.traffic_class == b.traffic_class and b.start != 0
 
 
-def _build_entries(windows: list[_Window], guard: int, cycle: int) -> list[GclEntry]:
-    # Split wrapped instances at the cycle boundary, then merge touching
-    # same-class pieces.
-    pieces: list[tuple[int, int, int]] = []
+def _build_entries(windows: list[_Window], guard: int, cycle: int) -> tuple[GclEntry, ...]:
+    others = 0xFF & ~sum(1 << c for c in {w.traffic_class for w in windows})
+    # A last window wrapping past the cycle end is cut at the cycle start:
+    # its part past the end opens the walk, which then ends at the cycle end.
+    prev = windows[-1]
+    spill = prev.end - cycle
+    steps = [(1 << prev.traffic_class, spill)] if spill > 0 else []
     for w in windows:
-        start, end, c = w.start, w.start + w.length, w.traffic_class
-        if end <= cycle:
-            pieces.append((start, end, c))
-        else:
-            pieces.append((start, cycle, c))
-            pieces.append((0, end - cycle, c))
-    pieces.sort()
-    merged: list[list[int]] = []
-    for s, e, c in pieces:
-        if merged and merged[-1][2] == c and merged[-1][1] == s:
-            merged[-1][1] = e
-        else:
-            merged.append([s, e, c])
-
-    owned = 0
-    for _, _, c in merged:
-        owned |= 1 << c
-    others = 0xFF & ~owned
-
-    # Walk once around the cycle, from the last window's end one cycle
-    # earlier. Before each window comes the others-open part of its gap,
-    # then one guard all closed, or the whole gap when a removal left it
-    # shorter than a guard: no best-effort frame could finish inside it.
-    steps: list[tuple[int, int]] = []
-    prev_end = merged[-1][1] - cycle
-    for s, e, c in merged:
-        gap = s - prev_end
-        closed = min(guard, gap)
-        if gap > closed:
-            steps.append((others, gap - closed))
+        others_open, closed, merges = _gap_runs(prev, w, guard, cycle)
+        if others_open:
+            steps.append((others, others_open))
         if closed:
             steps.append((0, closed))
-        steps.append((1 << c, e - s))
-        prev_end = e
-    # The walk's first `lead` ns lie before the cycle start and move to
-    # the end, so the one run across the start splits in two.
-    lead = cycle - merged[-1][1]
-    first = 0
-    while lead:
-        mask, length = steps[first]
+        mask, length = steps.pop() if merges else (1 << w.traffic_class, 0)
+        steps.append((mask, length + w.length))
+        prev = w
+    if spill > 0:
+        mask, length = steps.pop()
+        steps.append((mask, length - spill))
+    # Otherwise the walk's first `lead` ns lie before the cycle start and
+    # move to the end, so the one run across the start splits in two.
+    lead = -spill
+    while lead > 0:
+        mask, length = steps.pop(0)
         if length > lead:
-            steps[first] = (mask, length - lead)
-            steps.append((mask, lead))
-            break
-        steps.append(steps[first])
-        first += 1
+            steps.insert(0, (mask, length - lead))
+        steps.append((mask, min(length, lead)))
         lead -= length
     # Steps repeat (a guard, a burst's window), and entries are immutable,
     # so each distinct step is made once.
     made: dict[tuple[int, int], GclEntry] = {}
     entries = []
-    for step in steps[first:]:
+    for step in steps:
         entry = made.get(step)
         if entry is None:
             entry = made[step] = GclEntry(*step)
         entries.append(entry)
-    return entries
+    return tuple(entries)

@@ -351,19 +351,22 @@ class Cuc:
         """Remove the instance's streams from their controllers, then store
         and return its terminated record. It gives up its stream ids first,
         as the dispatcher removes no stream an active instance holds, and
-        takes them back when a removal fails."""
+        takes them back when a removal fails or raises."""
+        iid = instance.instance_id
         for sid in instance.schedules:
             self.holders.pop(sid, None)
-        for req in instance.streams:
-            for domain_id, _ in instance.schedules.get(req.stream_id, []):
-                request = RemoveStream(request_id=self._next_request_id(), stream_id=req.stream_id)
-                response = self.dispatcher.dispatch(request, domain_id)
-                if response.status != "ok":
-                    self.holders.update(dict.fromkeys(instance.schedules, instance.instance_id))
-                    raise UnknownStreamError(
-                        f"controller {domain_id} no longer holds {req.stream_id}: {response.detail}"
-                    )
-        iid = instance.instance_id
+        try:
+            for req in instance.streams:
+                for domain_id, _ in instance.schedules.get(req.stream_id, []):
+                    request = RemoveStream(request_id=self._next_request_id(), stream_id=req.stream_id)
+                    response = self.dispatcher.dispatch(request, domain_id)
+                    if response.status != "ok":
+                        raise UnknownStreamError(
+                            f"controller {domain_id} no longer holds {req.stream_id}: {response.detail}"
+                        )
+        except BaseException:
+            self.holders.update(dict.fromkeys(instance.schedules, iid))
+            raise
         done = NsInstance(iid, instance.nsd, instance.placement, instance.schedules, "terminated")
         self.instances[iid] = done
         return done

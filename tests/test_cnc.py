@@ -397,9 +397,52 @@ def _gate_masks_by_rule(windows, guard, cycle):
     return masks
 
 
+def _layout(cycle, guard, *runs):
+    """A guard and a layout of (start, length, class) windows on the cycle,
+    in the form _cycle_layouts draws."""
+    windows = [cnc._Window(s, n, c, f"s{i}", queue_at=0, queue_len=0) for i, (s, n, c) in enumerate(runs)]
+    return sorted(windows, key=lambda w: (w.start, w.stream_id)), guard, cycle
+
+
+# The places where the walk is cut at the cycle start: inside a window
+# that wraps past the cycle end into a touching window 0 of its class;
+# inside one window filling the cycle from 30; inside the guard before a
+# first window at 4 < guard; and exactly where that guard begins, before
+# a first window at guard. Both guards follow a gap longer than a guard.
+_WRAPS_INTO_WINDOW_0 = _layout(100, 10, (20, 30, 3), (80, 40, 3))
+_FILLS_THE_CYCLE = _layout(100, 10, (30, 100, 5))
+_GUARD_ACROSS_THE_START = _layout(100, 10, (4, 20, 2), (40, 30, 6))
+_GUARD_FROM_THE_START = _layout(100, 10, (10, 20, 2), (40, 30, 6))
+
+
+class _Draws:
+    """Stands in for st.data() in an explicit example: the k-th draw of a
+    run returns the k-th given value, and a run that has drawn them all
+    starts again from the first."""
+
+    def __init__(self, *values):
+        self.values = values
+        self.drawn = 0
+
+    def draw(self, strategy):
+        value = self.values[self.drawn % len(self.values)]
+        self.drawn += 1
+        return value
+
+
+def _reinserted(layout, gone):
+    """Draws for the kept-count test: the windows inserted last to first,
+    then the stream ids to remove."""
+    return _Draws(layout[0][::-1], gone)
+
+
 class TestGclSynthesis:
     @settings(max_examples=300, deadline=None)
     @given(layout=_cycle_layouts())
+    @example(layout=_WRAPS_INTO_WINDOW_0)
+    @example(layout=_FILLS_THE_CYCLE)
+    @example(layout=_GUARD_ACROSS_THE_START)
+    @example(layout=_GUARD_FROM_THE_START)
     def test_entries_follow_the_rules_ns_by_ns(self, layout):
         windows, guard, cycle = layout
         entries = cnc._build_entries(windows, guard, cycle)
@@ -410,6 +453,10 @@ class TestGclSynthesis:
 
     @settings(max_examples=300, deadline=None)
     @given(layout=_cycle_layouts(), data=st.data())
+    @example(layout=_WRAPS_INTO_WINDOW_0, data=_reinserted(_WRAPS_INTO_WINDOW_0, {"s0"}))
+    @example(layout=_FILLS_THE_CYCLE, data=_reinserted(_FILLS_THE_CYCLE, {"s0"}))
+    @example(layout=_GUARD_ACROSS_THE_START, data=_reinserted(_GUARD_ACROSS_THE_START, {"s1"}))
+    @example(layout=_GUARD_FROM_THE_START, data=_reinserted(_GUARD_FROM_THE_START, {"s1"}))
     def test_kept_count_is_the_built_lists_length(self, layout, data):
         """A layout's entry count is the length of the list _build_entries
         lays from its windows: laid whole, taking its windows one insert

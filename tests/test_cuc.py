@@ -280,6 +280,21 @@ def test_terminating_the_middle_of_three_packed_services():
         assert result.passed, result.gcl_violations
 
 
+def _fault_second_removal(ws, fault) -> None:
+    """Answer domain d1's second stream removal by fault(request) instead
+    of its controller."""
+    inner = ws.dispatcher.handles["d1"]
+    removals = itertools.count(1)
+
+    class _Faulty:
+        def handle(self, request):
+            if isinstance(request, uni.RemoveStream) and next(removals) == 2:
+                return fault(request)
+            return inner.handle(request)
+
+    ws.dispatcher.handles["d1"] = _Faulty()
+
+
 class TestStreamIdClash:
     def test_rejected_before_any_uni_exchange(self):
         ws = sc.build_workspace(sc.intra_pop_topology())
@@ -316,6 +331,60 @@ class TestStreamIdClash:
             ws.terminate(first.instance_id)
         assert first.status == "active"
         assert ws.cuc.holders == {"vl1~fwd": "ns-0001", "vl1~rev": "ns-0001"}
+
+    def test_raising_release_keeps_the_stream_ids(self):
+        """A removal that raises gives the ids back as a failed one does,
+        so a UNI removal of the stream the instance still holds is refused."""
+        ws = sc.build_workspace(sc.intra_pop_topology())
+        first = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+
+        def lost(request):
+            raise TransportError("removal 2 lost")
+
+        _fault_second_removal(ws, lost)
+        with pytest.raises(TransportError):
+            ws.terminate(first.instance_id)
+        assert ws.cuc.instances["ns-0001"].status == "active"
+        assert ws.cuc.holders == {"vl1~fwd": "ns-0001", "vl1~rev": "ns-0001"}
+        response = ws.dispatcher.dispatch(uni.RemoveStream("r-1", "vl1~rev"), "d1")
+        assert (response.status, response.cause, response.detail) == (
+            "failed", "malformed", "stream vl1~rev is held by active instance ns-0001",
+        )
+        assert "vl1~rev" in ws.states["d1"].admitted
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValidationError,
+        reason="ROADMAP item 2: a removal that fails partway through terminate "
+        "leaves the instance active with a stream its controller no longer holds",
+    )
+    def test_partial_release_saves_a_state_that_loads(self, tmp_path):
+        """terminate's second removal fails; the state saved afterwards
+        loads, and every active instance's chain agrees with its
+        controllers, which hold no stream that no active chain names."""
+        ws = sc.build_workspace(sc.intra_pop_topology())
+        first = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+        _fault_second_removal(
+            ws, lambda request: uni.UniResponse(request.request_id, "failed", cause="unknown_stream", detail="lost")
+        )
+        with pytest.raises(UnknownStreamError):
+            ws.terminate(first.instance_id)
+        path = tmp_path / "state.json"
+        ws.save(path)
+        restored = Workspace.load(path)
+        links = {
+            (domain_id, sid): schedule
+            for instance in restored.cuc.instances.values()
+            if instance.status == "active"
+            for sid, chain in instance.schedules.items()
+            for domain_id, schedule in chain
+        }
+        records = {
+            (domain_id, sid): entry.schedule
+            for domain_id, state in restored.states.items()
+            for sid, entry in state.admitted.items()
+        }
+        assert links == records
 
     def test_failed_instance_holds_no_stream(self):
         ws = sc.build_workspace(sc.intra_pop_topology())

@@ -7,8 +7,10 @@ talker/listener host pairs, until the row's stream count, and times the
 instantiations (routing and admission, in process). A row
 is run three times and reports the median. The script prints one row per
 size and writes them to a JSON file with the host's Python and CPU
-count, and a SHA-256 of each row's final state file, so two versions of
-the code can be checked for identical decisions.
+count, a SHA-256 of each row's final state file, and one of the gate
+control lists that state builds (`dump_json(ws.gcl_docs)`, which the
+state file does not hold), so two versions of the code can be checked
+for identical decisions and identical lists.
 
     python3 tools/admission_curve.py [--max-streams 4096] [--out BENCH_admission.json]
 
@@ -43,9 +45,10 @@ SIZES = (256, 512, 1024, 2048, 4096)
 REPEATS = 3
 
 
-def fill(services: list[tuple[str, str]]) -> tuple[float, int, str]:
+def fill(services: list[tuple[str, str]]) -> tuple[float, int, str, str]:
     """Seconds to instantiate the services, how many were rejected, and
-    the SHA-256 of the state file left behind."""
+    the SHA-256 of the state file left behind and of its gate control
+    lists, both computed after the timed part."""
     ws = Workspace(load_topology(json.dumps(sc.fill_topology(PAIRS))))
     rejected = 0
     t0 = time.perf_counter()
@@ -55,7 +58,8 @@ def fill(services: list[tuple[str, str]]) -> tuple[float, int, str]:
         except AdmissionFailedError:
             rejected += 1
     seconds = time.perf_counter() - t0
-    return seconds, rejected, hashlib.sha256(dump_json(ws.to_doc()) + b"\n").hexdigest()
+    state = hashlib.sha256(dump_json(ws.to_doc()) + b"\n").hexdigest()
+    return seconds, rejected, state, hashlib.sha256(dump_json(ws.gcl_docs)).hexdigest()
 
 
 def run_row(streams: int) -> dict:
@@ -74,6 +78,7 @@ def run_row(streams: int) -> dict:
         "seconds": round(seconds[len(seconds) // 2], 4),
         "runs_seconds": [round(t, 4) for t in seconds],
         "state_sha256": runs[0][2],
+        "gcl_sha256": runs[0][3],
     }
 
 
