@@ -174,11 +174,16 @@ class Cuc:
         self.instance_seq += 1
         return f"ns-{self.instance_seq:04d}"
 
-    def restore(self, instances: dict[str, NsInstance]) -> None:
-        """Take loaded instances; an active one holds the ids it has
-        schedules for. Refuses an instance filed under another id, one of
-        an unknown status, and a stream id held by two active instances."""
+    def restore(self, instances: dict[str, NsInstance], records: dict[str, dict]) -> None:
+        """Take loaded instances, checked in one pass against records, each
+        domain id's admitted streams. Refuses an instance filed under another
+        id or of an unknown status; in an active one, a stream id another
+        active instance holds, a link that is not its controller's record
+        (configs from links must agree with GCLs from records), and a chain
+        naming a domain twice. An active instance holds its stream ids, and
+        is stored with links holding the records' schedules."""
         holders = {}
+        restored = {}
         for iid, instance in instances.items():
             if instance.instance_id != iid:
                 raise ValidationError(
@@ -188,16 +193,31 @@ class Cuc:
                 raise ValidationError(
                     f"instances.{iid}.status: expected one of {', '.join(STATUSES)}, got {instance.status!r}"
                 )
+            restored[iid] = instance
             if instance.status != "active":
                 continue
-            for sid in instance.schedules:
+            chains = {}
+            for sid, chain in instance.schedules.items():
+                where = f"instances.{iid}.schedules.{sid}"
                 if sid in holders:
                     raise ValidationError(
-                        f"instances.{iid}.schedules.{sid}: stream {sid} is held by active instances "
-                        f"{holders[sid]} and {iid}"
+                        f"{where}: stream {sid} is held by active instances {holders[sid]} and {iid}"
                     )
                 holders[sid] = iid
-        self.instances = instances
+                links = []
+                for domain_id, schedule in chain:
+                    entry = records[domain_id].get(sid) if domain_id in records else None
+                    if entry is None or entry.schedule != schedule:
+                        raise ValidationError(
+                            f"{where}: the schedule in domain {domain_id} is not its controller's record"
+                        )
+                    links.append(ChainLink(domain_id, entry.schedule))
+                domains = [domain_id for domain_id, _ in links]
+                if len(set(domains)) < len(domains):
+                    raise ValidationError(f"{where}: the chain names a domain twice ({', '.join(domains)})")
+                chains[sid] = tuple(links)
+            restored[iid] = NsInstance(iid, instance.nsd, instance.placement, chains)
+        self.instances = restored
         self.holders.clear()
         self.holders.update(holders)
 
@@ -221,7 +241,8 @@ class Cuc:
         placement, or routing are unusable, or when a stream id is held by
         another active instance. Raises AdmissionFailedError after rolling
         back every already-granted reservation when any segment admission
-        fails; the failed instance is kept for audit.
+        fails; an exchange that raises is rolled back alike and its error
+        raised again. The failed instance is kept for audit.
         """
         prior = self.instances.get(instance_id)
         if prior is not None and prior.status == "active":
@@ -272,16 +293,15 @@ class Cuc:
                     entry_offset_ns=entry_offset,
                     entry_stride_ns=entry_stride,
                 )
-                response = self.dispatcher.dispatch(request, segment.domain_id)
-                if response.status != "ok":
+                try:
+                    response = self.dispatcher.dispatch(request, segment.domain_id)
+                    if response.status != "ok":
+                        cause, detail = response.cause or "unknown", response.detail or ""
+                        raise AdmissionFailedError(req.stream_id, segment.domain_id, cause, detail)
+                except BaseException:
                     self._rollback(granted)
                     self.instances[instance_id] = NsInstance(instance_id, nsd, placement, {}, "failed")
-                    raise AdmissionFailedError(
-                        req.stream_id,
-                        segment.domain_id,
-                        response.cause or "unknown",
-                        response.detail or "",
-                    )
+                    raise
                 granted.append((segment.domain_id, req.stream_id))
                 chain.append(ChainLink(segment.domain_id, response.schedule))
                 entry_offset = response.schedule.exit_offset_ns

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import cnc
 from .codec import Codec, dump_json, load_json
-from .cuc import ChainLink, Cuc, NsInstance
+from .cuc import Cuc, NsInstance
 from .errors import ParseError, ValidationError
 from .topology import Topology, parse_topology
 from .uni import AuditRecord, CncService, Dispatcher
@@ -149,8 +149,7 @@ class Workspace:
                 raise ValidationError(f"the controller state of domain {domain_id} is for {restored.domain_id}")
         ws = cls(topology, states)
         ws.check_gcl_capacity()
-        ws.cuc.restore(state.instances)
-        _adopt_schedules(ws.cuc.instances, states)
+        ws.cuc.restore(state.instances, {d: s.admitted for d, s in ws.states.items()})
         ws.dispatcher.audit_log = list(state.audit)
         ws.cuc.request_seq = state.counters.request_seq
         ws.cuc.instance_seq = state.counters.instance_seq
@@ -165,29 +164,6 @@ class Workspace:
     def snapshot_states(self) -> dict[str, dict]:
         """Deep snapshot of every controller, for baseline comparisons."""
         return {d: self.states[d].snapshot() for d in sorted(self.states)}
-
-
-def _adopt_schedules(instances: dict[str, NsInstance], states: dict[str, cnc.CncState]) -> None:
-    """Refuse an active instance's chain link that is not its controller's
-    record, as configs from the links must agree with GCLs from the records;
-    the instance is then stored as a record whose links hold the records'
-    schedules, as after an instantiation."""
-    for iid, instance in instances.items():
-        if instance.status != "active":
-            continue
-        chains = {}
-        for sid, chain in instance.schedules.items():
-            links = []
-            for domain_id, schedule in chain:
-                entry = states[domain_id].admitted.get(sid) if domain_id in states else None
-                if entry is None or entry.schedule != schedule:
-                    raise ValidationError(
-                        f"instances.{iid}.schedules.{sid}: the schedule in domain {domain_id} "
-                        "is not its controller's record"
-                    )
-                links.append(ChainLink(domain_id, entry.schedule))
-            chains[sid] = tuple(links)
-        instances[iid] = NsInstance(iid, instance.nsd, instance.placement, chains)
 
 
 class _StateText:

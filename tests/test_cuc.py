@@ -191,12 +191,6 @@ class TestRollback:
         assert ws.snapshot_states() == empty
         assert ws.gcl_docs == {}
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 2: a transport failure mid-admission leaves "
-        "the segments granted before it reserved",
-    )
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_transport_failure_at_exchange_k_rolls_back_everything(self, k):
         ws = sc.build_workspace(sc.cross_pop_topology())
@@ -217,6 +211,8 @@ class TestRollback:
         with pytest.raises(TsnNfvError):
             sc.instantiate(ws, sc.wan_slow_nsd(), sc.wan_slow_placement())
         assert ws.snapshot_states() == baseline
+        assert ws.cuc.instances["ns-0001"].status == "failed"
+        assert ws.cuc.holders == {}
         ws.dispatcher.handles = handles
         assert sc.instantiate(ws, sc.wan_slow_nsd(), sc.wan_slow_placement()).status == "active"
 

@@ -267,6 +267,23 @@ class TestVersion1:
             Workspace.from_doc(doc)
 
 
+def _rename_domain(doc):
+    doc["instances"]["ns-0001"]["schedules"]["vl1~fwd"][0]["domain_id"] = "d9"
+    return "vl1~fwd: the schedule in domain d9 is not its controller's record"
+
+
+def _drop_record(doc):
+    streams = doc["cnc"]["d1"]["streams"]
+    streams[:] = [s for s in streams if s["requirement"]["stream_id"] != "vl1~rev"]
+    return "vl1~rev: the schedule in domain d1 is not its controller's record"
+
+
+def _repeat_link(doc):
+    chain = doc["instances"]["ns-0001"]["schedules"]["vl1~fwd"]
+    chain.append(chain[0])
+    return "vl1~fwd: the chain names a domain twice (d1, d1)"
+
+
 class TestChainLinks:
     """A chain link is a (domain, schedule) pair in memory and a
     {"domain_id", "schedule"} object in the state file."""
@@ -303,6 +320,19 @@ class TestChainLinks:
         doc["instances"]["ns-0001"]["status"] = "terminated"
         doc["cnc"]["d1"].update(hyperperiod_ns=0, streams=[])
         Workspace.from_doc(doc)  # only active instances are checked
+
+    @pytest.mark.parametrize(
+        "edit", [_rename_domain, _drop_record, _repeat_link], ids=["no-controller", "no-record", "repeated-link"]
+    )
+    def test_a_chain_its_controllers_do_not_hold_is_refused(self, edit):
+        """A link in a domain without a controller entry, a link its
+        controller holds no record for, and a chain through one domain
+        twice, which would have terminate remove one stream twice."""
+        doc = _populated().to_doc()
+        problem = edit(doc)
+        with pytest.raises(ValidationError) as info:
+            Workspace.from_doc(doc)
+        assert str(info.value) == f"instances.ns-0001.schedules.{problem}"
 
     def test_a_uni_removal_of_a_held_stream_is_refused(self):
         """Only the orchestrator removes a stream an active instance holds,
