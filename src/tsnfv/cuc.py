@@ -3,19 +3,19 @@
 Drives the NS lifecycle: derives streams from descriptors, routes them,
 splits latency budgets across domains, negotiates per-segment admissions
 over the UNI, and emits end-station configuration documents for managed
-stations. Admission across segments is a saga: any failure triggers
-compensating removals so that a failed instantiation leaves every
-controller exactly as it was.
+stations. Admission across segments is a saga: a failure leaves every
+controller as it was. The controllers keep the schedules they grant;
+once loaded, an active instance's chain links hold their records.
 """
 
 from __future__ import annotations
 
 import functools
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import descriptors
-from .codec import Codec
+from .codec import Codec, parse_error
 from .errors import (
     AdmissionFailedError,
     AlreadyTerminatedError,
@@ -107,7 +107,7 @@ class ChainLink(typing.NamedTuple):
     """One domain's part of a stream's schedule chain."""
 
     domain_id: str
-    schedule: StreamSchedule
+    schedule: StreamSchedule | None = None  # None only in an active instance's document
 
 # an instance is active until terminated; a failed one is kept for audit
 STATUSES = ("active", "terminated", "failed")
@@ -131,14 +131,15 @@ class NsInstance(Codec):
         return descriptors.derive_streams(self.nsd, self.placement)
 
     def stream_schedules(self):
-        """(requirement, chain) pairs in stream derivation order."""
-        pairs = [(req, self.schedules.get(req.stream_id)) for req in self.streams]
-        for req, chain in pairs:
-            if not chain:
-                raise ValidationError(
-                    f"instance {self.instance_id} has no schedule for stream {req.stream_id}"
-                )
-        return pairs
+        """(requirement, chain) pairs of an active instance, in derivation order."""
+        return [(req, self.schedules[req.stream_id]) for req in self.streams]
+
+    def to_doc(self) -> dict:
+        """An active instance's links name only their domains, whose records hold its schedules."""
+        if self.status != "active":
+            return super().to_doc()
+        domains = {sid: tuple(ChainLink(d) for d, _ in chain) for sid, chain in self.schedules.items()}
+        return Codec.to_doc(replace(self, schedules=domains))
 
 
 @dataclass(frozen=True)
@@ -157,10 +158,11 @@ class Cuc:
     provide.
     """
 
-    def __init__(self, topology: Topology, dispatcher: Dispatcher, gcl_provider):
+    def __init__(self, topology: Topology, dispatcher: Dispatcher, gcl_provider, records: dict[str, dict]):
         self.topology = topology
         self.dispatcher = dispatcher
         self.gcl_provider = gcl_provider
+        self.records = records  # domain id -> its controller's admitted streams, kept current by it
         self.instances: dict[str, NsInstance] = {}
         self.holders = dispatcher.holders  # stream id -> the active instance deriving it
         self.request_seq = 0
@@ -174,14 +176,13 @@ class Cuc:
         self.instance_seq += 1
         return f"ns-{self.instance_seq:04d}"
 
-    def restore(self, instances: dict[str, NsInstance], records: dict[str, dict]) -> None:
-        """Take loaded instances, checked in one pass against records, each
-        domain id's admitted streams. Refuses an instance filed under another
-        id or of an unknown status; in an active one, a stream id another
-        active instance holds, a link that is not its controller's record
-        (configs from links must agree with GCLs from records), and a chain
-        naming a domain twice. An active instance holds its stream ids, and
-        is stored with links holding the records' schedules."""
+    def restore(self, instances: dict[str, NsInstance]) -> None:
+        """Take loaded instances, checked in one pass against the
+        controllers' records (docs/formats.md lists the refusals in order).
+        An active instance holds its stream ids, those it derives, each by
+        a chain that names every controller holding the stream once.
+        It is stored with its derived streams and links holding the records'
+        schedules, so configs from links agree with GCLs from records."""
         holders = {}
         restored = {}
         for iid, instance in instances.items():
@@ -195,7 +196,17 @@ class Cuc:
                 )
             restored[iid] = instance
             if instance.status != "active":
+                for sid, chain in instance.schedules.items():
+                    for i, link in enumerate(chain):
+                        if link.schedule is None:
+                            raise parse_error(f"instances.{iid}.schedules.{sid}[{i}]", "missing keys ['schedule']")
                 continue
+            derived = {req.stream_id for req in instance.streams}
+            unmatched = sorted(derived ^ instance.schedules.keys())
+            if unmatched:
+                sid = unmatched[0]
+                problem = "has no chain for the stream it derives" if sid in derived else "derives no such stream"
+                raise ValidationError(f"instances.{iid}.schedules.{sid}: the instance {problem}")
             chains = {}
             for sid, chain in instance.schedules.items():
                 where = f"instances.{iid}.schedules.{sid}"
@@ -204,19 +215,23 @@ class Cuc:
                         f"{where}: stream {sid} is held by active instances {holders[sid]} and {iid}"
                     )
                 holders[sid] = iid
-                links = []
+                if not chain:
+                    raise ValidationError(f"{where}: the chain is empty")
                 for domain_id, schedule in chain:
-                    entry = records[domain_id].get(sid) if domain_id in records else None
-                    if entry is None or entry.schedule != schedule:
+                    entry = self.records[domain_id].get(sid) if domain_id in self.records else None
+                    if entry is None or (schedule is not None and entry.schedule != schedule):
                         raise ValidationError(
                             f"{where}: the schedule in domain {domain_id} is not its controller's record"
                         )
-                    links.append(ChainLink(domain_id, entry.schedule))
-                domains = [domain_id for domain_id, _ in links]
+                domains = [domain_id for domain_id, _ in chain]
                 if len(set(domains)) < len(domains):
                     raise ValidationError(f"{where}: the chain names a domain twice ({', '.join(domains)})")
-                chains[sid] = tuple(links)
+                unnamed = [d for d, admitted in self.records.items() if sid in admitted and d not in domains]
+                if unnamed:
+                    raise ValidationError(f"{where}: controller {unnamed[0]} holds the stream but is not in the chain")
+                chains[sid] = tuple(ChainLink(d, self.records[d][sid].schedule) for d in domains)
             restored[iid] = NsInstance(iid, instance.nsd, instance.placement, chains)
+            restored[iid].__dict__["streams"] = instance.streams  # derived once, as on instantiation
         self.instances = restored
         self.holders.clear()
         self.holders.update(holders)
@@ -320,11 +335,15 @@ class Cuc:
 
     def _check_stream_ids(self, streams: list[StreamRequirement]) -> None:
         """A stream id names one stream on every controller, so no two
-        active instances may derive the same one."""
+        active instances may derive the same one, and none may derive a
+        stream that a controller already holds for a UNI client."""
         for req in streams:
             holder = self.holders.get(req.stream_id)
             if holder is not None:
                 raise ValidationError(f"stream {req.stream_id} is held by active instance {holder}")
+            for domain_id, admitted in self.records.items():
+                if req.stream_id in admitted:
+                    raise ValidationError(f"stream {req.stream_id} is already admitted in domain {domain_id}")
 
     def _rollback(self, granted: list[tuple[str, str]]) -> None:
         # compensate in reverse grant order

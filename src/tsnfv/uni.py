@@ -270,9 +270,9 @@ class AuditRecord(Codec):
 class Dispatcher:
     """Routes UNI requests to the owning domain's controller and keeps the
     audit log. A handle is anything that answers a request object with a
-    `UniResponse` through handle. It refuses to remove a stream an active
-    NS instance holds: only releasing the instance, which drops the stream
-    from holders first, may, or the instance would disagree with the GCLs."""
+    `UniResponse` through handle. It refuses to admit or remove a stream
+    an active NS instance holds, which only the instance's own admission,
+    before it holds the stream, and its release, after, may do."""
 
     def __init__(self, topology: Topology, handles: dict):
         self.topology = topology
@@ -292,9 +292,12 @@ class Dispatcher:
                 reference_point=REFERENCE_POINTS[self.topology.domains[domain_id].kind],
             )
         )
-        holder = self.holders.get(request.stream_id) if isinstance(request, RemoveStream) else None
+        holder = None
+        if isinstance(request, (StreamRequest, RemoveStream)):
+            sid = request.stream_id if isinstance(request, RemoveStream) else request.requirement.stream_id
+            holder = self.holders.get(sid)
         if holder is not None:
-            detail = f"stream {request.stream_id} is held by active instance {holder}"
+            detail = f"stream {sid} is held by active instance {holder}"
             return UniResponse(request.request_id, "failed", cause="malformed", detail=detail, domain_id=domain_id)
         return handle.handle(request)
 

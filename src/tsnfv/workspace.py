@@ -4,10 +4,10 @@ One workspace holds the loaded topology, one in-process controller per
 domain, the orchestrator with its instances, and the UNI audit log. It
 round-trips losslessly through a canonical JSON state file, so repeated
 runs over the same inputs produce byte-identical state. The file holds
-inputs and decisions only: the topology, the controllers' records, the
-audit log, the counters, and each instance's descriptors, schedules and
-status. Gate control lists, streams and station configs are derived from
-them when read; mutations keep only each port's gate entry count.
+inputs and decisions, each once: the topology, the controllers' records,
+the audit log, the counters, and each instance's descriptors, status and
+chains; an active chain names only its domains. Gate lists, streams and
+station configs are derived when read; mutations keep entry counts.
 
 A save writes the bytes of `to_doc()` encoded as sorted, compact JSON,
 but encodes only the parts that changed since the previous save, so that
@@ -31,7 +31,7 @@ from .errors import ParseError, ValidationError
 from .topology import Topology, parse_topology
 from .uni import AuditRecord, CncService, Dispatcher
 
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class Workspace:
         self.dispatcher = Dispatcher(
             topology, {domain_id: CncService(state) for domain_id, state in self.states.items()}
         )
-        self.cuc = Cuc(topology, self.dispatcher, gcl_provider=self._domain_gcls)
+        self.cuc = Cuc(topology, self.dispatcher, self._domain_gcls, {d: s.admitted for d, s in self.states.items()})
         self._saved = _StateText()
 
     def _domain_gcls(self, domain_id: str, ports=None):
@@ -134,8 +134,8 @@ class Workspace:
     @classmethod
     def from_doc(cls, doc: dict) -> Workspace:
         version = doc.get("version") if isinstance(doc, dict) else None
-        if type(version) is not int or version not in (1, STATE_VERSION):
-            raise ParseError(f"not a version 1 or {STATE_VERSION} state file (version {version!r})")
+        if type(version) is not int or version not in (1, 2, STATE_VERSION):
+            raise ParseError(f"not a version 1, 2 or {STATE_VERSION} state file (version {version!r})")
         if version == 1:
             doc = _from_v1(doc)
         state = _StateDoc.from_doc(doc)
@@ -149,7 +149,7 @@ class Workspace:
                 raise ValidationError(f"the controller state of domain {domain_id} is for {restored.domain_id}")
         ws = cls(topology, states)
         ws.check_gcl_capacity()
-        ws.cuc.restore(state.instances, {d: s.admitted for d, s in ws.states.items()})
+        ws.cuc.restore(state.instances)
         ws.dispatcher.audit_log = list(state.audit)
         ws.cuc.request_seq = state.counters.request_seq
         ws.cuc.instance_seq = state.counters.instance_seq

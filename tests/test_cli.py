@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import scenarios as sc
-from tsnfv import cli, cnc, cuc, uni
+from tsnfv import cli, cnc, cuc, descriptors, uni
+from tsnfv.errors import ValidationError
 from tsnfv.model import DataFrameSpec, EndpointRef, StreamRequirement, TrafficSpec
-from tsnfv.topology import load_topology, shortest_path
+from tsnfv.topology import load_topology, shortest_path, split_by_domain
 from tsnfv.uni import StreamRequest, UniClient, decode_message, encode_routed
 from tsnfv.workspace import Workspace
 
@@ -627,6 +628,45 @@ class TestServeLines:
         local.dispatcher.dispatch(remove, "d1")
         assert Workspace.load(files["state"]).to_doc() == local.to_doc()
 
+    @pytest.mark.parametrize("client_first", [False, True], ids=["instance-first", "client-first"])
+    def test_a_stream_id_is_held_in_one_place(self, tmp_path, client_first):
+        """On a topology with a domain the instance's route leaves out, a
+        UNI client admitting the instance's stream id there is refused, and
+        so is the instance once the client holds it: either way the saved
+        state loads, and each record is released by its own holder."""
+        topology = sc.cross_pop_topology()
+        topology["nodes"].append(sc.host("HC", "d1"))
+        topology["links"].append(sc.link("l6", "B1", "p2", "HC", "p0"))
+        ws = sc.build_workspace(topology)
+        req = descriptors.derive_streams(
+            sc.parse_nsd_doc(sc.demo_nsd()), sc.parse_placement_doc(sc.placement({"vnfA": "HA", "vnfC": "HB"}))
+        )[0]
+        (d2,) = [s for s in split_by_domain(shortest_path(ws.topology, "HA", "HB"), ws.topology) if s.domain_id == "d2"]
+        request = StreamRequest("req-client", req, tuple(d2.hops), req.traffic.max_latency_ns)
+        state = tmp_path / "state.json"
+        server = cli._UniServer(("127.0.0.1", 0), ws, str(state))
+        local = sc.placement({"vnfA": "HA", "vnfC": "HC"})
+        try:
+            if client_first:
+                assert self._answer(server, encode_routed(request, "d2")).status == "ok"
+                with pytest.raises(ValidationError, match="^stream vl1~fwd is already admitted in domain d2$"):
+                    sc.instantiate(ws, sc.demo_nsd(), local)
+            else:
+                sc.instantiate(ws, sc.demo_nsd(), local)
+                response = self._answer(server, encode_routed(request, "d2"))
+                assert (response.status, response.detail) == (
+                    "failed", "stream vl1~fwd is held by active instance ns-0001",
+                )
+        finally:
+            server.server_close()
+        ws.save(state)
+        restored = Workspace.load(state)
+        holds = {d: sorted(s.admitted) for d, s in restored.states.items() if s.admitted}
+        assert holds == ({"d2": ["vl1~fwd"]} if client_first else {"d1": ["vl1~fwd", "vl1~rev"]})
+        if not client_first:
+            restored.terminate("ns-0001")
+            assert all(not s.admitted for s in restored.states.values())
+
     def test_codec_runs_only_at_the_tcp_edge(self, files, server, monkeypatch):
         line = encode_routed(_probe_request(files["topology"].read_text()), "d1")
         calls = {}
@@ -746,7 +786,7 @@ class TestMalformedInput:
         files["state"].write_text(json.dumps(doc))
         assert run("show", "streams", "--state", files["state"]) == 1
         assert self._single_error(capsys) == (
-            f"error: not a version 1 or 2 state file (version {version!r})"
+            f"error: not a version 1, 2 or 3 state file (version {version!r})"
         )
 
     def test_nsd_with_string_period(self, files, capsys):
@@ -767,18 +807,15 @@ class TestMalformedInput:
         assert not files["state"].exists()
 
     def test_state_whose_instance_copy_disagrees_with_its_controller(self, files, capsys):
-        """The talker config is emitted from the instance's copy and the
+        """A version 2 file stores a copy of each active schedule on its
+        instance; the talker config would be emitted from that copy and the
         gate list from the controller's record, so a copy that differs is
         refused on load."""
-        instantiate_demo(files)
-
-        def edit(doc):
-            window = doc["instances"]["ns-0001"]["schedules"]["vl1~fwd"][0]["schedule"]["reservations"][0]
-            window["window_start_ns"] += 2000
-            window["window_end_ns"] += 2000
-
-        self._edit_state(files, edit)
-        capsys.readouterr()
+        doc = json.loads((Path(__file__).resolve().parent / "golden" / "demo_state_v2.json").read_text())
+        window = doc["instances"]["ns-0001"]["schedules"]["vl1~fwd"][0]["schedule"]["reservations"][0]
+        window["window_start_ns"] += 2000
+        window["window_end_ns"] += 2000
+        files["state"].write_text(json.dumps(doc))
         assert run("show", "config", "vnfA", "--state", files["state"]) == 1
         assert self._single_error(capsys) == (
             "error: instances.ns-0001.schedules.vl1~fwd: "

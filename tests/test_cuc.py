@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import scenarios as sc
 from tsnfv import descriptors, uni
 from tsnfv.cuc import partition_latency_budget
+from tsnfv.topology import shortest_path
 from tsnfv.verifier import SimConfig, verify_ns
 from tsnfv.workspace import Workspace
 from tsnfv.errors import (
@@ -303,6 +304,22 @@ class TestStreamIdClash:
         assert ws.snapshot_states() == snapshots
         assert list(ws.cuc.instances) == [first.instance_id]
         assert ws.cuc.instance_seq == 1
+
+    def test_a_stream_a_uni_client_holds_is_rejected_before_any_uni_exchange(self):
+        """Once a UNI client holds a stream id, an instance deriving it is
+        refused as an input error, whichever domains its route crosses."""
+        ws = sc.build_workspace(sc.intra_pop_topology())
+        req = descriptors.derive_streams(
+            sc.parse_nsd_doc(sc.demo_nsd()), sc.parse_placement_doc(sc.demo_placement())
+        )[0]
+        hops = tuple(shortest_path(ws.topology, "A", "C").hops)
+        assert ws.dispatcher.dispatch(uni.StreamRequest("r-1", req, hops, 2_000_000), "d1").status == "ok"
+        audit = list(ws.dispatcher.audit_log)
+        with pytest.raises(ValidationError, match="^stream vl1~fwd is already admitted in domain d1$"):
+            sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+        assert ws.dispatcher.audit_log == audit
+        assert ws.cuc.instances == {}
+        assert ws.cuc.instance_seq == 0
 
     def test_terminated_instance_holds_no_stream(self):
         ws = sc.build_workspace(sc.intra_pop_topology())

@@ -20,9 +20,9 @@ REFILL = 8
 SEED = 5
 
 UNI_LINES_SHA256 = "3b393579075ed7594422d66badaf947446f0f0a6f2dac0947b115bc348760130"
-FILLED_STATE_SHA256 = "8b34409cb7c9c5deb95e5f433d1fd05c4e0a87995077922abe206226dfaf065b"
+FILLED_STATE_SHA256 = "c344d64d0c600b2a474521dd3b3a38bd95d2d30bc79aec957df73cd72cbc298f"
 FILLED_GCLS_SHA256 = "3c188e03dae1170f154914f6ef0c20b11ab8fc0167405f893d4558ed6c6d879c"
-DRAINED_STATE_SHA256 = "c047d32a3e67560db72416ec755ecdcb9780e53c518cacae02b8563826fa2c47"
+DRAINED_STATE_SHA256 = "4de6d185ce8ca1c9028503f92ec0cbcdd264ee90cba28de9f533b993d733619a"
 
 
 def _state_sha256(ws, path) -> str:

@@ -16,6 +16,7 @@ from tsnfv.topology import shortest_path
 from tsnfv.workspace import Workspace
 
 V1_DEMO_STATE = Path(__file__).resolve().parent / "golden" / "demo_state.json"
+V2_DEMO_STATE = Path(__file__).resolve().parent / "golden" / "demo_state_v2.json"
 
 
 def _populated():
@@ -74,13 +75,14 @@ class TestPersistence:
         path = tmp_path / "state.json"
         ws.save(path)
         doc = json.loads(path.read_text())
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         assert sorted(doc) == ["audit", "cnc", "counters", "instances", "topology", "version"]
         instance = doc["instances"]["ns-0001"]
         assert sorted(instance) == ["instance_id", "nsd", "placement", "schedules", "status"]
-        schedules = [link["schedule"] for chain in instance["schedules"].values() for link in chain]
-        schedules += [entry["schedule"] for entry in doc["cnc"]["d1"]["streams"]]
-        assert len(schedules) == 4
+        # an active chain names its domains; each schedule is stored once, as its controller's record
+        assert instance["schedules"] == {"vl1~fwd": [{"domain_id": "d1"}], "vl1~rev": [{"domain_id": "d1"}]}
+        schedules = [entry["schedule"] for entry in doc["cnc"]["d1"]["streams"]]
+        assert len(schedules) == 2
         assert all("cycle_ns" not in schedule for schedule in schedules)
 
     def test_load_derives_gcls_and_streams(self, tmp_path):
@@ -177,7 +179,9 @@ class TestIncrementalSave:
     @example(steps=[("instantiate", 0), ("instantiate", 4), ("terminate", 0), ("update_refused", 0)])
     def test_saves_are_the_documents_bytes(self, tmp_path, steps):
         """After every step the saved bytes are the document's encoding,
-        and the ones a freshly loaded copy saves."""
+        and the ones a freshly loaded copy saves. In that copy, each active
+        link holds its controller's record, and the active instances hold
+        exactly the stream ids they derive."""
         path, again = tmp_path / "state.json", tmp_path / "again.json"
         ws = sc.build_workspace(sc.fill_topology(self.PAIRS))
         ws.save(path)
@@ -186,8 +190,15 @@ class TestIncrementalSave:
             ws.save(path)
             saved = path.read_bytes()
             assert saved == _reference_bytes(ws), step
-            Workspace.load(path).save(again)
+            loaded = Workspace.load(path)
+            loaded.save(again)
             assert again.read_bytes() == saved, step
+            active = [i for i in loaded.cuc.instances.values() if i.status == "active"]
+            for instance in active:
+                for sid, chain in instance.schedules.items():
+                    for domain_id, schedule in chain:
+                        assert schedule is loaded.states[domain_id].admitted[sid].schedule, step
+            assert loaded.cuc.holders == {req.stream_id: i.instance_id for i in active for req in i.streams}, step
 
     def test_a_save_after_terminate_encodes_one_instance(self, tmp_path, monkeypatch):
         """The terminated record is the one new instance record; the others
@@ -267,6 +278,17 @@ class TestVersion1:
             Workspace.from_doc(doc)
 
 
+def _demo_doc() -> dict:
+    return _populated().to_doc()
+
+
+def _cross_pop_doc() -> dict:
+    """The wan_slow service, whose chains run d1 -> wan -> d2."""
+    ws = sc.build_workspace(sc.wan_slow_topology())
+    sc.instantiate(ws, sc.wan_slow_nsd(), sc.wan_slow_placement())
+    return ws.to_doc()
+
+
 def _rename_domain(doc):
     doc["instances"]["ns-0001"]["schedules"]["vl1~fwd"][0]["domain_id"] = "d9"
     return "vl1~fwd: the schedule in domain d9 is not its controller's record"
@@ -284,9 +306,32 @@ def _repeat_link(doc):
     return "vl1~fwd: the chain names a domain twice (d1, d1)"
 
 
+def _drop_link(doc):
+    chain = doc["instances"]["ns-0001"]["schedules"]["wl~fwd"]
+    assert chain.pop(0) == {"domain_id": "d1"}
+    return "wl~fwd: controller d1 holds the stream but is not in the chain"
+
+
+def _drop_chain(doc):
+    del doc["instances"]["ns-0001"]["schedules"]["vl1~rev"]
+    return "vl1~rev: the instance has no chain for the stream it derives"
+
+
+def _empty_chain(doc):
+    doc["instances"]["ns-0001"]["schedules"]["vl1~rev"] = []
+    return "vl1~rev: the chain is empty"
+
+
+def _foreign_chain(doc):
+    doc["instances"]["ns-0001"]["schedules"]["vl9~fwd"] = [{"domain_id": "d1"}]
+    return "vl9~fwd: the instance derives no such stream"
+
+
 class TestChainLinks:
-    """A chain link is a (domain, schedule) pair in memory and a
-    {"domain_id", "schedule"} object in the state file."""
+    """A chain link is a (domain, schedule) pair in memory. In the state
+    file it is a {"domain_id"} object in an active instance, whose
+    schedules are its controllers' records, and a {"domain_id",
+    "schedule"} object in a terminated or failed one."""
 
     @pytest.mark.parametrize(
         "edit, problem",
@@ -297,7 +342,10 @@ class TestChainLinks:
         ],
     )
     def test_decode_errors_name_the_link(self, edit, problem):
-        doc = _populated().to_doc()
+        """Each on a terminated instance, whose links keep their schedules."""
+        ws = _populated()
+        ws.terminate("ns-0001")
+        doc = ws.to_doc()
         chain = doc["instances"]["ns-0001"]["schedules"]["vl1~fwd"]
         chain[0] = edit(chain[0])
         with pytest.raises(ParseError) as info:
@@ -311,7 +359,8 @@ class TestChainLinks:
         assert link.schedule is ws.states["d1"].admitted["vl1~fwd"].schedule
 
     def test_a_copy_that_disagrees_with_its_controller_is_refused(self):
-        doc = _populated().to_doc()
+        """A version 2 file stored each active schedule twice."""
+        doc = json.loads(V2_DEMO_STATE.read_text())
         window = doc["instances"]["ns-0001"]["schedules"]["vl1~fwd"][0]["schedule"]["reservations"][0]
         window["window_start_ns"] += 2000
         window["window_end_ns"] += 2000
@@ -322,13 +371,30 @@ class TestChainLinks:
         Workspace.from_doc(doc)  # only active instances are checked
 
     @pytest.mark.parametrize(
-        "edit", [_rename_domain, _drop_record, _repeat_link], ids=["no-controller", "no-record", "repeated-link"]
+        "build, edit",
+        [
+            (_demo_doc, _rename_domain),
+            (_demo_doc, _drop_record),
+            (_demo_doc, _repeat_link),
+            (_cross_pop_doc, _drop_link),
+            (_demo_doc, _drop_chain),
+            (_demo_doc, _empty_chain),
+            (_demo_doc, _foreign_chain),
+        ],
+        ids=[
+            "no-controller", "no-record", "repeated-link",
+            "dropped-link", "dropped-chain", "empty-chain", "foreign-chain",
+        ],
     )
-    def test_a_chain_its_controllers_do_not_hold_is_refused(self, edit):
+    def test_a_chain_its_controllers_do_not_hold_is_refused(self, build, edit):
         """A link in a domain without a controller entry, a link its
         controller holds no record for, and a chain through one domain
-        twice, which would have terminate remove one stream twice."""
-        doc = _populated().to_doc()
+        twice, which would have terminate remove one stream twice. Then
+        the converse, each of which would leave a record reserved after
+        terminate: a controller holding the stream in a domain the chain
+        leaves out, a derived stream without a chain, and an empty chain;
+        and a chain for a stream the instance does not derive."""
+        doc = build()
         problem = edit(doc)
         with pytest.raises(ValidationError) as info:
             Workspace.from_doc(doc)
@@ -474,9 +540,8 @@ class TestLoadErrors:
         def edit(doc):
             doc["instances"]["ns-0001"]["schedules"]["vl1~rev"] = []
 
-        ws = self._load_edited(tmp_path, edit)
-        with pytest.raises(ValidationError, match="has no schedule for stream vl1~rev"):
-            ws.cuc.instance("ns-0001").stream_schedules()
+        with pytest.raises(ValidationError, match=r"^instances\.ns-0001\.schedules\.vl1~rev: the chain is empty$"):
+            self._load_edited(tmp_path, edit)
 
 
 class TestAtomicSave:

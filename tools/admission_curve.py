@@ -9,11 +9,11 @@ times and reports the median. Outside the timed part, it also reports
 `load_ms`, the median ms of three loads of the first run's final state
 file (`Workspace.from_doc(load_json(text))`), which holds 64 to 1024
 instances. The script prints one row per size and writes them to a JSON
-file with the host's Python and CPU count, a SHA-256 of each row's final
-state file, and one of the gate control lists that state builds
-(`dump_json(ws.gcl_docs)`, which the state file does not hold), so two
-versions of the code can be checked for identical decisions and
-identical lists.
+file with the host's Python and CPU count, the size and SHA-256 of each
+row's final state file, and a SHA-256 of the gate control lists that
+state builds (`dump_json(ws.gcl_docs)`, which the state file does not
+hold), so two versions of the code can be checked for identical
+decisions and identical lists.
 
     python3 tools/admission_curve.py [--max-streams 4096] [--out BENCH_admission.json]
 
@@ -93,6 +93,7 @@ def run_row(streams: int) -> dict:
         "seconds": round(seconds[len(seconds) // 2], 4),
         "runs_seconds": [round(t, 4) for t in seconds],
         "load_ms": round(load_ms(runs[0][2]), 3),
+        "state_bytes": len(runs[0][2]),
         "state_sha256": hashlib.sha256(runs[0][2]).hexdigest(),
         "gcl_sha256": runs[0][3],
     }
