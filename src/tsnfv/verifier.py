@@ -21,6 +21,7 @@ import itertools
 import random
 from bisect import bisect_right
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .codec import Codec
@@ -52,8 +53,12 @@ class SimConfig:
             raise SimConfigError(
                 f"duration_cycles must be an integer >= 1, got {self.duration_cycles}"
             )
-        if not 0.0 <= float(self.bg_load) <= 1.0:
-            raise SimConfigError(f"bg_load must be in [0, 1], got {self.bg_load}")
+        try:
+            in_range = 0.0 <= self.bg_load <= 1.0
+        except TypeError:  # not a number: a string or None
+            in_range = False
+        if not in_range:
+            raise SimConfigError(f"bg_load must be in [0, 1], got {self.bg_load!r}")
         if not isinstance(self.seed, int):
             raise SimConfigError(f"seed must be an integer, got {self.seed!r}")
 
@@ -180,12 +185,14 @@ class _Gates:
 
 
 class _Frame:
-    __slots__ = ("flow", "cls", "bytes", "release_tick", "hop")
+    """One scheduled frame in flight. A best-effort frame has no state that
+    anything reads, so it sits in its class-0 queue as None."""
 
-    def __init__(self, flow: int | None, cls: int, nbytes: int, release_tick: int):
-        self.flow = flow  # index into flows, None for best effort
+    __slots__ = ("flow", "cls", "release_tick", "hop")
+
+    def __init__(self, flow: int, cls: int, release_tick: int):
+        self.flow = flow  # index into flows
         self.cls = cls
-        self.bytes = nbytes
         self.release_tick = release_tick
         self.hop = 0
 
@@ -193,11 +200,13 @@ class _Frame:
 class _Port:
     """One egress port: its class queues, the time its wire frees up, the
     time of its one pending transmit wakeup, and where a frame sent on it
-    arrives."""
+    arrives. Also what a run fixes once: a full-size best-effort frame's
+    wire time, whether any class-0 run can carry one, the classes that can
+    queue here, highest first, and the background arrival gaps."""
 
     __slots__ = (
         "key", "speed", "gates", "queues", "busy_until", "wake_at", "violations",
-        "peer_node", "propagation_ns", "peer_delay_ns",
+        "peer_node", "propagation_ns", "peer_delay_ns", "be_wire", "be_fits", "classes", "gaps",
     )
 
     def __init__(self, key: str, topology: Topology, gates: _Gates):
@@ -207,13 +216,34 @@ class _Port:
         self.key = key
         self.speed = link.speed_bps
         self.gates = gates
-        self.queues: list[deque[_Frame]] = [deque() for _ in range(8)]
+        self.queues: list[deque[_Frame | None]] = [deque() for _ in range(8)]
         self.busy_until = 0
         self.wake_at: int | None = None
         self.violations = 0
         self.peer_node = link.peer_of(key.split(".", 1)[0])[0]
         self.propagation_ns = link.propagation_ns
         self.peer_delay_ns = topology.node(self.peer_node).forwarding_delay_ns
+        self.be_wire = wire_occupancy(MAX_FRAME_BYTES, self.speed)
+        cap = gates.max_run(BE_CLASS)
+        self.be_fits = cap is None or self.be_wire <= cap
+        self.classes: tuple[int, ...] = ()
+        self.gaps: Iterator[int] | None = None
+
+
+def _gaps(rng: random.Random, base: int) -> Iterator[int]:
+    """One port's background arrival gaps: `base` jittered by up to an
+    eighth either way. Each is what `base + rng.randrange(-(base // 8),
+    base // 8 + 1)` gives, drawn as `randrange` draws it, so `rng` ends
+    in the same state. Below 8 there is no jitter and nothing is drawn."""
+    if base < 8:
+        yield from itertools.repeat(base)
+    least, width = base - base // 8, 2 * (base // 8) + 1
+    getrandbits, bits = rng.getrandbits, width.bit_length()
+    while True:
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        yield least + r
 
 
 def simulate(
@@ -227,7 +257,9 @@ def simulate(
 
     Each port has at most one pending transmit event ("tx"): `wake` pushes
     one only when it is earlier than the pending one, and a popped tx
-    event whose time is no longer the port's pending time is dropped."""
+    event whose time is no longer the port's pending time is dropped.
+    Events run in (time, push order); the hot branches, a background
+    arrival and a transmit, do their wakeups inline."""
     report = SimReport()
     for flow in flows:
         report.streams[flow.requirement.stream_id] = StreamReport(
@@ -253,14 +285,34 @@ def simulate(
     ports: dict[str, _Port] = {
         key: _Port(key, topology, _Gates(gcls.get(key))) for key in sorted(port_keys)
     }
+    # Each flow's hops, resolved once: the port, the frame's wire time
+    # there, and whether an open run of its class can ever carry it (a
+    # frame that none can carry is lost at that hop). Only the classes of
+    # the flows that cross a port, and best effort's, ever queue there, so
+    # a transmit scans no others.
+    classes = {key: {BE_CLASS} if cfg.bg_load > 0 else set() for key in ports}
+    routes = []
+    for flow in flows:
+        pcp = flow.requirement.frame.pcp
+        route = []
+        for key in flow.ports:
+            port = ports[key]
+            classes[key].add(pcp)
+            wire = wire_occupancy(flow.requirement.traffic.max_frame_bytes, port.speed)
+            cap = port.gates.max_run(pcp)
+            route.append((port, wire, cap is None or wire <= cap))
+        routes.append(route)
+    for key, port in ports.items():
+        port.classes = tuple(sorted(classes[key], reverse=True))
 
-    released: dict[int, int] = {i: 0 for i in range(len(flows))}
+    released = [0] * len(flows)
+    recs = [report.streams[flow.requirement.stream_id] for flow in flows]
+    be_sent = be_dropped = 0
 
+    # Looked up per run: a push counter may stand in for the module's `heapq`.
+    heappush, heappop = heapq.heappush, heapq.heappop
     heap: list[tuple[int, int, str, object]] = []
     seq = itertools.count()
-
-    def push(t: int, action: str, payload) -> None:
-        heapq.heappush(heap, (t, next(seq), action, payload))
 
     def wake(port: _Port, t: int) -> None:
         # A port evaluated while it is still sending does nothing, so the
@@ -269,67 +321,65 @@ def simulate(
             t = port.busy_until
         if port.wake_at is None or t < port.wake_at:
             port.wake_at = t
-            heapq.heappush(heap, (t, next(seq), "tx", port))
+            heappush(heap, (t, next(seq), "tx", port))
 
     # Scheduled releases: the talker launches the whole burst at its
     # per-instance transmission offset.
     for i, flow in enumerate(flows):
         period = flow.requirement.traffic.period_ns
         for k in range(cfg.duration_cycles * sim_cycle // period):
-            push(flow.release_offset_ns + k * period, "rel", (i, k * period))
+            heappush(heap, (flow.release_offset_ns + k * period, next(seq), "rel", (i, k * period)))
 
     # Background sources: one seeded arrival chain per port.
     if cfg.bg_load > 0:
         for idx, port in enumerate(ports.values()):
             rng = random.Random(cfg.seed * 1_000_003 + idx)
-            base = max(1, round(wire_occupancy(MAX_FRAME_BYTES, port.speed) / cfg.bg_load))
-            push(rng.randrange(0, base + 1), "bg", (port, rng, base))
-
-    def enqueue(port: _Port, frame: _Frame, now: int) -> None:
-        wire = wire_occupancy(frame.bytes, port.speed)
-        cap = port.gates.max_run(frame.cls)
-        if cap is not None and wire > cap:
-            # No open run can ever carry this frame on this port.
-            if frame.flow is None:
-                report.be_dropped += 1
-            return
-        if frame.flow is None and len(port.queues[BE_CLASS]) >= BG_QUEUE_CAP:
-            report.be_dropped += 1
-            return
-        port.queues[frame.cls].append(frame)
-        wake(port, now)
-
-    def deliver(frame: _Frame, at: int) -> None:
-        rec = report.streams[flows[frame.flow].requirement.stream_id]
-        latency = at - frame.release_tick
-        rec.observed_frame_count += 1
-        if latency > rec.observed_worst_latency_ns:
-            rec.observed_worst_latency_ns = latency
+            try:
+                base = max(1, round(port.be_wire / cfg.bg_load))
+            except OverflowError:
+                raise SimConfigError(
+                    f"bg_load {cfg.bg_load!r} is too small: the gap between "
+                    f"background frames on {port.key} overflows"
+                ) from None
+            heappush(heap, (rng.randrange(0, base + 1), next(seq), "bg", port))
+            port.gaps = _gaps(rng, base)
 
     while heap:
-        t, _, action, payload = heapq.heappop(heap)
+        t, _, action, payload = heappop(heap)
+
+        if action == "bg":
+            port = payload
+            if t < t_end:
+                queue = port.queues[BE_CLASS]
+                if port.be_fits and len(queue) < BG_QUEUE_CAP:
+                    queue.append(None)
+                    t_wake = port.busy_until if t < port.busy_until else t
+                    if port.wake_at is None or t_wake < port.wake_at:
+                        port.wake_at = t_wake
+                        heappush(heap, (t_wake, next(seq), "tx", port))
+                else:
+                    be_dropped += 1
+                heappush(heap, (t + next(port.gaps), next(seq), "bg", port))
+            continue
 
         if action == "rel":
             i, tick = payload
             flow = flows[i]
-            traffic = flow.requirement.traffic
-            port = ports[flow.ports[0]]
-            released[i] += traffic.frames_per_period
-            for _ in range(traffic.frames_per_period):
-                enqueue(port, _Frame(i, flow.requirement.frame.pcp, traffic.max_frame_bytes, tick), t)
-            continue
-
-        if action == "bg":
-            port, rng, base = payload
-            if t < t_end:
-                enqueue(port, _Frame(None, BE_CLASS, MAX_FRAME_BYTES, t), t)
-                jitter = rng.randrange(-(base // 8), base // 8 + 1) if base >= 8 else 0
-                push(t + max(1, base + jitter), "bg", (port, rng, base))
+            count = flow.requirement.traffic.frames_per_period
+            released[i] += count
+            port, _, fits = routes[i][0]
+            if fits:
+                cls = flow.requirement.frame.pcp
+                port.queues[cls].extend(_Frame(i, cls, tick) for _ in range(count))
+                wake(port, t)
             continue
 
         if action == "enq":
-            port, frame = payload
-            enqueue(port, frame, t)
+            frame = payload
+            port, _, fits = routes[frame.flow][frame.hop]
+            if fits:
+                port.queues[frame.cls].append(frame)
+                wake(port, t)
             continue
 
         # action == "tx"
@@ -339,9 +389,10 @@ def simulate(
         port.wake_at = None
         # The highest open non-empty class; `opens` is the earliest time a
         # closed non-empty class above it opens.
+        queues = port.queues
         chosen = close = opens = None
-        for cls in range(7, -1, -1):
-            if port.queues[cls]:
+        for cls in port.classes:
+            if queues[cls]:
                 start, end = port.gates.span(cls, t)
                 if start is None:
                     continue
@@ -354,19 +405,21 @@ def simulate(
             if opens is not None:
                 wake(port, opens)
             continue
-        frame = port.queues[chosen][0]
-        wire = wire_occupancy(frame.bytes, port.speed)
+        queue = queues[chosen]
+        frame = queue[0]
+        wire = port.be_wire if frame is None else routes[frame.flow][frame.hop][1]
         if close is not None and t + wire > close:
             # Highest-priority head does not fit before its gate closes;
             # nothing transmits until the gate landscape changes.
             wake(port, close if opens is None else min(close, opens))
             continue
-        port.queues[chosen].popleft()
-        port.busy_until = t + wire
-        wake(port, t + wire)
+        queue.popleft()
+        # The wire is free from t + wire on, and no wakeup is pending.
+        port.busy_until = port.wake_at = t + wire
+        heappush(heap, (t + wire, next(seq), "tx", port))
 
-        if frame.flow is None:
-            report.be_sent += 1
+        if frame is None:
+            be_sent += 1
             continue
         flow = flows[frame.flow]
         peer_node = port.peer_node
@@ -377,7 +430,11 @@ def simulate(
                     f"flow {flow.requirement.stream_id}: path ends at {peer_node}, "
                     f"listener is at {flow.requirement.listener.node_id}"
                 )
-            deliver(frame, arrival)
+            rec = recs[frame.flow]
+            latency = arrival - frame.release_tick
+            rec.observed_frame_count += 1
+            if latency > rec.observed_worst_latency_ns:
+                rec.observed_worst_latency_ns = latency
         else:
             frame.hop += 1
             next_port = flow.ports[frame.hop]
@@ -386,11 +443,11 @@ def simulate(
                     f"flow {flow.requirement.stream_id}: hop {frame.hop} egresses "
                     f"{next_port}, frame arrived at {peer_node}"
                 )
-            push(arrival + port.peer_delay_ns, "enq", (ports[next_port], frame))
+            heappush(heap, (arrival + port.peer_delay_ns, next(seq), "enq", frame))
 
-    for i, flow in enumerate(flows):
-        rec = report.streams[flow.requirement.stream_id]
-        rec.dropped_frames = released[i] - rec.observed_frame_count
+    for rec, count in zip(recs, released):
+        rec.dropped_frames = count - rec.observed_frame_count
+    report.be_sent, report.be_dropped = be_sent, be_dropped
     report.gate_violations = {key: p.violations for key, p in ports.items()}
     return report
 

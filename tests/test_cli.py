@@ -789,6 +789,19 @@ class TestMalformedInput:
             f"error: not a version 1, 2 or 3 state file (version {version!r})"
         )
 
+    @pytest.mark.parametrize(
+        "load, message",
+        [
+            ("1e-320", "bg_load 1e-320 is too small: the gap between background frames on A.p0 overflows"),
+            ("nan", "bg_load must be in [0, 1], got nan"),
+        ],
+    )
+    def test_background_load_no_run_can_use(self, files, capsys, load, message):
+        instantiate_demo(files)
+        capsys.readouterr()
+        assert run("verify", "ns-0001", "--state", files["state"], "--bg-load", load) == 1
+        assert self._single_error(capsys) == f"error: {message}"
+
     def test_nsd_with_string_period(self, files, capsys):
         doc = sc.demo_nsd()
         doc["virtual_links"][0]["tsn"]["traffic_fwd"]["period_ns"] = "250000"

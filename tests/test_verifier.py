@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import functools
 import heapq
+import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import reference
 import scenarios as sc
 from tsnfv import verifier
 from tsnfv.cnc import CncState, admit_stream, synthesize_gcls
-from tsnfv.errors import SimConfigError, ValidationError
+from tsnfv.errors import AdmissionFailedError, SimConfigError, ValidationError
 from tsnfv.model import (
     DataFrameSpec,
     EndpointRef,
@@ -64,12 +67,24 @@ class TestSimConfig:
             {"duration_cycles": 2.5},
             {"bg_load": -0.1},
             {"bg_load": 1.5},
+            {"bg_load": float("nan")},
+            {"bg_load": "0.5"},
+            {"bg_load": None},
             {"seed": "abc"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(SimConfigError):
             SimConfig(**kwargs)
+
+    def test_load_whose_background_gap_overflows(self, intra_topology):
+        """1e-320 is in range, but 12,336 ns / 1e-320 is no float."""
+        with pytest.raises(SimConfigError, match="bg_load 1e-320 is too small"):
+            simulate(intra_topology, {}, [], SimConfig(bg_load=1e-320))
+
+    def test_tiny_load_sends_no_background(self, intra_topology):
+        report = simulate(intra_topology, {}, [], SimConfig(bg_load=1e-300))
+        assert (report.be_sent, report.be_dropped) == (0, 0)
 
 
 class TestSimulation:
@@ -233,6 +248,170 @@ class TestGates:
         for cls in range(8):
             assert gates.span(cls, 123) == (123, None)
             assert gates.max_run(cls) is None
+
+
+@functools.lru_cache(maxsize=None)
+def _scenario_run(seed: int):
+    """(topology, gate control lists, flows) of `random_scenario(seed)`
+    once instantiated, or None when admission rejects it."""
+    topo_doc, nsd_doc, placement_doc = sc.random_scenario(seed)
+    ws = sc.build_workspace(topo_doc)
+    try:
+        instance = sc.instantiate(ws, nsd_doc, placement_doc)
+    except AdmissionFailedError:
+        return None
+    gcls = {port: GateControlList.from_doc(doc) for port, doc in ws.gcl_docs.items()}
+    flows = [
+        flow_from_schedules(req, [sched for _, sched in chain])
+        for req, chain in instance.stream_schedules()
+    ]
+    return ws.topology, gcls, flows
+
+
+def _same_as_reference(topology, gcls, flows, cfg) -> dict:
+    """The report document, after checking that the reference simulator
+    gives the same one. Where the reference's gap overflows, the
+    simulator must refuse the load instead."""
+    try:
+        expected = reference.simulate(topology, gcls, flows, cfg).to_doc()
+    except OverflowError:
+        with pytest.raises(SimConfigError):
+            simulate(topology, gcls, flows, cfg)
+        return {}
+    assert simulate(topology, gcls, flows, cfg).to_doc() == expected
+    return expected
+
+
+_loads = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+class TestAgainstReference:
+    """The simulator against the straightforward one in `reference.py`:
+    the same report, byte for byte, on random services at random loads,
+    and on each branch that drops a frame."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(1000, 1039).filter(lambda seed: _scenario_run(seed) is not None),
+        load=_loads,
+        sim_seed=st.integers(0, 2**31),
+        cycles=st.integers(1, 3),
+    )
+    def test_random_services(self, seed, load, sim_seed, cycles):
+        config = SimConfig(duration_cycles=cycles, bg_load=load, seed=sim_seed)
+        _same_as_reference(*_scenario_run(seed), config)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        lists=st.lists(
+            st.lists(st.tuples(st.integers(0, 0xFF), st.integers(1, 40)), min_size=1, max_size=6),
+            min_size=2,
+            max_size=2,
+        ),
+        streams=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(64, 1522), st.integers(1, 3), st.integers(0, 249_999)),
+            min_size=1,
+            max_size=4,
+        ),
+        load=_loads,
+        sim_seed=st.integers(0, 2**31),
+    )
+    def test_random_gate_lists(self, intra_topology, lists, streams, load, sim_seed):
+        """Hand-made gate lists that open several classes at once, or
+        never open one, with streams of any class, best effort's too."""
+        _, (flow,) = _admitted(intra_topology)
+        req = flow.requirement
+        flows = [
+            replace(
+                flow,
+                requirement=replace(
+                    req,
+                    stream_id=f"s{n}",
+                    frame=replace(req.frame, pcp=pcp),
+                    traffic=replace(req.traffic, max_frame_bytes=size, frames_per_period=frames),
+                ),
+                release_offset_ns=offset,
+            )
+            for n, (pcp, size, frames, offset) in enumerate(streams)
+        ]
+        gcls = {
+            port: GateControlList(
+                port,
+                1000 * sum(interval for _, interval in entries),
+                tuple(GclEntry(mask, 1000 * interval) for mask, interval in entries),
+            )
+            for port, entries in zip(("A.p0", "B1.p1"), lists)
+        }
+        _same_as_reference(intra_topology, gcls, flows, SimConfig(duration_cycles=2, bg_load=load, seed=sim_seed))
+
+    @pytest.mark.parametrize(
+        "entries, cycles",
+        [
+            # class 0 opens for 10,000 ns, shorter than one 12,336 ns frame
+            (((0x01, 10_000), (0xFE, 240_000)), 3),
+            # one best-effort frame per cycle leaves, 20 arrive: the queue fills
+            (((0x01, 12_336), (0xFE, 237_664)), 6),
+        ],
+        ids=["class-0 run too short", "background queue full"],
+    )
+    def test_background_drops(self, intra_topology, entries, cycles):
+        state, flows = _admitted(intra_topology)
+        gcls = synthesize_gcls(state)
+        cfg = SimConfig(duration_cycles=cycles, bg_load=1.0)
+        open_port = _same_as_reference(intra_topology, gcls, flows, cfg)
+        gcls["C.p0"] = GateControlList("C.p0", 250_000, tuple(GclEntry(*e) for e in entries))
+        closed_port = _same_as_reference(intra_topology, gcls, flows, cfg)
+        assert closed_port["be_dropped"] > open_port["be_dropped"]
+
+    def test_closed_scheduled_class(self, intra_topology):
+        state, flows = _admitted(intra_topology)
+        gcls = synthesize_gcls(state)
+        gcls["A.p0"] = GateControlList("A.p0", 250_000, (GclEntry(0x7F, 250_000),))
+        doc = _same_as_reference(intra_topology, gcls, flows, SimConfig(bg_load=1.0))
+        assert doc["streams"]["s1"]["dropped_frames"] == 3
+
+    @pytest.mark.parametrize(
+        "ports, message",
+        [
+            (("A.p0", "C.p0"), "flow s1: hop 1 egresses C.p0, frame arrived at B1"),
+            (("A.p0", "B1.p0"), "flow s1: path ends at A, listener is at C"),
+        ],
+    )
+    def test_path_mismatch(self, intra_topology, ports, message):
+        _, (flow,) = _admitted(intra_topology)
+        bad = replace(flow, ports=ports)
+        for run in (reference.simulate, simulate):
+            with pytest.raises(ValidationError) as caught:
+                run(intra_topology, {}, [bad], SimConfig(bg_load=1.0))
+            assert str(caught.value) == message
+
+
+class TestGapDraw:
+    """A port's background gaps are the numbers the per-arrival
+    `randrange` drew, and leave the generator in the same state."""
+
+    @staticmethod
+    def _check(base: int, seed: int, draws: int = 40) -> None:
+        rng, twin = random.Random(seed), random.Random(seed)
+        gaps = verifier._gaps(rng, base)
+        for _ in range(draws):
+            jitter = twin.randrange(-(base // 8), base // 8 + 1) if base >= 8 else 0
+            assert next(gaps) == max(1, base + jitter), base
+        assert rng.getstate() == twin.getstate(), base
+
+    def test_small_bases(self):
+        # below 8 nothing is drawn; above, every width up to 65
+        for base in range(1, 264):
+            self._check(base, seed=base)
+
+    @given(base=st.integers(1, 10**6), seed=st.integers(0, 2**32))
+    @example(base=10**6, seed=0)
+    @example(base=12_336, seed=1)
+    def test_any_base(self, base, seed):
+        self._check(base, seed)
 
 
 class _CountingHeapq:

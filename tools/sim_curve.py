@@ -1,0 +1,120 @@
+"""Simulator curve: how long one simulation of every admitted stream takes
+as the network fills.
+
+Each row builds the fill state of `tools/admission_curve.py` (43 talker/
+listener host pairs on one bridge, seed 1) at the row's stream count,
+flattens the schedules of every active instance into one flow list, and
+simulates them all in one run under the state's gate control lists, at
+background load 0 and at load 1 (3 cycles, seed 0). Each load is run
+three times; the row reports the median ms, the frames the run carried
+(scheduled frames delivered plus best-effort frames sent), frames per
+second at the median, and the SHA-256 of the report document
+(`dump_json(report.to_doc())`), so two versions of the simulator can be
+checked for identical reports. The script prints one row per size and
+writes them to a JSON file with the host's Python and CPU count.
+
+    python3 tools/sim_curve.py [--max-streams 2048] [--out BENCH_sim.json]
+
+Stdlib only; it reads the package from `src/`, the generators from
+`tests/`, and the fill from `tools/admission_curve.py`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import admission_curve as ac  # puts src/ and tests/ on the path
+import scenarios as sc  # noqa: E402
+from tsnfv.codec import dump_json, load_json  # noqa: E402
+from tsnfv.model import GateControlList  # noqa: E402
+from tsnfv.verifier import SimConfig, flow_from_schedules, simulate  # noqa: E402
+from tsnfv.workspace import Workspace  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = (256, 512, 1024, 2048)
+LOADS = (0.0, 1.0)
+REPEATS = 3
+
+
+def network(streams: int):
+    """(topology, typed gate control lists, flows of every active
+    instance, instance count) of the fill state at this many streams."""
+    services = [
+        (json.dumps(nsd), json.dumps(placement))
+        for nsd, placement in (sc.fill_service(ac.SEED, k, ac.PAIRS) for k in range(streams // 4))
+    ]
+    state = ac.fill(services)[2]
+    ws = Workspace.from_doc(load_json(state.decode(), "state file"))
+    active = [i for i in ws.cuc.instances.values() if i.status == "active"]
+    flows = [
+        flow_from_schedules(req, [sched for _, sched in chain])
+        for instance in active
+        for req, chain in instance.stream_schedules()
+    ]
+    gcls = {port: GateControlList.from_doc(doc) for port, doc in ws.gcl_docs.items()}
+    return ws.topology, gcls, flows, len(active)
+
+
+def run_row(streams: int) -> dict:
+    topology, gcls, flows, instances = network(streams)
+    row = {"streams": streams, "instances": instances, "flows": len(flows), "gate_lists": len(gcls)}
+    for load in LOADS:
+        cfg = SimConfig(bg_load=load, seed=0)
+        times, docs = [], set()
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            report = simulate(topology, gcls, flows, cfg)
+            times.append(time.perf_counter() - t0)
+            docs.add(dump_json(report.to_doc()))
+        if len(docs) > 1:
+            raise SystemExit(f"{streams} streams, bg{load:g}: the runs reported differently")
+        frames = report.be_sent + sum(s.observed_frame_count for s in report.streams.values())
+        seconds = statistics.median(times)
+        name = f"bg{load:g}"
+        row[f"{name}_ms"] = round(seconds * 1e3, 2)
+        row[f"{name}_runs_ms"] = [round(t * 1e3, 2) for t in sorted(times)]
+        row[f"{name}_frames"] = frames
+        row[f"{name}_frames_per_s"] = round(frames / seconds)
+        row[f"{name}_report_sha256"] = hashlib.sha256(docs.pop()).hexdigest()
+    return row
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--max-streams", type=int, default=SIZES[-1])
+    parser.add_argument("--out", default=str(ROOT / "BENCH_sim.json"))
+    args = parser.parse_args(argv)
+
+    rows = []
+    print(f"{'streams':>8} {'flows':>6} {'bg0 ms':>8} {'frames/s':>9} {'bg1 ms':>8} {'frames/s':>9}")
+    for streams in (n for n in SIZES if n <= args.max_streams):
+        row = run_row(streams)
+        rows.append(row)
+        print(
+            f"{row['streams']:>8} {row['flows']:>6} {row['bg0_ms']:>8.1f} {row['bg0_frames_per_s']:>9} "
+            f"{row['bg1_ms']:>8.1f} {row['bg1_frames_per_s']:>9}"
+        )
+    doc = {
+        "script": "tools/sim_curve.py",
+        "host_pairs": ac.PAIRS,
+        "seed": ac.SEED,
+        "sim": {"duration_cycles": SimConfig().duration_cycles, "seed": 0, "bg_loads": list(LOADS)},
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "rows": rows,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
