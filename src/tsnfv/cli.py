@@ -29,7 +29,7 @@ from .errors import (
     UpdateFailedError,
 )
 from .topology import load_topology
-from .uni import decode_routed, encode_message, malformed_response
+from .uni import decode_routed, encode_message, malformed_response, reference_point
 from .verifier import SimConfig, verify_ns
 from .workspace import Workspace
 
@@ -229,7 +229,7 @@ def _show_config(ws: Workspace, station: str | None) -> int:
 
 def _show_audit(ws: Workspace) -> int:
     for record in ws.dispatcher.audit_log:
-        print(f"{record.request_id}  {record.domain_id}  {record.reference_point}")
+        print(f"{record.request_id}  {record.domain_id}  {reference_point(ws.topology, record.domain_id)}")
     return 0
 
 

@@ -257,7 +257,8 @@ class Cuc:
         another active instance. Raises AdmissionFailedError after rolling
         back every already-granted reservation when any segment admission
         fails; an exchange that raises is rolled back alike and its error
-        raised again. The failed instance is kept for audit.
+        raised again. Every compensation runs; if one raises, the first
+        such error is raised instead. The failed instance is kept for audit.
         """
         prior = self.instances.get(instance_id)
         if prior is not None and prior.status == "active":
@@ -314,8 +315,8 @@ class Cuc:
                         cause, detail = response.cause or "unknown", response.detail or ""
                         raise AdmissionFailedError(req.stream_id, segment.domain_id, cause, detail)
                 except BaseException:
-                    self._rollback(granted)
                     self.instances[instance_id] = NsInstance(instance_id, nsd, placement, {}, "failed")
+                    self._rollback(granted)
                     raise
                 granted.append((segment.domain_id, req.stream_id))
                 chain.append(ChainLink(segment.domain_id, response.schedule))
@@ -346,12 +347,15 @@ class Cuc:
                     raise ValidationError(f"stream {req.stream_id} is already admitted in domain {domain_id}")
 
     def _rollback(self, granted: list[tuple[str, str]]) -> None:
-        # compensate in reverse grant order
+        """Compensate every grant in reverse order, then raise the first error."""
+        errors = []
         for domain_id, stream_id in reversed(granted):
-            self.dispatcher.dispatch(
-                RemoveStream(request_id=self._next_request_id(), stream_id=stream_id),
-                domain_id,
-            )
+            try:
+                self.dispatcher.dispatch(RemoveStream(self._next_request_id(), stream_id), domain_id)
+            except BaseException as exc:
+                errors.append(exc)
+        if errors:
+            raise errors[0]
 
     def _emit_configs(self, instance: NsInstance) -> list[EndStationConfig]:
         """One config per managed endpoint, against the talker ports'

@@ -2,10 +2,10 @@
 
 Message schema, newline-delimited JSON codec, the controller service, and
 the dispatcher that realizes the Or-Vi (orchestrator to VIM) and Or-Wi
-(orchestrator to WIM) reference points; the kind of the target domain
-decides which one an exchange uses. In process the messages cross as
-objects; the codec makes bytes only where a line crosses TCP (`tsnfv
-serve` and `UniClient`).
+(orchestrator to WIM) reference points; an audit record names the target
+domain, whose kind gives the reference point (`reference_point`). In
+process the messages cross as objects; the codec makes bytes only where a
+line crosses TCP (`tsnfv serve` and `UniClient`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .model import StreamRequirement, StreamSchedule
-from .topology import Hop, PathSegment, Topology
+from .topology import Hop, PathSegment
 from . import cnc
 
 # domain kind -> the reference point its controller is reached over
@@ -264,7 +264,11 @@ def _fish_request_id(line: bytes | str) -> str:
 class AuditRecord(Codec):
     request_id: str
     domain_id: str
-    reference_point: str
+
+
+def reference_point(topology, domain_id: str) -> str:
+    """The reference point toward the domain's controller, by its kind."""
+    return REFERENCE_POINTS[topology.domains[domain_id].kind]
 
 
 class Dispatcher:
@@ -274,8 +278,7 @@ class Dispatcher:
     an active NS instance holds, which only the instance's own admission,
     before it holds the stream, and its release, after, may do."""
 
-    def __init__(self, topology: Topology, handles: dict):
-        self.topology = topology
+    def __init__(self, handles: dict):
         self.handles = handles
         self.audit_log: list[AuditRecord] = []
         self.holders: dict[str, str] = {}  # stream id -> the active instance holding it
@@ -285,13 +288,7 @@ class Dispatcher:
             handle = self.handles[domain_id]
         except KeyError:
             raise UnknownDomainError(f"no controller registered for domain {domain_id}") from None
-        self.audit_log.append(
-            AuditRecord(
-                request_id=request.request_id,
-                domain_id=domain_id,
-                reference_point=REFERENCE_POINTS[self.topology.domains[domain_id].kind],
-            )
-        )
+        self.audit_log.append(AuditRecord(request.request_id, domain_id))
         holder = None
         if isinstance(request, (StreamRequest, RemoveStream)):
             sid = request.stream_id if isinstance(request, RemoveStream) else request.requirement.stream_id

@@ -6,8 +6,9 @@ round-trips losslessly through a canonical JSON state file, so repeated
 runs over the same inputs produce byte-identical state. The file holds
 inputs and decisions, each once: the topology, the controllers' records,
 the audit log, the counters, and each instance's descriptors, status and
-chains; an active chain names only its domains. Gate lists, streams and
-station configs are derived when read; mutations keep entry counts.
+chains; an active chain names only its domains, an audit record its
+request and domain. Gate lists, streams, station configs and reference
+points are derived when read; mutations keep entry counts.
 
 A save writes the bytes of `to_doc()` encoded as sorted, compact JSON,
 but encodes only the parts that changed since the previous save, so that
@@ -29,9 +30,9 @@ from .codec import Codec, dump_json, load_json
 from .cuc import Cuc, NsInstance
 from .errors import ParseError, ValidationError
 from .topology import Topology, parse_topology
-from .uni import AuditRecord, CncService, Dispatcher
+from .uni import AuditRecord, CncService, Dispatcher, reference_point
 
-STATE_VERSION = 3
+STATE_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,7 @@ class Workspace:
             d: given[d] if d in given else cnc.CncState(domain_id=d, topology=topology)
             for d in topology.domains
         }
-        self.dispatcher = Dispatcher(
-            topology, {domain_id: CncService(state) for domain_id, state in self.states.items()}
-        )
+        self.dispatcher = Dispatcher({domain_id: CncService(state) for domain_id, state in self.states.items()})
         self.cuc = Cuc(topology, self.dispatcher, self._domain_gcls, {d: s.admitted for d, s in self.states.items()})
         self._saved = _StateText()
 
@@ -134,12 +133,22 @@ class Workspace:
     @classmethod
     def from_doc(cls, doc: dict) -> Workspace:
         version = doc.get("version") if isinstance(doc, dict) else None
-        if type(version) is not int or version not in (1, 2, STATE_VERSION):
-            raise ParseError(f"not a version 1, 2 or {STATE_VERSION} state file (version {version!r})")
-        if version == 1:
-            doc = _from_v1(doc)
+        if type(version) is not int or not 1 <= version <= STATE_VERSION:
+            raise ParseError(f"not a version 1, 2, 3 or {STATE_VERSION} state file (version {version!r})")
+        labels = []  # the reference points of an older file's audit records
+        if version < STATE_VERSION:
+            doc = copy.deepcopy(doc)
+            if version == 1:
+                _drop_v1_copies(doc)
+            labels = [_pop(record, "reference_point") for record in _members(doc.get("audit"))]
         state = _StateDoc.from_doc(doc)
         topology = parse_topology(state.topology)
+        for i, record in enumerate(state.audit):
+            if record.domain_id not in topology.domains:
+                raise ValidationError(f"audit[{i}].domain_id: no domain {record.domain_id} in the topology")
+            if labels and labels[i] != (expected := reference_point(topology, record.domain_id)):
+                where = f"audit[{i}].reference_point"
+                raise ValidationError(f"{where}: expected {expected} for domain {record.domain_id}, got {labels[i]!r}")
         states = {}
         for domain_id, snap in state.cnc.items():
             if domain_id not in topology.domains:
@@ -235,32 +244,27 @@ def _object(doc: dict, texts: dict[str, bytes]) -> list[bytes]:
     return parts
 
 
-def _from_v1(doc: dict) -> dict:
-    """A version 1 state document as version 2: the stored copies of
-    derived data (the GCL documents, each instance's streams and configs,
+def _drop_v1_copies(doc: dict) -> None:
+    """Make a version 1 state document one of version 2: the stored copies
+    of derived data (the GCL documents, each instance's streams and configs,
     each schedule's cycle) are dropped, and the strict decoder checks what
     is left, whatever its shape."""
-    doc = copy.deepcopy(doc)
     doc.pop("gcls", None)
-    doc["version"] = STATE_VERSION
     schedules = [
         _get(entry, "schedule")
         for domain in _members(doc.get("cnc"))
         for entry in _members(_get(domain, "streams"))
     ]
     for instance in _members(doc.get("instances")):
-        if isinstance(instance, dict):
-            instance.pop("streams", None)
-            instance.pop("configs", None)
+        _pop(instance, "streams")
+        _pop(instance, "configs")
         schedules += [
             _get(link, "schedule")
             for chain in _members(_get(instance, "schedules"))
             for link in _members(chain)
         ]
     for schedule in schedules:
-        if isinstance(schedule, dict):
-            schedule.pop("cycle_ns", None)
-    return doc
+        _pop(schedule, "cycle_ns")
 
 
 def _members(value) -> list:
@@ -272,3 +276,7 @@ def _members(value) -> list:
 
 def _get(value, key: str):
     return value.get(key) if isinstance(value, dict) else None
+
+
+def _pop(value, key: str):
+    return value.pop(key, None) if isinstance(value, dict) else None

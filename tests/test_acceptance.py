@@ -19,6 +19,7 @@ import scenarios as sc
 from tsnfv.descriptors import derive_streams, parse_nsd, parse_placement
 from tsnfv.errors import AdmissionFailedError
 from tsnfv.topology import load_topology, shortest_path
+from tsnfv.uni import reference_point
 from tsnfv.verifier import SimConfig, check_gcl_wellformed, verify_ns
 from tsnfv.workspace import Workspace
 
@@ -172,7 +173,7 @@ def test_criterion_06_mid_chain_failure_rolls_back_contacted_domains():
     assert info.value.cause == "capability"
     assert ws.snapshot_states() == baseline
     assert ws.cuc.instances["ns-0001"].status == "failed"
-    points = [r.reference_point for r in ws.dispatcher.audit_log]
+    points = [reference_point(ws.topology, r.domain_id) for r in ws.dispatcher.audit_log]
     assert points[:3] == ["Or-Vi", "Or-Wi", "Or-Vi"]
     assert len(points) > 3  # the compensating removals are on record too
 
@@ -180,20 +181,20 @@ def test_criterion_06_mid_chain_failure_rolls_back_contacted_domains():
 def test_criterion_07_audit_reference_points_match_domain_kinds(sweep):
     ws = sc.build_workspace(sc.intra_pop_topology())
     sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
-    assert [r.reference_point for r in ws.dispatcher.audit_log] == ["Or-Vi", "Or-Vi"]
+    assert [reference_point(ws.topology, r.domain_id) for r in ws.dispatcher.audit_log] == ["Or-Vi", "Or-Vi"]
 
     ws2 = sc.build_workspace(sc.wan_slow_topology())
     sc.instantiate(ws2, sc.wan_slow_nsd(), sc.wan_slow_placement())
-    points = [r.reference_point for r in ws2.dispatcher.audit_log]
+    points = [reference_point(ws2.topology, r.domain_id) for r in ws2.dispatcher.audit_log]
     assert points == ["Or-Vi", "Or-Wi", "Or-Vi"] * 2
 
     for case in sweep:
         for record in case.ws.dispatcher.audit_log:
             expected = "Or-Wi" if record.domain_id == "wan" else "Or-Vi"
-            assert record.reference_point == expected, case.seed
+            assert reference_point(case.ws.topology, record.domain_id) == expected, case.seed
         if "wan" not in case.topo_doc["domains"]:
             assert all(
-                r.reference_point == "Or-Vi" for r in case.ws.dispatcher.audit_log
+                reference_point(case.ws.topology, r.domain_id) == "Or-Vi" for r in case.ws.dispatcher.audit_log
             ), case.seed
 
 

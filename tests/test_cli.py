@@ -395,6 +395,25 @@ class TestShow:
             "req-0002  d1  Or-Vi",
         ]
 
+    def test_audit_trail_across_domains(self, files, capsys):
+        """The wan_slow service's forward stream crosses d1, the wan and d2,
+        its reverse stream the same domains the other way; the reference
+        point is derived from each domain's kind."""
+        files["topology"].write_text(json.dumps(sc.wan_slow_topology()))
+        write_nsd(files, sc.wan_slow_nsd())
+        files["placement"].write_text(json.dumps(sc.wan_slow_placement()))
+        instantiate_demo(files)
+        capsys.readouterr()
+        assert run("show", "audit", "--state", files["state"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "req-0001  d1  Or-Vi",
+            "req-0002  wan  Or-Wi",
+            "req-0003  d2  Or-Vi",
+            "req-0004  d2  Or-Vi",
+            "req-0005  wan  Or-Wi",
+            "req-0006  d1  Or-Vi",
+        ]
+
 
 class TestVerifyCommand:
     def test_pass(self, files, capsys):
@@ -786,7 +805,32 @@ class TestMalformedInput:
         files["state"].write_text(json.dumps(doc))
         assert run("show", "streams", "--state", files["state"]) == 1
         assert self._single_error(capsys) == (
-            f"error: not a version 1, 2 or 3 state file (version {version!r})"
+            f"error: not a version 1, 2, 3 or 4 state file (version {version!r})"
+        )
+
+    def test_state_whose_audit_names_an_unknown_domain(self, files, capsys):
+        instantiate_demo(files)
+        self._edit_state(files, lambda doc: doc["audit"][1].update(domain_id="d9"))
+        capsys.readouterr()
+        assert run("show", "audit", "--state", files["state"]) == 1
+        assert self._single_error(capsys) == "error: audit[1].domain_id: no domain d9 in the topology"
+
+    @pytest.mark.parametrize(
+        "edit, got",
+        [
+            (lambda record: record.update(reference_point="Or-Wi"), "'Or-Wi'"),
+            (lambda record: record.pop("reference_point"), "None"),
+        ],
+    )
+    def test_version_3_state_whose_reference_point_disagrees(self, files, capsys, edit, got):
+        """A version 3 audit record stored its reference point, which a
+        version 4 file derives; a stored one that differs is refused."""
+        doc = json.loads((Path(__file__).resolve().parent / "golden" / "demo_state_v3.json").read_text())
+        edit(doc["audit"][0])
+        files["state"].write_text(json.dumps(doc))
+        assert run("show", "audit", "--state", files["state"]) == 1
+        assert self._single_error(capsys) == (
+            f"error: audit[0].reference_point: expected Or-Vi for domain d1, got {got}"
         )
 
     @pytest.mark.parametrize(

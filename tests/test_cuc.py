@@ -83,7 +83,7 @@ class TestInstantiate:
     def test_audit_trail_per_admission(self, demo_instance):
         ws, _ = demo_instance
         assert [
-            (r.request_id, r.domain_id, r.reference_point)
+            (r.request_id, r.domain_id, uni.reference_point(ws.topology, r.domain_id))
             for r in ws.dispatcher.audit_log
         ] == [("req-0001", "d1", "Or-Vi"), ("req-0002", "d1", "Or-Vi")]
 
@@ -131,13 +131,13 @@ class TestCrossDomain:
     def test_audit_shows_vim_wim_vim(self):
         ws = sc.build_workspace(sc.wan_slow_topology())
         sc.instantiate(ws, sc.wan_slow_nsd(), sc.wan_slow_placement())
-        points = [r.reference_point for r in ws.dispatcher.audit_log]
+        points = [uni.reference_point(ws.topology, r.domain_id) for r in ws.dispatcher.audit_log]
         # two streams, three segments each
         assert points == ["Or-Vi", "Or-Wi", "Or-Vi"] * 2
 
     def test_intra_pop_uses_only_vim(self, demo_instance):
         ws, _ = demo_instance
-        assert {r.reference_point for r in ws.dispatcher.audit_log} == {"Or-Vi"}
+        assert {uni.reference_point(ws.topology, r.domain_id) for r in ws.dispatcher.audit_log} == {"Or-Vi"}
 
 
 class TestRollback:
@@ -216,6 +216,37 @@ class TestRollback:
         assert ws.cuc.holders == {}
         ws.dispatcher.handles = handles
         assert sc.instantiate(ws, sc.wan_slow_nsd(), sc.wan_slow_placement()).status == "active"
+
+    def test_a_raising_compensation_leaves_the_others_to_run(self):
+        """d2's admission of wl~fwd raises, then the wan's compensating
+        removal raises too: d1's grant is still removed, the instance is
+        stored as failed, and the wan's error is the one that escapes."""
+        ws = sc.build_workspace(sc.wan_slow_topology())
+        baseline = ws.snapshot_states()
+        handles = ws.dispatcher.handles
+
+        class _Raises:
+            def __init__(self, inner, kind, error):
+                self.inner, self.kind, self.error = inner, kind, error
+
+            def handle(self, msg):
+                if isinstance(msg, self.kind):
+                    raise self.error
+                return self.inner.handle(msg)
+
+        ws.dispatcher.handles = {
+            **handles,
+            "d2": _Raises(handles["d2"], uni.StreamRequest, TransportError("d2 lost")),
+            "wan": _Raises(handles["wan"], uni.RemoveStream, TransportError("wan lost")),
+        }
+        with pytest.raises(TransportError, match="^wan lost$") as info:
+            sc.instantiate(ws, sc.wan_slow_nsd(), sc.wan_slow_placement())
+        assert str(info.value.__context__) == "d2 lost"
+        assert ws.snapshot_states()["d1"] == baseline["d1"]
+        assert ws.cuc.instances["ns-0001"].status == "failed"
+        assert [(r.request_id, r.domain_id) for r in ws.dispatcher.audit_log] == [
+            ("req-0001", "d1"), ("req-0002", "wan"), ("req-0003", "d2"), ("req-0004", "wan"), ("req-0005", "d1"),
+        ]
 
 
 class TestTerminate:

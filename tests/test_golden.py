@@ -3,9 +3,9 @@ writes, the station config `tsnfv show config vnfA` prints, the first
 UNI exchange on the wire and the report `tsnfv verify` prints. A codec
 or simulator change that alters one byte of any of them fails here, and
 so does one that alters a simulator report of the acceptance sweep's
-first seeds. The demo's version 1 and version 2 state files are kept as
+first seeds. The demo's version 1, 2 and 3 state files are kept as
 fixtures: each must load, show exactly what a fresh state shows, and save
-as the version 3 golden."""
+as the version 4 golden."""
 
 from __future__ import annotations
 
@@ -23,9 +23,10 @@ from tsnfv.workspace import Workspace
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMO = Path(__file__).resolve().parent.parent / "demo"
-DEMO_STATE_SHA256 = "8d62c0cb785a4ab1f071fb7126b999f2ac76f31ff1a25b1ece2f0f4948c4950f"
+DEMO_STATE_SHA256 = "50fc81991d9ee90d14e75dae07e79c64d6ca66482fdd3dd695b9739a6e0b7d65"
 V1_DEMO_STATE_SHA256 = "0351830f890e62aadd52375910657934ea114408068012ac6fdc0dc750f695c4"
 V2_DEMO_STATE_SHA256 = "189dd2446c15a8c6dc67e647e3c1fe7665fd91be8899271cc7a40d2d57ba8a29"
+V3_DEMO_STATE_SHA256 = "8d62c0cb785a4ab1f071fb7126b999f2ac76f31ff1a25b1ece2f0f4948c4950f"
 SWEEP_SEEDS = range(1000, 1040)  # the first 40 seeds of the acceptance sweep
 
 
@@ -45,15 +46,15 @@ def _instantiate_demo(state: Path) -> None:
 def test_demo_state_file(tmp_path):
     state = tmp_path / "state.json"
     _instantiate_demo(state)
-    golden = (GOLDEN / "demo_state_v3.json").read_bytes()
+    golden = (GOLDEN / "demo_state_v4.json").read_bytes()
     assert hashlib.sha256(golden).hexdigest() == DEMO_STATE_SHA256
-    assert len(golden) == 3_403
+    assert len(golden) == 3_351
     assert state.read_bytes() == golden
 
 
 def _shows_the_same(tmp_path, capsys, old: Path, sha256: str) -> None:
     """Every show and verify command prints the same on an older fixture
-    as on a fresh state, and saving the fixture writes the v3 golden."""
+    as on a fresh state, and saving the fixture writes the v4 golden."""
     assert hashlib.sha256(old.read_bytes()).hexdigest() == sha256
     state = tmp_path / "state.json"
     _instantiate_demo(state)
@@ -73,7 +74,7 @@ def _shows_the_same(tmp_path, capsys, old: Path, sha256: str) -> None:
         assert cli.main([*command, "--state", str(old)]) == 0
         assert capsys.readouterr().out == fresh, command
     Workspace.load(old).save(state)
-    assert state.read_bytes() == (GOLDEN / "demo_state_v3.json").read_bytes()
+    assert state.read_bytes() == (GOLDEN / "demo_state_v4.json").read_bytes()
 
 
 def test_demo_v1_state_file_shows_the_same(tmp_path, capsys):
@@ -82,6 +83,10 @@ def test_demo_v1_state_file_shows_the_same(tmp_path, capsys):
 
 def test_demo_v2_state_file_shows_the_same(tmp_path, capsys):
     _shows_the_same(tmp_path, capsys, GOLDEN / "demo_state_v2.json", V2_DEMO_STATE_SHA256)
+
+
+def test_demo_v3_state_file_shows_the_same(tmp_path, capsys):
+    _shows_the_same(tmp_path, capsys, GOLDEN / "demo_state_v3.json", V3_DEMO_STATE_SHA256)
 
 
 def test_demo_show_config(tmp_path, capsys):

@@ -20,9 +20,9 @@ REFILL = 8
 SEED = 5
 
 UNI_LINES_SHA256 = "3b393579075ed7594422d66badaf947446f0f0a6f2dac0947b115bc348760130"
-FILLED_STATE_SHA256 = "c344d64d0c600b2a474521dd3b3a38bd95d2d30bc79aec957df73cd72cbc298f"
+FILLED_STATE_SHA256 = "b7f4f3eb8ba9add3f93ce53ce92ac29838e9c7a87e908bfb414daef6cee1e505"
 FILLED_GCLS_SHA256 = "3c188e03dae1170f154914f6ef0c20b11ab8fc0167405f893d4558ed6c6d879c"
-DRAINED_STATE_SHA256 = "4de6d185ce8ca1c9028503f92ec0cbcdd264ee90cba28de9f533b993d733619a"
+DRAINED_STATE_SHA256 = "9c8b413081b5b6824267d0824c5cc2c09cb71cf06c4dbc424fb11243cb5e3878"
 
 
 def _state_sha256(ws, path) -> str:

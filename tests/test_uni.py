@@ -33,6 +33,7 @@ from tsnfv.uni import (
     decode_routed,
     encode_message,
     encode_routed,
+    reference_point,
 )
 
 
@@ -204,14 +205,14 @@ class TestDispatcher:
         handles = {
             d: CncService(CncState(domain_id=d, topology=topology)) for d in topology.domains
         }
-        return Dispatcher(topology, handles)
+        return Dispatcher(handles)
 
     def test_audit_carries_reference_point(self, cross_topology):
         dispatcher = self._dispatcher(cross_topology)
         dispatcher.dispatch(CapabilityQuery("req-0001"), "d1")
         dispatcher.dispatch(CapabilityQuery("req-0002"), "wan")
         assert [
-            (r.request_id, r.domain_id, r.reference_point)
+            (r.request_id, r.domain_id, reference_point(cross_topology, r.domain_id))
             for r in dispatcher.audit_log
         ] == [("req-0001", "d1", "Or-Vi"), ("req-0002", "wan", "Or-Wi")]
 

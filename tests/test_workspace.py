@@ -75,7 +75,7 @@ class TestPersistence:
         path = tmp_path / "state.json"
         ws.save(path)
         doc = json.loads(path.read_text())
-        assert doc["version"] == 3
+        assert doc["version"] == 4
         assert sorted(doc) == ["audit", "cnc", "counters", "instances", "topology", "version"]
         instance = doc["instances"]["ns-0001"]
         assert sorted(instance) == ["instance_id", "nsd", "placement", "schedules", "status"]

@@ -1,12 +1,16 @@
 """Compare the hashes of a fresh curve run with a committed curve.
 
-Each row of `tools/admission_curve.py` and `tools/state_io_curve.py`
-carries SHA-256 fields (`state_sha256`, the state file it left, and for
-the admission curve `gcl_sha256`, the gate control lists that state
-builds); rows are keyed by their size column. The check fails, naming
-each drifting field and its sizes, when a fresh row's `*_sha256` field
-differs from, or is missing in, the committed row of the same size, or
-when the fresh run has no rows.
+Each row of the three curves carries SHA-256 fields, and rows are keyed
+by their size column:
+- `tools/admission_curve.py`: `state_sha256`, the state file it left,
+  and `gcl_sha256`, the gate control lists that state builds;
+- `tools/state_io_curve.py`: `state_sha256`, the state file it left;
+- `tools/sim_curve.py`: `bg0_report_sha256` and `bg1_report_sha256`, the
+  simulator reports at background load 0 and 1.
+
+The check fails, naming each drifting field and its sizes, when a fresh
+row's `*_sha256` field differs from, or is missing in, the committed row
+of the same size, or when the fresh run has no rows.
 
     python3 tools/check_state_hashes.py COMMITTED FRESH KEY WHAT
 
