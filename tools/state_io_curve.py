@@ -1,24 +1,30 @@
-"""State save/load curve: what saving after a `tsnfv serve` mutation, and
-loading the state file, cost as the audit log grows.
+"""State persistence curve: what a `tsnfv serve` mutation's journal
+append, a checkpoint, and loading the state file with its journal cost as
+the audit log grows.
 
 The script builds the serve_tcp benchmark's pre-filled state (24 fill
 services, 96 streams, from `perfbench/gen.py`), saves and loads it, and
 serves it in process through `_UniServer.handle_line`, the way
-`tsnfv serve` handles each line: a mutation is dispatched, then the state
-is saved. Each round is the benchmark's: one stream request, four
+`tsnfv serve` handles each line: a request is dispatched, and a mutation
+appends its line and the query lines since the last append to the
+journal. Each round is the benchmark's: one stream request, four
 capability queries, and the stream's removal. Every exchange adds one
 audit record. At each row's exchange count, a window of 60 more
-exchanges (20 mutations) is timed, and the row reports the median ms of a
-mutation's `Workspace.save`, the median ms of `Workspace.load` of the file
-left after the window (five loads), its size, and its SHA-256, so that two
-versions of the code can be checked for identical state files.
+exchanges (20 mutations) is timed, and the row reports:
+- the median ms of a mutation's persistence (`Journal.record`);
+- the ms of one checkpoint of the server's workspace;
+- the median ms of five `Workspace.load`s of a state file with a journal
+  of one checkpoint's worth of lines, taken as the server is about to
+  checkpoint it after the row, and the journal's size;
+- the size and SHA-256 of the state as it persists after the window
+  (the file and its journal, loaded and saved), so that two versions of
+  the code can be checked for identical state files.
 
     python3 tools/state_io_curve.py [--max-exchanges 16000] [--out BENCH_state_io.json]
 
 Stdlib only; it reads the package from `src/` and the generators from
 `perfbench/`, and writes nothing but the output file and a temporary
-directory. The first save after the load encodes the whole state; it is
-one of row 0's 20 saves.
+directory.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import sys
 import tempfile
@@ -47,7 +54,7 @@ from tsnfv.uni import (  # noqa: E402
     decode_message,
     encode_routed,
 )
-from tsnfv.workspace import Workspace  # noqa: E402
+from tsnfv.workspace import Workspace, journal_path  # noqa: E402
 
 SEED = 1
 SIZES = (0, 1000, 4000, 16000)
@@ -91,22 +98,33 @@ def lines(topology):
 
 
 def curve(max_exchanges: int, workdir: Path) -> list[dict]:
-    path = workdir / "state.json"
+    path, saved, taken = workdir / "state.json", workdir / "saved.json", workdir / "taken" / "state.json"
+    taken.parent.mkdir()
     prefill(path)
-    ws = Workspace.load(path)
-    save_ms: list[float] = []
-    save = ws.save
+    server = cli._UniServer(("127.0.0.1", 0), Workspace.load(path), str(path))
+    journal = server.journal
+    append_ms: list[float] = []
+    record, checkpoint = journal.record, journal.checkpoint
+    take = False  # copy the state file and its journal at the next checkpoint
 
-    def timed_save(*args):
+    def timed_record(line: bytes, mutation: bool) -> None:
         t0 = time.perf_counter()
-        save(*args)
-        save_ms.append((time.perf_counter() - t0) * 1e3)
+        record(line, mutation)
+        if mutation:
+            append_ms.append((time.perf_counter() - t0) * 1e3)
 
-    ws.save = timed_save  # the server saves through its workspace's attribute
-    server = cli._UniServer(("127.0.0.1", 0), ws, str(path))
+    def taking_checkpoint() -> None:
+        nonlocal take
+        if take:
+            shutil.copyfile(path, taken)
+            shutil.copyfile(journal.path, journal_path(taken))
+            take = False
+        checkpoint()
+
+    journal.record, journal.checkpoint = timed_record, taking_checkpoint
     rows = []
     try:
-        feed = lines(ws.topology)
+        feed = lines(server.workspace.topology)
         done = failed = 0
 
         def play(n: int) -> None:
@@ -116,22 +134,34 @@ def curve(max_exchanges: int, workdir: Path) -> list[dict]:
                 done += 1
 
         for size in (n for n in SIZES if n <= max_exchanges):
+            if size < done:
+                raise SystemExit(f"row {size} comes before the {done} exchanges already played")
             play(size - done)
-            save_ms.clear()
+            append_ms.clear()
             play(WINDOW)
+            records = len(server.workspace.dispatcher.audit_log)
+            Workspace.load(path).save(saved)
+            data = saved.read_bytes()
+            t0 = time.perf_counter()
+            journal.checkpoint()
+            checkpoint_ms = (time.perf_counter() - t0) * 1e3
+            take = True
+            while take:
+                play(1)
             loads = []
             for _ in range(LOADS):
                 t0 = time.perf_counter()
-                Workspace.load(path)
+                Workspace.load(taken)
                 loads.append((time.perf_counter() - t0) * 1e3)
-            data = path.read_bytes()
             rows.append(
                 {
                     "exchanges": size,
-                    "audit_records": len(ws.dispatcher.audit_log),
-                    "saves": len(save_ms),
-                    "save_ms_p50": round(statistics.median(save_ms), 3),
+                    "audit_records": records,
+                    "appends": len(append_ms),
+                    "append_ms_p50": round(statistics.median(append_ms), 3),
+                    "checkpoint_ms": round(checkpoint_ms, 3),
                     "load_ms_p50": round(statistics.median(loads), 3),
+                    "journal_bytes": journal_path(taken).stat().st_size,
                     "state_bytes": len(data),
                     "state_sha256": hashlib.sha256(data).hexdigest(),
                     "failed_exchanges": failed,
@@ -139,8 +169,8 @@ def curve(max_exchanges: int, workdir: Path) -> list[dict]:
             )
             row = rows[-1]
             print(
-                f"{size:>9} {row['audit_records']:>8} {row['save_ms_p50']:>8.3f} "
-                f"{row['load_ms_p50']:>8.3f} {row['state_bytes']:>9}"
+                f"{size:>9} {row['audit_records']:>8} {row['append_ms_p50']:>9.3f} {row['checkpoint_ms']:>8.3f} "
+                f"{row['load_ms_p50']:>8.3f} {row['journal_bytes']:>9} {row['state_bytes']:>9}"
             )
     finally:
         server.server_close()
@@ -153,7 +183,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=str(ROOT / "BENCH_state_io.json"))
     args = parser.parse_args(argv)
 
-    print(f"{'exchanges':>9} {'records':>8} {'save ms':>8} {'load ms':>8} {'bytes':>9}")
+    print(
+        f"{'exchanges':>9} {'records':>8} {'append ms':>9} {'ckpt ms':>8} "
+        f"{'load ms':>8} {'journal':>9} {'bytes':>9}"
+    )
     with tempfile.TemporaryDirectory() as workdir:
         rows = curve(args.max_exchanges, Path(workdir))
     doc = {
