@@ -5,13 +5,18 @@ the dispatcher that realizes the Or-Vi (orchestrator to VIM) and Or-Wi
 (orchestrator to WIM) reference points; an audit record names the target
 domain, whose kind gives the reference point (`reference_point`). In
 process the messages cross as objects; the codec makes bytes only where a
-line crosses TCP (`tsnfv serve` and `UniClient`).
+line crosses TCP (`tsnfv serve` and `UniClient`). Over TCP a connection
+carries any number of exchanges, one at a time: `UniClient` keeps its
+connections open and reuses them, and the server holds one handler
+thread per open connection.
 """
 
 from __future__ import annotations
 
 import json
+import select
 import socket
+import threading
 from dataclasses import dataclass
 
 from .codec import Codec, dump_json
@@ -318,17 +323,70 @@ def decode_routed(line: bytes | str) -> tuple[str, StreamRequest | RemoveStream 
 
 class UniClient:
     """Socket-side counterpart of the service mode: one request per call,
-    strict request/response alternation."""
+    strict request/response alternation on each connection.
+
+    The client keeps its connections open and reuses them. A request takes
+    an idle connection, or opens one, and gives it back once the whole
+    response line is read, so callers on several threads each get their
+    own. An idle connection the server has closed (a stop or a restart) is
+    dropped before a request is sent on it, and the request goes over a
+    new one. A failure once the request is being sent, or a connection
+    closed before the end of the response, raises TransportError: that
+    connection is closed, and the request is never resent, so a mutation
+    is applied at most once. `close()`, or leaving a `with` block, closes
+    the idle connections, and any connection in use when its request ends.
+    """
 
     def __init__(self, host: str, port: int):
         self.address = (host, port)
+        self._lock = threading.Lock()  # guards _idle and _closed
+        self._idle: list[socket.socket] = []
+        self._closed = False
+
+    def __enter__(self) -> UniClient:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for sock in idle:
+            sock.close()
+
+    def _connection(self) -> socket.socket:
+        """An idle connection the server has not closed, or a new one."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    break
+                sock = self._idle.pop()
+            # between exchanges the server sends nothing: a readable idle
+            # connection is one it has closed
+            if not select.select([sock], [], [], 0)[0]:
+                return sock
+            sock.close()
+        return socket.create_connection(self.address, timeout=10.0)
+
+    def _release(self, sock: socket.socket, answered: bool) -> None:
+        """Pool a connection whose exchange completed; close any other."""
+        if answered:
+            with self._lock:
+                if not self._closed:
+                    self._idle.append(sock)
+                    return
+        sock.close()
 
     def request(
         self, msg: StreamRequest | RemoveStream | CapabilityQuery, domain_id: str
     ) -> UniResponse:
         host, port = self.address
+        raw = b""
         try:
-            with socket.create_connection(self.address, timeout=10.0) as sock:
+            sock = self._connection()
+            try:
                 sock.sendall(encode_routed(msg, domain_id))
                 chunks = []
                 while True:
@@ -338,9 +396,11 @@ class UniClient:
                     chunks.append(chunk)
                     if chunk.endswith(b"\n"):
                         break
+                raw = b"".join(chunks)
+            finally:
+                self._release(sock, raw.endswith(b"\n"))
         except OSError as exc:
             raise TransportError(f"UNI transport to {host}:{port} failed: {exc}") from None
-        raw = b"".join(chunks)
         if not raw.endswith(b"\n"):
             raise TransportError(f"connection to {host}:{port} closed mid-response")
         response = decode_message(raw)

@@ -167,7 +167,11 @@ class Workspace:
         extends the file's bytes."""
         path = Path(path)
         data = path.read_bytes()
-        ws = cls.from_doc(load_json(data.decode(), "state file"))
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"state file is not UTF-8: {exc}") from None
+        ws = cls.from_doc(load_json(text, "state file"))
         ws._replay(journal_path(path), data)
         return ws
 

@@ -3,6 +3,7 @@ and the TCP service mode driven through a real subprocess."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import selectors
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 import scenarios as sc
 from tsnfv import cli, cnc, descriptors, uni
-from tsnfv.errors import ValidationError
+from tsnfv.errors import TransportError, ValidationError
 from tsnfv.model import DataFrameSpec, EndpointRef, StreamRequirement, TrafficSpec
 from tsnfv.topology import load_topology, shortest_path, split_by_domain
 from tsnfv.uni import StreamRequest, UniClient, decode_message, encode_routed
@@ -530,11 +532,19 @@ class TestServe:
     def test_wire_admission_and_shutdown(self, files):
         proc, port, state = self._start(files)
         try:
-            client = UniClient("127.0.0.1", port)
-            response = client.request(_probe_request(files["topology"].read_text()), "d1")
+            with UniClient("127.0.0.1", port) as client:
+                response = client.request(_probe_request(files["topology"].read_text()), "d1")
             assert response.status == "ok"
             assert response.domain_id == "d1"
             assert response.schedule.exit_offset_ns == 10_320
+
+            # a client with one connection per request still works: the
+            # wire is one line each way, whatever the connection's life
+            with socket.create_connection(("127.0.0.1", port)) as sock:
+                sock.sendall(encode_routed(uni.CapabilityQuery("req-raw"), "d1"))
+                raw = sock.recv(65536)
+            answer = decode_message(raw)
+            assert (answer.request_id, answer.status) == ("req-raw", "ok")
 
             # garbage must be answered in-band, not dropped
             with socket.create_connection(("127.0.0.1", port)) as sock:
@@ -553,9 +563,8 @@ class TestServe:
     def test_state_matches_in_process_admission(self, files):
         proc, port, state = self._start(files)
         try:
-            UniClient("127.0.0.1", port).request(
-                _probe_request(files["topology"].read_text()), "d1"
-            )
+            with UniClient("127.0.0.1", port) as client:
+                client.request(_probe_request(files["topology"].read_text()), "d1")
         finally:
             self._stop(proc)
 
@@ -575,10 +584,10 @@ class TestServe:
         proc, port, state = self._start(files, state_name=files["state"].name)
         try:
             assert state == files["state"]
-            client = UniClient("127.0.0.1", port)
             assert state.read_bytes() == golden
             assert state.stat().st_mtime_ns == before.st_mtime_ns
-            response = client.request(_probe_request(files["topology"].read_text()), "d1")
+            with UniClient("127.0.0.1", port) as client:
+                response = client.request(_probe_request(files["topology"].read_text()), "d1")
             assert response.status == "ok"
             assert "cli~probe" in Workspace.load(state).states["d1"].admitted
             assert state.read_bytes() == golden  # the admission is in the journal
@@ -594,9 +603,9 @@ class TestServe:
         queries = [uni.CapabilityQuery(f"query-{k}") for k in range(3)]
         proc, port, state = self._start(files, state_name=files["state"].name)
         try:
-            client = UniClient("127.0.0.1", port)
-            for msg in [probe, *queries]:
-                assert client.request(msg, "d1").status == "ok"
+            with UniClient("127.0.0.1", port) as client:
+                for msg in [probe, *queries]:
+                    assert client.request(msg, "d1").status == "ok"
         finally:
             self._stop(proc)
         after = [r.request_id for r in Workspace.load(state).dispatcher.audit_log]
@@ -620,9 +629,9 @@ class TestServe:
         msgs += [replace(probe, request_id="add-last"), uni.CapabilityQuery("query-lost")]
         proc, port, state = self._start(files, state_name=files["state"].name)
         try:
-            client = UniClient("127.0.0.1", port)
-            for msg in msgs:
-                assert client.request(msg, "d1").status == "ok"
+            with UniClient("127.0.0.1", port) as client:
+                for msg in msgs:
+                    assert client.request(msg, "d1").status == "ok"
         finally:
             self._kill(proc)
         capsys.readouterr()
@@ -640,6 +649,21 @@ class TestServe:
         local.save(before)
         assert state.read_bytes() == before.read_bytes()
 
+    def test_an_idle_connection_does_not_hold_up_shutdown(self, files):
+        """SIGTERM stops a server while a client keeps its connection open:
+        the server exits 0 and checkpoints, and the client then drops the
+        closed connection and fails to reach the stopped server."""
+        proc, port, state = self._start(files)
+        with UniClient("127.0.0.1", port) as client:
+            try:
+                assert client.request(_probe_request(files["topology"].read_text()), "d1").status == "ok"
+            finally:
+                self._stop(proc)
+            with pytest.raises(TransportError, match="failed"):
+                client.request(uni.CapabilityQuery("req-late"), "d1")
+        assert not journal_path(state).exists()
+        assert "cli~probe" in Workspace.load(state).states["d1"].admitted
+
     def test_bad_listen_spec(self, files, capsys):
         assert run("serve", "--listen", "nonsense") == 1
         assert "must be host:port" in capsys.readouterr().err
@@ -653,6 +677,160 @@ class TestServe:
         assert run("serve", "--listen", spec, "--topology", files["topology"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: --listen must be host:port, got {spec!r}"]
+
+
+class _CountingServer(cli._UniServer):
+    """A server for a new workspace on the topology, serving on a thread
+    and counting the connections it accepts. stop() also ends the open
+    connections, as the exit of a `tsnfv serve` process does."""
+
+    def __init__(self, topology: str, port: int = 0):
+        self.accepted: list[socket.socket] = []
+        super().__init__(("127.0.0.1", port), Workspace(load_topology(topology)), None)
+        self.serving = threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.01})
+        self.serving.start()
+
+    def process_request(self, request, client_address):
+        self.accepted.append(request)
+        super().process_request(request, client_address)
+
+    def requests(self) -> list[str]:
+        return [record.request_id for record in self.workspace.dispatcher.audit_log]
+
+    def stop(self) -> None:
+        if not self.serving.is_alive():
+            return
+        self.shutdown()
+        self.serving.join(timeout=10)
+        assert not self.serving.is_alive()
+        self.server_close()
+        for sock in self.accepted:
+            with contextlib.suppress(OSError):  # its handler has closed it
+                sock.shutdown(socket.SHUT_RDWR)
+
+
+class _HangUp(cli._UniHandler):
+    """Handles the first request line and closes without answering."""
+
+    def handle(self):
+        self.server.handle_line(self.rfile.readline())
+
+
+class _Late(cli._UniHandler):
+    """Handles the first request line and answers it after the client has
+    stopped waiting."""
+
+    def handle(self):
+        out = self.server.handle_line(self.rfile.readline())
+        time.sleep(0.5)
+        with contextlib.suppress(OSError):  # the client has closed the connection
+            self.wfile.write(out)
+
+
+class TestClientConnections:
+    """`UniClient` keeps its connections and reuses them, never across a
+    failed exchange, and never sends a request twice."""
+
+    @pytest.fixture()
+    def serve(self, files):
+        servers = []
+
+        def start(port: int = 0) -> _CountingServer:
+            servers.append(_CountingServer(files["topology"].read_text(), port))
+            return servers[-1]
+
+        yield start
+        for server in servers:
+            server.stop()
+
+    def test_sequential_requests_share_one_connection(self, files, serve):
+        server = serve()
+        probe = _probe_request(files["topology"].read_text())
+        msgs = [probe, *(uni.CapabilityQuery(f"query-{k}") for k in range(4))]
+        msgs.append(uni.RemoveStream("remove", probe.requirement.stream_id))
+        with UniClient(*server.server_address[:2]) as client:
+            for msg in msgs:
+                assert client.request(msg, "d1").status == "ok"
+        assert len(server.accepted) == 1
+        assert server.requests() == [msg.request_id for msg in msgs]
+
+    def test_a_restarted_server_is_reached_on_a_new_connection(self, files, serve):
+        first = serve()
+        host, port = first.server_address[:2]
+        probe = _probe_request(files["topology"].read_text())
+        with UniClient(host, port) as client:
+            assert client.request(uni.CapabilityQuery("req-1"), "d1").status == "ok"
+            first.stop()
+            second = serve(port)
+            assert client.request(probe, "d1").status == "ok"
+        assert (len(first.accepted), len(second.accepted)) == (1, 1)
+        assert first.requests() == ["req-1"]
+        assert second.requests() == [probe.request_id]
+
+    @pytest.mark.parametrize("handler", [_HangUp, _Late], ids=["hang-up", "late"])
+    def test_a_failed_exchange_is_not_resent_and_its_connection_not_reused(
+        self, files, serve, monkeypatch, handler
+    ):
+        """The first request is handled but not answered in time: it raises
+        TransportError, and the next request goes over a new connection
+        and gets its own answer."""
+        real = socket.create_connection
+        monkeypatch.setattr(socket, "create_connection", lambda address, timeout: real(address, timeout=0.2))
+        server = serve()
+        probe = _probe_request(files["topology"].read_text())
+        with UniClient(*server.server_address[:2]) as client:
+            server.RequestHandlerClass = handler
+            with pytest.raises(TransportError):
+                client.request(probe, "d1")
+            server.RequestHandlerClass = cli._UniHandler
+            response = client.request(uni.CapabilityQuery("req-2"), "d1")
+        assert (response.request_id, response.status) == ("req-2", "ok")
+        assert len(server.accepted) == 2
+        assert server.requests() == [probe.request_id, "req-2"]
+
+    def test_a_connection_in_use_at_close_is_closed_after_its_request(self, serve):
+        server = serve()
+        server.RequestHandlerClass = _Late
+        answers = []
+        client = UniClient(*server.server_address[:2])
+        asking = threading.Thread(target=lambda: answers.append(client.request(uni.CapabilityQuery("req-1"), "d1")))
+        asking.start()
+        deadline = time.monotonic() + 10
+        while not server.accepted and time.monotonic() < deadline:
+            time.sleep(0.01)
+        client.close()
+        asking.join(timeout=10)
+        assert not asking.is_alive()
+        assert [answer.request_id for answer in answers] == ["req-1"]
+        assert client._idle == []
+
+    def test_threads_sharing_a_client_each_get_a_connection(self, serve):
+        """Four threads share one client, switching as often as the
+        interpreter allows: each request gets its own answer, and the
+        client never holds more connections than requests in flight."""
+        server = serve()
+        answers = {}
+
+        def play(client: UniClient, t: int) -> None:
+            for n in range(25):
+                rid = f"req-{t}-{n}"
+                answers[rid] = client.request(uni.CapabilityQuery(rid), "d1").request_id
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with UniClient(*server.server_address[:2]) as client:
+                threads = [threading.Thread(target=play, args=(client, t)) for t in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(answers) == 100
+        assert all(rid == answer for rid, answer in answers.items())
+        assert 1 <= len(server.accepted) <= 4
 
 
 class TestServeLines:
@@ -904,10 +1082,9 @@ class TestJournal:
         ws = Workspace(load_topology(topology))
         server = cli._UniServer(("127.0.0.1", 0), ws, str(files["state"]))
         serving = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
-        client = UniClient(*server.server_address[:2])
         answered = []
 
-        def play(t: int) -> None:
+        def play(client: UniClient, t: int) -> None:
             stream = replace(probe.requirement, stream_id=f"t{t}")
             for n in range(10):
                 for msg in (replace(probe, request_id=f"add-{t}-{n}", requirement=stream),
@@ -918,11 +1095,12 @@ class TestJournal:
         sys.setswitchinterval(1e-6)
         try:
             serving.start()
-            clients = [threading.Thread(target=play, args=(t,)) for t in range(4)]
-            for thread in clients:
-                thread.start()
-            for thread in clients:
-                thread.join(timeout=30)
+            with UniClient(*server.server_address[:2]) as client:
+                clients = [threading.Thread(target=play, args=(client, t)) for t in range(4)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in clients)
         finally:
             sys.setswitchinterval(interval)
@@ -1044,6 +1222,11 @@ class TestMalformedInput:
         doc = json.loads(files["state"].read_text())
         edit(doc)
         files["state"].write_text(json.dumps(doc))
+
+    def test_state_file_that_is_not_utf8(self, files, capsys):
+        files["state"].write_bytes(b"\xff\xfe{}")
+        assert run("show", "audit", "--state", files["state"]) == 1
+        assert self._single_error(capsys).startswith("error: state file is not UTF-8: ")
 
     def test_state_with_empty_instance(self, files, capsys):
         instantiate_demo(files)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -61,6 +62,7 @@ SIZES = (0, 1000, 4000, 16000)
 WINDOW = 60  # timed exchanges per row: ten rounds, 20 mutations
 LOADS = 5
 QUERIES = 4  # capability queries per round, as in serve_tcp
+ROUND = QUERIES + 2  # exchanges per round
 
 
 def prefill(path: Path) -> None:
@@ -74,27 +76,26 @@ def prefill(path: Path) -> None:
     ws.save(path)
 
 
+def round_messages(topology, r: int) -> list:
+    """Round r of the serve_tcp client: a stream request, the capability
+    queries and the stream's removal, with request ids `io-<n>` numbered
+    on from round 0."""
+    nsd, placement = gen.serve_stream_service(SEED, r)
+    req = descriptors.derive_streams(
+        descriptors.parse_nsd(json.dumps(nsd)), descriptors.parse_placement(json.dumps(placement))
+    )[0]
+    hops = tuple(shortest_path(topology, req.talker.node_id, req.listener.node_id).hops)
+    rids = (f"io-{ROUND * r + k:06d}" for k in range(1, ROUND + 1))
+    msgs = [StreamRequest(next(rids), req, hops, req.traffic.max_latency_ns)]
+    msgs += [CapabilityQuery(next(rids)) for _ in range(QUERIES)]
+    msgs.append(RemoveStream(next(rids), req.stream_id))
+    return msgs
+
+
 def lines(topology):
     """The serve_tcp client's request lines, round after round."""
-    seq = 0
-
-    def rid() -> str:
-        nonlocal seq
-        seq += 1
-        return f"io-{seq:06d}"
-
-    r = 0
-    while True:
-        nsd, placement = gen.serve_stream_service(SEED, r)
-        req = descriptors.derive_streams(
-            descriptors.parse_nsd(json.dumps(nsd)), descriptors.parse_placement(json.dumps(placement))
-        )[0]
-        hops = tuple(shortest_path(topology, req.talker.node_id, req.listener.node_id).hops)
-        msgs = [StreamRequest(rid(), req, hops, req.traffic.max_latency_ns)]
-        msgs += [CapabilityQuery(rid()) for _ in range(QUERIES)]
-        msgs.append(RemoveStream(rid(), req.stream_id))
-        yield from (encode_routed(msg, "d1") for msg in msgs)
-        r += 1
+    for r in itertools.count():
+        yield from (encode_routed(msg, "d1") for msg in round_messages(topology, r))
 
 
 def curve(max_exchanges: int, workdir: Path) -> list[dict]:
