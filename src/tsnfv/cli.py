@@ -90,9 +90,13 @@ def _build_parser() -> _ArgumentParser:
 
 def _read(path: str, what: str) -> str:
     try:
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from None
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} file {path} is not UTF-8: {exc}") from None
 
 
 def _open_workspace(state_path: str, topology_path: str | None) -> Workspace:

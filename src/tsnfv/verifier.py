@@ -12,6 +12,18 @@ highest-numbered open-gate non-empty class transmits, and only if it fits
 entirely before that gate next closes. Frames that do not fit wait; there
 is no preemption and no fragmentation. Store-and-forward with a constant
 per-bridge processing delay.
+
+`simulate`'s event loop is the reference. A verification runs it at
+background load 0 (the quiet run), which also records when scheduled
+frames reach and leave each port. Its loaded runs first replay each port
+alone against that record, since best-effort frames never leave their
+port: ports meet only through scheduled arrivals, and an arrival lands
+strictly after the transmit that sent it, so restricted to one port the
+loop's order is (time, pusher time, the port's own push order). Where
+every port departs as in the quiet run, the replays are the loaded run,
+port by port. Where a departure differs, or a scheduled arrival ties
+another event of its port on time and pusher time, an order no port sees,
+the loaded run takes the full event loop instead. See `_Plan`.
 """
 
 from __future__ import annotations
@@ -40,6 +52,9 @@ from .topology import Topology
 # fail verification, only scheduled traffic carries guarantees.
 BG_QUEUE_CAP = 64
 BE_CLASS = 0
+
+# A class whose open runs `_Gates` has not laid yet.
+_UNLAID = object()
 
 
 @dataclass(frozen=True)
@@ -127,44 +142,53 @@ class _Gates:
 
     Each class keeps its run starts in ascending order and the matching
     run ends. A run that wraps the cycle boundary is stored last, with its
-    end past the cycle; so a query finds its run by bisection."""
+    end past the cycle; so a query finds its run by bisection. A class's
+    runs are laid on first use: a run asks only about the classes of the
+    flows that cross the port, and best effort's."""
 
     def __init__(self, gcl: GateControlList | None):
+        self.gcl = gcl
         self.cycle = gcl.cycle_ns if gcl else 0
         self.starts: list[list[int]] = [[] for _ in range(8)]
         self.ends: list[list[int]] = [[] for _ in range(8)]
         # Longest open run per class; None means always open.
-        self.longest: list[int | None] = [None] * 8
-        if gcl is None:
-            return
-        for cls in range(8):
-            starts, ends = self.starts[cls], self.ends[cls]
-            t = 0
-            for entry in gcl.entries:
-                if entry.gate_states >> cls & 1:
-                    if ends and ends[-1] == t:
-                        ends[-1] += entry.interval_ns
-                    else:
-                        starts.append(t)
-                        ends.append(t + entry.interval_ns)
-                t += entry.interval_ns
-            if len(starts) > 1 and starts[0] == 0 and ends[-1] == self.cycle:
-                del starts[0]
-                ends[-1] += ends.pop(0)
-            if not starts:
-                self.longest[cls] = 0
-            elif ends[0] - starts[0] < self.cycle:
-                self.longest[cls] = max(e - s for s, e in zip(starts, ends))
+        self.longest: list[object] = [_UNLAID if gcl else None] * 8
+
+    def _lay(self, cls: int) -> int | None:
+        starts, ends = self.starts[cls], self.ends[cls]
+        t = 0
+        for entry in self.gcl.entries:
+            if entry.gate_states >> cls & 1:
+                if ends and ends[-1] == t:
+                    ends[-1] += entry.interval_ns
+                else:
+                    starts.append(t)
+                    ends.append(t + entry.interval_ns)
+            t += entry.interval_ns
+        if len(starts) > 1 and starts[0] == 0 and ends[-1] == self.cycle:
+            del starts[0]
+            ends[-1] += ends.pop(0)
+        longest = None
+        if not starts:
+            longest = 0
+        elif ends[0] - starts[0] < self.cycle:
+            longest = max(e - s for s, e in zip(starts, ends))
+        self.longest[cls] = longest
+        return longest
 
     def max_run(self, cls: int) -> int | None:
         """Longest open run; None means always open."""
-        return self.longest[cls]
+        longest = self.longest[cls]
+        return self._lay(cls) if longest is _UNLAID else longest
 
     def span(self, cls: int, t: int) -> tuple[int | None, int | None]:
         """(start, end) of the open run that holds t, or else of the next
         one. start <= t means open at t, with end the next close (None if
         the gate never closes); start None means the gate never opens."""
-        if self.longest[cls] is None:
+        longest = self.longest[cls]
+        if longest is _UNLAID:
+            longest = self._lay(cls)
+        if longest is None:
             return t, None
         starts = self.starts[cls]
         if not starts:
@@ -200,13 +224,15 @@ class _Frame:
 class _Port:
     """One egress port: its class queues, the time its wire frees up, the
     time of its one pending transmit wakeup, and where a frame sent on it
-    arrives. Also what a run fixes once: a full-size best-effort frame's
-    wire time, whether any class-0 run can carry one, the classes that can
-    queue here, highest first, and the background arrival gaps."""
+    arrives. Also what a verification fixes once: a full-size best-effort
+    frame's wire time, whether any class-0 run can carry one, and the
+    classes of the flows that cross it; and what a run fixes: the classes
+    that can queue here, highest first, and the background arrival gaps."""
 
     __slots__ = (
         "key", "speed", "gates", "queues", "busy_until", "wake_at", "violations",
-        "peer_node", "propagation_ns", "peer_delay_ns", "be_wire", "be_fits", "classes", "gaps",
+        "peer_node", "propagation_ns", "peer_delay_ns", "be_wire", "be_fits",
+        "flow_classes", "classes", "gaps",
     )
 
     def __init__(self, key: str, topology: Topology, gates: _Gates):
@@ -216,17 +242,25 @@ class _Port:
         self.key = key
         self.speed = link.speed_bps
         self.gates = gates
-        self.queues: list[deque[_Frame | None]] = [deque() for _ in range(8)]
-        self.busy_until = 0
-        self.wake_at: int | None = None
-        self.violations = 0
         self.peer_node = link.peer_of(key.split(".", 1)[0])[0]
         self.propagation_ns = link.propagation_ns
         self.peer_delay_ns = topology.node(self.peer_node).forwarding_delay_ns
         self.be_wire = wire_occupancy(MAX_FRAME_BYTES, self.speed)
         cap = gates.max_run(BE_CLASS)
         self.be_fits = cap is None or self.be_wire <= cap
-        self.classes: tuple[int, ...] = ()
+        self.flow_classes: set[int] = set()
+        self.reset(background=False)
+
+    def reset(self, background: bool) -> None:
+        """Empty queues and an idle wire, for a new run. Only the classes
+        of the flows that cross the port, and best effort's under
+        background load, ever queue here, so a transmit scans no others."""
+        self.queues: list[deque[_Frame | None]] = [deque() for _ in range(8)]
+        self.busy_until = 0
+        self.wake_at: int | None = None
+        self.violations = 0
+        classes = (self.flow_classes | {BE_CLASS}) if background else self.flow_classes
+        self.classes: tuple[int, ...] = tuple(sorted(classes, reverse=True))
         self.gaps: Iterator[int] | None = None
 
 
@@ -246,11 +280,57 @@ def _gaps(rng: random.Random, base: int) -> Iterator[int]:
         yield least + r
 
 
+def _build(
+    topology: Topology, gcls: dict[str, GateControlList], flows: list[ScheduledFlow]
+) -> tuple[dict[str, _Port], list[list[tuple[_Port, int, bool]]]]:
+    """Every port a run can use, in sorted order, and each flow's hops
+    resolved once: the port, the frame's wire time there, and whether an
+    open run of its class can ever carry it (a frame that none can carry
+    is lost at that hop)."""
+    port_keys = set(topology.all_port_keys()) | set(gcls)
+    for flow in flows:
+        for port in flow.ports:
+            if topology.link_at(port) is None:
+                raise ValidationError(f"flow {flow.requirement.stream_id}: unknown port {port}")
+            port_keys.add(port)
+    ports = {key: _Port(key, topology, _Gates(gcls.get(key))) for key in sorted(port_keys)}
+    routes = []
+    for flow in flows:
+        pcp = flow.requirement.frame.pcp
+        route = []
+        for key in flow.ports:
+            port = ports[key]
+            port.flow_classes.add(pcp)
+            wire = wire_occupancy(flow.requirement.traffic.max_frame_bytes, port.speed)
+            cap = port.gates.max_run(pcp)
+            route.append((port, wire, cap is None or wire <= cap))
+        routes.append(route)
+    return ports, routes
+
+
+def _background(ports: dict[str, _Port], cfg: SimConfig) -> list[tuple[_Port, int, Iterator[int]]]:
+    """One seeded background arrival chain per port, in sorted port order:
+    the port, its first arrival and the gaps after it."""
+    chains = []
+    for idx, port in enumerate(ports.values()):
+        rng = random.Random(cfg.seed * 1_000_003 + idx)
+        try:
+            base = max(1, round(port.be_wire / cfg.bg_load))
+        except OverflowError:
+            raise SimConfigError(
+                f"bg_load {cfg.bg_load!r} is too small: the gap between "
+                f"background frames on {port.key} overflows"
+            ) from None
+        chains.append((port, rng.randrange(0, base + 1), _gaps(rng, base)))
+    return chains
+
+
 def simulate(
     topology: Topology,
     gcls: dict[str, GateControlList],
     flows: list[ScheduledFlow],
     cfg: SimConfig,
+    _plan: _Plan | None = None,
 ) -> SimReport:
     """Run the event simulation and collect the report. Deterministic for
     fixed inputs and seed.
@@ -259,7 +339,11 @@ def simulate(
     one only when it is earlier than the pending one, and a popped tx
     event whose time is no longer the port's pending time is dropped.
     Events run in (time, push order); the hot branches, a background
-    arrival and a transmit, do their wakeups inline."""
+    arrival and a transmit, do their wakeups inline.
+
+    `_plan` is `verify_ns`'s: its runs share the ports, its quiet run
+    records the scheduled traffic, and its loaded runs first replay each
+    port alone against that record (see `_Plan`)."""
     report = SimReport()
     for flow in flows:
         report.streams[flow.requirement.stream_id] = StreamReport(
@@ -275,39 +359,22 @@ def simulate(
     t_end = cfg.duration_cycles * sim_cycle
     report.duration_ns = t_end
 
-    port_keys = set(topology.all_port_keys()) | set(gcls)
-    for flow in flows:
-        for port in flow.ports:
-            if topology.link_at(port) is None:
-                raise ValidationError(f"flow {flow.requirement.stream_id}: unknown port {port}")
-            port_keys.add(port)
-
-    ports: dict[str, _Port] = {
-        key: _Port(key, topology, _Gates(gcls.get(key))) for key in sorted(port_keys)
-    }
-    # Each flow's hops, resolved once: the port, the frame's wire time
-    # there, and whether an open run of its class can ever carry it (a
-    # frame that none can carry is lost at that hop). Only the classes of
-    # the flows that cross a port, and best effort's, ever queue there, so
-    # a transmit scans no others.
-    classes = {key: {BE_CLASS} if cfg.bg_load > 0 else set() for key in ports}
-    routes = []
-    for flow in flows:
-        pcp = flow.requirement.frame.pcp
-        route = []
-        for key in flow.ports:
-            port = ports[key]
-            classes[key].add(pcp)
-            wire = wire_occupancy(flow.requirement.traffic.max_frame_bytes, port.speed)
-            cap = port.gates.max_run(pcp)
-            route.append((port, wire, cap is None or wire <= cap))
-        routes.append(route)
-    for key, port in ports.items():
-        port.classes = tuple(sorted(classes[key], reverse=True))
+    if _plan is None or _plan.ports is None:
+        ports, routes = _build(topology, gcls, flows)
+        if _plan is not None:
+            _plan.ports, _plan.routes = ports, routes
+    else:
+        ports, routes = _plan.ports, _plan.routes
+    for port in ports.values():
+        port.reset(background=cfg.bg_load > 0)
+    if cfg.bg_load > 0 and _plan is not None and _plan.replay(report, _background(ports, cfg), t_end):
+        return report
 
     released = [0] * len(flows)
     recs = [report.streams[flow.requirement.stream_id] for flow in flows]
     be_sent = be_dropped = 0
+    # the quiet run of a plan records each scheduled transmit
+    sent = [] if _plan is not None and cfg.bg_load == 0 else None
 
     # Looked up per run: a push counter may stand in for the module's `heapq`.
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -332,17 +399,9 @@ def simulate(
 
     # Background sources: one seeded arrival chain per port.
     if cfg.bg_load > 0:
-        for idx, port in enumerate(ports.values()):
-            rng = random.Random(cfg.seed * 1_000_003 + idx)
-            try:
-                base = max(1, round(port.be_wire / cfg.bg_load))
-            except OverflowError:
-                raise SimConfigError(
-                    f"bg_load {cfg.bg_load!r} is too small: the gap between "
-                    f"background frames on {port.key} overflows"
-                ) from None
-            heappush(heap, (rng.randrange(0, base + 1), next(seq), "bg", port))
-            port.gaps = _gaps(rng, base)
+        for port, first, gaps in _background(ports, cfg):
+            heappush(heap, (first, next(seq), "bg", port))
+            port.gaps = gaps
 
     while heap:
         t, _, action, payload = heappop(heap)
@@ -421,6 +480,8 @@ def simulate(
         if frame is None:
             be_sent += 1
             continue
+        if sent is not None:
+            sent.append((port, t, frame.flow, frame.release_tick, frame.hop))
         flow = flows[frame.flow]
         peer_node = port.peer_node
         arrival = t + wire + port.propagation_ns
@@ -449,7 +510,349 @@ def simulate(
         rec.dropped_frames = count - rec.observed_frame_count
     report.be_sent, report.be_dropped = be_sent, be_dropped
     report.gate_violations = {key: p.violations for key, p in ports.items()}
+    if sent is not None:
+        _plan.learn(flows, sent, report, t_end)
     return report
+
+
+# A time after every event of a run.
+_NEVER = 1 << 62
+
+
+class _Plan:
+    """What the quiet run of one verification fixes for its loaded runs.
+
+    The runs share the ports and each flow's hops, built once. The quiet
+    run records, per port, the scheduled arrivals it enqueued and the
+    scheduled departures it made, in order. An arrival carries its time,
+    its pusher time (the time of the upstream transmit that sent it, or -1
+    for a release), its set-up order, class, burst size and wire time, and
+    the frame's flow, release tick and hop.
+
+    A loaded run then replays each port alone on those arrivals plus the
+    port's own background chain (`_replay_port`). Events on different
+    ports meet only through arrivals, and an arrival lands strictly after
+    the transmit that pushed it, so a port's events run in the global
+    order (time, push order) exactly when they run in (time, pusher time,
+    the port's own push order). If every port then departs as in the
+    quiet run, by induction on time each replay is the loaded run
+    restricted to its port, and the loaded report is the quiet run's
+    streams with the background counts summed. Otherwise `simulate` runs
+    the full event loop.
+
+    The order is not fixed, and the plan falls back, where a scheduled
+    arrival ties another event of its port on both time and pusher time,
+    since two ports' events at one time run in an order no port sees.
+    Two such ties commute and are exempt: an arrival with a background
+    arrival, and two arrivals of different classes; each appends to its
+    own queue and both wake the port to the same time. Two same-class
+    arrivals that tie decide their FIFO order, so such a record is never
+    replayed; nor is one with a class-0 flow, whose frames share best
+    effort's queue."""
+
+    __slots__ = ("ports", "routes", "t_end", "arrivals", "departures", "streams", "replays", "fallbacks")
+
+    def __init__(self):
+        self.ports: dict[str, _Port] | None = None
+        self.routes: list[list[tuple[_Port, int, bool]]] = []
+        self.t_end = 0
+        self.arrivals: dict[str, list[tuple]] | None = None
+        self.departures: dict[str, list[tuple[int, tuple[int, int, int]]]] = {}
+        self.streams: list[tuple[int, int, int]] = []
+        self.replays = self.fallbacks = 0  # loaded runs by path, for tests
+
+    def learn(self, flows: list[ScheduledFlow], sent: list[tuple], report: SimReport, t_end: int) -> None:
+        """Record the quiet run: `sent` holds its scheduled transmits as
+        (port, time, flow, release tick, hop), in order."""
+        routes = self.routes
+        self.t_end = t_end
+        self.streams = [
+            (rec.observed_worst_latency_ns, rec.observed_frame_count, rec.dropped_frames)
+            for rec in report.streams.values()
+        ]
+        if any(flow.requirement.frame.pcp == BE_CLASS for flow in flows):
+            return
+        arrivals: dict[str, list[tuple]] = {key: [] for key in self.ports}
+        departures: dict[str, list] = {key: [] for key in self.ports}
+        order = 0  # releases are pushed first, in this order
+        for i, flow in enumerate(flows):
+            traffic, cls = flow.requirement.traffic, flow.requirement.frame.pcp
+            port, wire, fits = routes[i][0]
+            for k in range(t_end // traffic.period_ns):
+                tick = k * traffic.period_ns
+                if fits:
+                    arrivals[port.key].append(
+                        (flow.release_offset_ns + tick, -1, order, cls, traffic.frames_per_period, wire, (i, tick, 0))
+                    )
+                order += 1
+        for port, t, i, tick, hop in sent:
+            departures[port.key].append((t, (i, tick, hop)))
+            route = routes[i]
+            if hop + 1 < len(route):
+                nxt, wire, fits = route[hop + 1]
+                if fits:
+                    arrive = t + route[hop][1] + port.propagation_ns + port.peer_delay_ns
+                    cls = flows[i].requirement.frame.pcp
+                    arrivals[nxt.key].append((arrive, t, 0, cls, 1, wire, (i, tick, hop + 1)))
+        for entries in arrivals.values():
+            entries.sort()
+            for a, b in zip(entries, entries[1:]):
+                if a[1] >= 0 and a[:2] == b[:2] and a[3] == b[3]:
+                    return  # a same-class tie: FIFO order is the ports' order
+        self.arrivals, self.departures = arrivals, departures
+
+    def replay(self, report: SimReport, chains, t_end: int) -> bool:
+        """Fill `report` from per-port replays of a loaded run; False, and
+        `report` untouched, where the full event loop must run instead."""
+        if self.arrivals is None or t_end != self.t_end:
+            self.fallbacks += 1
+            return False
+        be_sent = be_dropped = 0
+        for port, first, gaps in chains:
+            times = list(itertools.takewhile(t_end.__gt__, itertools.accumulate(gaps, initial=first)))
+            counts = _replay_port(port, self.arrivals[port.key], self.departures[port.key], times)
+            if counts is None:
+                self.fallbacks += 1
+                return False
+            be_sent += counts[0]
+            be_dropped += counts[1]
+        self.replays += 1
+        for rec, (worst, count, dropped) in zip(report.streams.values(), self.streams):
+            rec.observed_worst_latency_ns = worst
+            rec.observed_frame_count = count
+            rec.dropped_frames = dropped
+        report.be_sent, report.be_dropped = be_sent, be_dropped
+        report.gate_violations = {key: p.violations for key, p in self.ports.items()}
+        return True
+
+
+def _replay_port(
+    port: _Port, arrivals: list[tuple], departures: list, bg_times: list[int]
+) -> tuple[int, int] | None:
+    """One port of a loaded run, alone: its recorded scheduled arrivals
+    and its background arrival times, under the event loop's rules. Events
+    run in (time, pusher time, push order); an arrival goes first on equal
+    time and pusher time. Returns (best-effort frames sent, dropped), or
+    None where a scheduled departure differs from the quiet run's or an
+    arrival ties a pending transmit on time and pusher time."""
+    heappush, heappop = heapq.heappush, heapq.heappop
+    span = port.gates.span
+    be_wire = port.be_wire
+    cap = BG_QUEUE_CAP if port.be_fits else 0
+    scheduled = tuple(sorted(port.flow_classes, reverse=True))
+    queues: list[deque[tuple[int, tuple]]] = [deque() for _ in range(8)]
+    queued = waiting = 0  # scheduled and best-effort frames queued
+    busy = 0
+    wake_at = None
+    heap: list[tuple[int, int, int]] = []  # transmits: (time, pusher time, push order)
+    order = 1
+    next_background = iter([*bg_times, _NEVER]).__next__
+    tb, pb, ob = next_background(), -1, 0
+    dropped = matched = 0
+    ia, na = 0, len(arrivals)
+    ta, pa = arrivals[0][:2] if na else (_NEVER, _NEVER)
+    # Class 0 is closed over [lo, opens_0) and open over [opens_0,
+    # closes_0); a full-size frame fits from fit_lo to fit_hi.
+    lo = opens_0 = closes_0 = fit_hi = now = 0
+    fit_lo = 1
+    while True:
+        # the earlier of the next background arrival and the pending wakeup
+        head = tb if wake_at is None or tb < wake_at else wake_at
+        if head < ta and (head == tb or not queued) and all(e[0] == wake_at or e[0] < busy for e in heap):
+            # Every transmit entry is for the pending time or dead (a
+            # wakeup is never before `busy`), and no queued scheduled class
+            # opens before `sched_open`: until then a transmit chooses as
+            # if only best effort were queued, with one more time to wake
+            # at. Run without the heap until a scheduled arrival or
+            # `sched_open`, keeping the first entry as (tx, px, ox) (all
+            # _NEVER when none) and the others in `dups`. While a blocked
+            # head waits for tx, a background arrival wakes the port at
+            # once; that transmit finds the head blocked until tx again
+            # and pushes a second entry for tx. Once the first entry sends
+            # a frame, the others are dead.
+            sched_open = _NEVER
+            if queued:
+                for cls in scheduled:
+                    if queues[cls]:
+                        start = span(cls, now)[0]
+                        if start < sched_open:
+                            sched_open = start
+            dups = sorted(e for e in heap if e[0] == wake_at)
+            tx, px, ox = dups.pop(0) if dups else (_NEVER, _NEVER, _NEVER)
+            while True:
+                while busy == tx:
+                    # Sending back to back: an arrival before the next
+                    # transmit and the next scheduled arrival wakes nothing,
+                    # and a head that fits goes at once. Ties, gate edges
+                    # and an empty queue take the steps below.
+                    limit = tx if tx < ta else ta
+                    while tb < limit:
+                        if waiting < cap:
+                            waiting += 1
+                        else:
+                            dropped += 1
+                        pb, ob = tb, order
+                        order += 1
+                        tb = next_background()
+                    if tb == tx or ta <= tx or tx >= sched_open or not waiting or not fit_lo <= tx <= fit_hi:
+                        break
+                    if dups:
+                        dups.clear()
+                    waiting -= 1
+                    now = tx
+                    busy = tx = now + be_wire
+                    px, ox = now, order
+                    order += 1
+                if tb < tx or (tb == tx and (pb < px or (pb == px and ob < ox))):
+                    if tb >= ta and (tb > ta or pa <= pb or tb == _NEVER):
+                        break  # the arrival first, or the chain has ended
+                    now = tb
+                    if waiting < cap:
+                        if busy < tx and now < tx:
+                            if tx == _NEVER:
+                                tx, px, ox = busy if now < busy else now, now, order
+                                order += 1
+                            elif ta > now and waiting:
+                                # pushed in order: the wakeup, popped at once,
+                                # the next arrival, and the second entry
+                                waiting += 1
+                                tb = next_background()
+                                pb, ob = now, order + 1
+                                dups.append((tx, now, order + 2))
+                                order += 3
+                                continue
+                            else:
+                                break
+                        waiting += 1
+                    else:
+                        dropped += 1
+                    tb = next_background()
+                    pb, ob = now, order
+                    order += 1
+                    continue
+                if ta <= tx and (ta < tx or pa <= px) or tx >= sched_open:
+                    break
+                now = tx
+                if waiting and fit_lo <= now <= fit_hi:
+                    if dups:
+                        dups.clear()
+                    waiting -= 1
+                    busy = tx = now + be_wire
+                    px, ox = now, order
+                    order += 1
+                    continue
+                if not waiting:
+                    if dups:
+                        break
+                    if sched_open == _NEVER:
+                        tx = px = ox = _NEVER
+                    else:
+                        tx, px, ox = sched_open, now, order
+                        order += 1
+                    continue
+                if not lo <= now < closes_0:
+                    start, end = span(BE_CLASS, now)
+                    lo, opens_0, closes_0 = now, start, _NEVER if end is None else end
+                    fit_lo, fit_hi = opens_0, closes_0 - be_wire
+                    continue
+                # Blocked until the gate opens, or closes: a second entry
+                # for now could only act at once after an arrival at now.
+                if dups:
+                    if ta == now:
+                        break
+                    dups.clear()
+                tx = opens_0 if now < opens_0 else closes_0
+                tx, px, ox = min(tx, sched_open), now, order
+                order += 1
+            if tx == _NEVER:
+                heap.clear()
+                wake_at = None
+            else:
+                heap[:] = [(tx, px, ox), *dups]
+                wake_at = tx
+        tt, tp, to = heap[0] if heap else (_NEVER, _NEVER, _NEVER)
+        background = tb < tt or (tb == tt and (pb < tp or (pb == tp and ob < to)))
+        t, p = (tb, pb) if background else (tt, tp)
+        if ta < t or (ta == t and pa <= p):
+            if ta == _NEVER:
+                break
+            now, pusher, _, cls, count, wire, frame = arrivals[ia]
+            ia += 1
+            ta, pa = arrivals[ia][:2] if ia < na else (_NEVER, _NEVER)
+            if pusher >= 0 and any(e[0] == now and e[1] == pusher for e in heap):
+                return None
+            queues[cls].extend(itertools.repeat((wire, frame), count))
+            queued += count
+            w = busy if now < busy else now
+            if wake_at is None or w < wake_at:
+                wake_at = w
+                heappush(heap, (w, now, order))
+                order += 1
+            continue
+        if t == _NEVER:
+            break
+        if background:
+            now = tb
+            if waiting < cap:
+                waiting += 1
+                w = busy if now < busy else now
+                if wake_at is None or w < wake_at:
+                    wake_at = w
+                    heappush(heap, (w, now, order))
+                    order += 1
+            else:
+                dropped += 1
+            tb = next_background()
+            pb, ob = now, order
+            order += 1
+            continue
+        heappop(heap)
+        if tt != wake_at:
+            continue
+        wake_at = None
+        now = tt
+        chosen = close = opens = None
+        if queued:
+            for cls in scheduled:
+                if queues[cls]:
+                    start, end = span(cls, now)
+                    if start is None:
+                        continue
+                    if start <= now:
+                        chosen, close = cls, end
+                        break
+                    if opens is None or start < opens:
+                        opens = start
+        if chosen is None and waiting:
+            start, end = span(BE_CLASS, now)
+            if start is not None:
+                if start <= now:
+                    chosen, close = BE_CLASS, end
+                elif opens is None or start < opens:
+                    opens = start
+        if chosen is not None:
+            wire = queues[chosen][0][0] if chosen else be_wire
+            if close is None or now + wire <= close:
+                busy = wake_at = now + wire
+                heappush(heap, (busy, now, order))
+                order += 1
+                if chosen:
+                    _, frame = queues[chosen].popleft()
+                    queued -= 1
+                    if matched == len(departures) or departures[matched] != (now, frame):
+                        return None
+                    matched += 1
+                else:
+                    waiting -= 1
+                continue
+            opens = close if opens is None else min(close, opens)
+        if opens is not None:
+            wake_at = busy if opens < busy else opens
+            heappush(heap, (wake_at, now, order))
+            order += 1
+    if matched < len(departures):
+        return None
+    return len(bg_times) - dropped - waiting, dropped
 
 
 def malformed_gcl_keys(doc: dict) -> list[str]:
@@ -578,9 +981,10 @@ def verify_ns(instance, topology: Topology, gcls: dict[str, dict], cfg: SimConfi
     if cfg.bg_load not in (0.0, 1.0):
         loads.append(cfg.bg_load)
     reports: dict[str, SimReport] = {}
+    plan = _Plan()
     for load in loads:
         run_cfg = SimConfig(duration_cycles=cfg.duration_cycles, bg_load=load, seed=cfg.seed)
-        reports[f"bg{load:g}"] = simulate(topology, typed, flows, run_cfg)
+        reports[f"bg{load:g}"] = simulate(topology, typed, flows, run_cfg, plan)
 
     passed = True
     baseline = reports["bg0"]

@@ -1228,6 +1228,22 @@ class TestMalformedInput:
         assert run("show", "audit", "--state", files["state"]) == 1
         assert self._single_error(capsys).startswith("error: state file is not UTF-8: ")
 
+    @pytest.mark.parametrize("flag", ["topology", "nsd", "placement"])
+    def test_input_file_that_is_not_utf8(self, files, capsys, flag):
+        bad = files["state"].parent / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        paths = {key: files[key] for key in ("topology", "nsd", "placement")}
+        paths[flag] = bad
+        rc = run(
+            "instantiate",
+            "--topology", paths["topology"],
+            "--nsd", paths["nsd"],
+            "--placement", paths["placement"],
+            "--state", files["state"],
+        )
+        assert rc == 1
+        assert self._single_error(capsys).startswith(f"error: {flag} file {bad} is not UTF-8: ")
+
     def test_state_with_empty_instance(self, files, capsys):
         instantiate_demo(files)
         self._edit_state(files, lambda doc: doc["instances"].update(x={}))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import json
 import random
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from tsnfv.model import (
     StreamRequirement,
     TrafficSpec,
 )
-from tsnfv.topology import shortest_path, split_by_domain
+from tsnfv.topology import Topology, load_topology, shortest_path, split_by_domain
 from tsnfv.verifier import (
     SimConfig,
     _Gates,
@@ -251,21 +252,31 @@ class TestGates:
 
 
 @functools.lru_cache(maxsize=None)
-def _scenario_run(seed: int):
-    """(topology, gate control lists, flows) of `random_scenario(seed)`
-    once instantiated, or None when admission rejects it."""
+def _scenario_instance(seed: int):
+    """(topology, gate control list documents, active instance) of
+    `random_scenario(seed)`, or None when admission rejects it."""
     topo_doc, nsd_doc, placement_doc = sc.random_scenario(seed)
     ws = sc.build_workspace(topo_doc)
     try:
         instance = sc.instantiate(ws, nsd_doc, placement_doc)
     except AdmissionFailedError:
         return None
-    gcls = {port: GateControlList.from_doc(doc) for port, doc in ws.gcl_docs.items()}
+    return ws.topology, ws.gcl_docs, instance
+
+
+def _scenario_run(seed: int):
+    """(topology, gate control lists, flows) of `random_scenario(seed)`
+    once instantiated, or None when admission rejects it."""
+    found = _scenario_instance(seed)
+    if found is None:
+        return None
+    topology, docs, instance = found
+    gcls = {port: GateControlList.from_doc(doc) for port, doc in docs.items()}
     flows = [
         flow_from_schedules(req, [sched for _, sched in chain])
         for req, chain in instance.stream_schedules()
     ]
-    return ws.topology, gcls, flows
+    return topology, gcls, flows
 
 
 def _same_as_reference(topology, gcls, flows, cfg) -> dict:
@@ -586,3 +597,182 @@ class TestVerifyNs:
                 ws.gcl_docs,
                 SimConfig(),
             )
+
+
+def _two_talkers(speed: int = GBPS) -> Topology:
+    """Hosts A1 and A2 on bridge B1, which forwards both to host C; every
+    link at one speed, with no propagation or processing delay."""
+    return load_topology(
+        json.dumps(
+            {
+                "nodes": [
+                    sc.host("A1", "d1"),
+                    sc.host("A2", "d1"),
+                    sc.bridge("B1", "d1", proc_ns=0),
+                    sc.host("C", "d1"),
+                ],
+                "links": [
+                    sc.link("l1", "A1", "p0", "B1", "p0", speed=speed, prop=0),
+                    sc.link("l2", "A2", "p0", "B1", "p1", speed=speed, prop=0),
+                    sc.link("l3", "B1", "p2", "C", "p0", speed=speed, prop=0),
+                ],
+                "domains": {"d1": {"kind": "nfvi_pop", "controller_id": "cnc-1"}},
+            }
+        )
+    )
+
+
+def _flow(sid: str, talker: str, ports, pcp: int, offset: int, size: int = 500, period: int = 250_000):
+    req = StreamRequirement(
+        stream_id=sid,
+        talker=EndpointRef(f"st-{talker}", "eth0", talker),
+        listener=EndpointRef("st-C", "eth0", "C"),
+        frame=DataFrameSpec("02:00:00:00:01:01", "02:00:00:00:02:01", 100, pcp),
+        traffic=TrafficSpec(period, size, 1, 2_000_000),
+    )
+    return verifier.ScheduledFlow(req, tuple(ports), offset, 0)
+
+
+def _replayed(topology, gcls, flows, cfg) -> verifier._Plan:
+    """Runs the quiet run and then `cfg`'s loaded run through one plan, as
+    `verify_ns` does, checks both reports against the reference
+    simulator, and returns the plan to tell which path the loaded run
+    took."""
+    plan = verifier._Plan()
+    for run_cfg in (replace(cfg, bg_load=0.0), cfg):
+        expected = reference.simulate(topology, gcls, flows, run_cfg).to_doc()
+        assert simulate(topology, gcls, flows, run_cfg, plan).to_doc() == expected
+    return plan
+
+
+class TestPerPortReplay:
+    """`verify_ns` replays each loaded run port by port against its quiet
+    run's record, and runs the full event loop only where the two could
+    differ. Either way its reports are the reference simulator's; the
+    plan's counters tell which path a run took."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 59).filter(lambda seed: _scenario_instance(seed) is not None),
+        load=_loads,
+        sim_seed=st.integers(0, 2**31),
+        cycles=st.integers(1, 3),
+    )
+    def test_verify_reports_are_the_references(self, seed, load, sim_seed, cycles):
+        _, docs, instance = _scenario_instance(seed)
+        topology, gcls, flows = _scenario_run(seed)
+        cfg = SimConfig(duration_cycles=cycles, bg_load=load, seed=sim_seed)
+        try:
+            reference.simulate(topology, gcls, flows, cfg)
+        except OverflowError:
+            with pytest.raises(SimConfigError):
+                verify_ns(instance, topology, docs, cfg)
+            return
+        result = verify_ns(instance, topology, docs, cfg)
+        assert set(result.reports) == {f"bg{run:g}" for run in (0.0, 1.0, load)}
+        for name, report in result.reports.items():
+            run_cfg = replace(cfg, bg_load=float(name[2:]))
+            assert report.to_doc() == reference.simulate(topology, gcls, flows, run_cfg).to_doc()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(st.sampled_from([0x7F, 0x00, 0x80, 0x20, 0xFF, 0x01]), st.integers(1, 40)),
+            min_size=1,
+            max_size=6,
+        ),
+        streams=st.lists(
+            st.tuples(st.sampled_from(["A1", "A2"]), st.sampled_from([5, 7]), st.integers(0, 99)),
+            min_size=1,
+            max_size=4,
+        ),
+        load=st.sampled_from([1.0, 0.5]),
+        sim_seed=st.integers(0, 2**31),
+    )
+    def test_exact_ties_on_fast_links(self, entries, streams, load, sim_seed):
+        """At 4 Tb/s a full-size frame takes 4 ns and background gaps have
+        no jitter, and every port has the same gate list, so events of a
+        port tie on time, and on pusher time, all the time."""
+        topology = _two_talkers(speed=4_000_000_000_000)
+        gcl = GateControlList("x", sum(i for _, i in entries), tuple(GclEntry(m, i) for m, i in entries))
+        gcls = {port: replace(gcl, port_id=port) for port in ("A1.p0", "A2.p0", "B1.p2")}
+        flows = [
+            _flow(f"s{n}", talker, (f"{talker}.p0", "B1.p2"), pcp, offset, size=1522, period=100)
+            for n, (talker, pcp, offset) in enumerate(streams)
+        ]
+        _replayed(topology, gcls, flows, SimConfig(duration_cycles=2, bg_load=load, seed=sim_seed))
+
+    def test_background_that_delays_a_scheduled_frame_falls_back(self, intra_topology):
+        """With class 0 open through the guard and the window, a
+        best-effort frame still on the wire when the scheduled frame
+        arrives delays it: the departures differ from the quiet run's."""
+        state, flows = _admitted(intra_topology)
+        gcls = synthesize_gcls(state)
+        doc = gcls["B1.p1"].to_doc()
+        for entry in doc["entries"]:
+            if entry["gate_states"] in (0x00, 0x80):
+                entry["gate_states"] |= 0x01
+        gcls["B1.p1"] = GateControlList.from_doc(doc)
+        plan = _replayed(intra_topology, gcls, flows, SimConfig(bg_load=1.0))
+        assert (plan.replays, plan.fallbacks) == (0, 1)
+        quiet = simulate(intra_topology, gcls, flows, SimConfig()).streams["s1"]
+        loaded = simulate(intra_topology, gcls, flows, SimConfig(bg_load=1.0)).streams["s1"]
+        assert loaded.observed_worst_latency_ns > quiet.observed_worst_latency_ns
+
+    @pytest.mark.parametrize("classes, fallbacks", [((7, 7), 1), ((7, 5), 0)], ids=["same class", "different classes"])
+    def test_arrivals_that_tie_on_time_and_pusher_time(self, classes, fallbacks):
+        """Two talkers send at the same time, so both frames reach B1.p2
+        at one time, each pushed by a transmit at one time on another
+        port. Their FIFO order is the order the two talkers' transmits
+        ran in, which no port sees; frames of two classes go to two
+        queues, so their order does not matter. Guards and windows for
+        classes 7 and 5 keep best effort out of the way."""
+        topology = _two_talkers()
+        flows = [
+            _flow("s1", "A1", ("A1.p0", "B1.p2"), classes[0], 20_000),
+            _flow("s2", "A2", ("A2.p0", "B1.p2"), classes[1], 20_000),
+        ]
+
+        def windowed(port, start, length):
+            entries = ((0x5F, start - 12_336), (0x00, 12_336), (0xA0, length), (0x5F, 250_000 - start - length))
+            return GateControlList(port, 250_000, tuple(GclEntry(*e) for e in entries))
+
+        gcls = {
+            "A1.p0": windowed("A1.p0", 20_000, 4160),
+            "A2.p0": windowed("A2.p0", 20_000, 4160),
+            "B1.p2": windowed("B1.p2", 24_160, 2 * 4160),
+        }
+        plan = _replayed(topology, gcls, flows, SimConfig(bg_load=1.0))
+        assert (plan.replays, plan.fallbacks) == (1 - fallbacks, fallbacks)
+
+    @pytest.mark.parametrize("load, fallbacks", [(1.0, 1), (0.02, 0)])
+    def test_ports_without_gate_lists(self, intra_topology, load, fallbacks):
+        """Nothing holds best effort back, so under full load it delays
+        the scheduled frames; under light load none is in the way."""
+        _, flows = _admitted(intra_topology, count=2)
+        plan = _replayed(intra_topology, {}, flows, SimConfig(bg_load=load, seed=3))
+        assert (plan.replays, plan.fallbacks) == (1 - fallbacks, fallbacks)
+
+    def test_full_background_queue_drops(self, intra_topology):
+        """C.p0 carries no stream; its class-0 gate lets one best-effort
+        frame out per cycle while about twenty arrive."""
+        state, flows = _admitted(intra_topology)
+        gcls = synthesize_gcls(state)
+        gcls["C.p0"] = GateControlList("C.p0", 250_000, (GclEntry(0x01, 12_336), GclEntry(0xFE, 237_664)))
+        plan = _replayed(intra_topology, gcls, flows, SimConfig(duration_cycles=6, bg_load=1.0))
+        assert (plan.replays, plan.fallbacks) == (1, 0)
+        report = simulate(intra_topology, gcls, flows, SimConfig(duration_cycles=6, bg_load=1.0), plan)
+        assert report.be_dropped > 0
+
+    def test_overflowing_load_is_refused_as_before(self, intra_topology):
+        state, flows = _admitted(intra_topology)
+        gcls = synthesize_gcls(state)
+        cfg = SimConfig(bg_load=1e-320)
+        with pytest.raises(SimConfigError) as direct:
+            simulate(intra_topology, gcls, flows, cfg)
+        plan = verifier._Plan()
+        simulate(intra_topology, gcls, flows, SimConfig(), plan)
+        with pytest.raises(SimConfigError) as replayed:
+            simulate(intra_topology, gcls, flows, cfg, plan)
+        assert str(replayed.value) == str(direct.value)
+        assert str(direct.value).startswith("bg_load 1e-320 is too small: the gap between background frames on ")

@@ -10,8 +10,16 @@ three times; the row reports the median ms, the frames the run carried
 (scheduled frames delivered plus best-effort frames sent), frames per
 second at the median, and the SHA-256 of the report document
 (`dump_json(report.to_doc())`), so two versions of the simulator can be
-checked for identical reports. The script prints one row per size and
-writes them to a JSON file with the host's Python and CPU count.
+checked for identical reports.
+
+Each row also takes the load-1 run the way `verify_ns` does: after a
+quiet run that records each port's scheduled traffic, the loaded run
+replays each port alone against that record and runs the full event
+loop only where the two could differ. The row reports that run's median
+ms, whether it was replayed or fell back, and its report hash; the
+script exits 1 when that hash differs from `bg1_report_sha256`. It
+prints one row per size and writes them to a JSON file with the host's
+Python and CPU count.
 
     python3 tools/sim_curve.py [--max-streams 2048] [--out BENCH_sim.json]
 
@@ -35,7 +43,7 @@ import admission_curve as ac  # puts src/ and tests/ on the path
 import scenarios as sc  # noqa: E402
 from tsnfv.codec import dump_json, load_json  # noqa: E402
 from tsnfv.model import GateControlList  # noqa: E402
-from tsnfv.verifier import SimConfig, flow_from_schedules, simulate  # noqa: E402
+from tsnfv.verifier import SimConfig, _Plan, flow_from_schedules, simulate  # noqa: E402
 from tsnfv.workspace import Workspace  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,6 +92,22 @@ def run_row(streams: int) -> dict:
         row[f"{name}_frames"] = frames
         row[f"{name}_frames_per_s"] = round(frames / seconds)
         row[f"{name}_report_sha256"] = hashlib.sha256(docs.pop()).hexdigest()
+
+    times, docs, paths = [], set(), set()
+    for _ in range(REPEATS):
+        plan = _Plan()
+        simulate(topology, gcls, flows, SimConfig(bg_load=0.0, seed=0), plan)
+        t0 = time.perf_counter()
+        report = simulate(topology, gcls, flows, SimConfig(bg_load=1.0, seed=0), plan)
+        times.append(time.perf_counter() - t0)
+        docs.add(dump_json(report.to_doc()))
+        paths.add("replayed" if plan.replays else "full loop")
+    if len(docs) > 1 or len(paths) > 1:
+        raise SystemExit(f"{streams} streams, bg1 replayed: the runs reported differently")
+    row["bg1_replayed_ms"] = round(statistics.median(times) * 1e3, 2)
+    row["bg1_replayed_runs_ms"] = [round(t * 1e3, 2) for t in sorted(times)]
+    row["bg1_replayed_path"] = paths.pop()
+    row["bg1_replayed_report_sha256"] = hashlib.sha256(docs.pop()).hexdigest()
     return row
 
 
@@ -94,13 +118,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rows = []
-    print(f"{'streams':>8} {'flows':>6} {'bg0 ms':>8} {'frames/s':>9} {'bg1 ms':>8} {'frames/s':>9}")
+    print(
+        f"{'streams':>8} {'flows':>6} {'bg0 ms':>8} {'frames/s':>9} {'bg1 ms':>8} {'frames/s':>9} "
+        f"{'replayed ms':>12} {'path':>9}"
+    )
     for streams in (n for n in SIZES if n <= args.max_streams):
         row = run_row(streams)
         rows.append(row)
         print(
             f"{row['streams']:>8} {row['flows']:>6} {row['bg0_ms']:>8.1f} {row['bg0_frames_per_s']:>9} "
-            f"{row['bg1_ms']:>8.1f} {row['bg1_frames_per_s']:>9}"
+            f"{row['bg1_ms']:>8.1f} {row['bg1_frames_per_s']:>9} {row['bg1_replayed_ms']:>12.1f} "
+            f"{row['bg1_replayed_path']:>9}"
         )
     doc = {
         "script": "tools/sim_curve.py",
@@ -113,6 +141,10 @@ def main(argv=None) -> int:
         "rows": rows,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    differ = [r["streams"] for r in rows if r["bg1_replayed_report_sha256"] != r["bg1_report_sha256"]]
+    if differ:
+        print(f"error: the replayed load-1 run reported differently at {differ} streams", file=sys.stderr)
+        return 1
     return 0
 
 
