@@ -13,17 +13,17 @@ entirely before that gate next closes. Frames that do not fit wait; there
 is no preemption and no fragmentation. Store-and-forward with a constant
 per-bridge processing delay.
 
-`simulate`'s event loop is the reference. A verification runs it at
-background load 0 (the quiet run), which also records when scheduled
-frames reach and leave each port. Its loaded runs first replay each port
-alone against that record, since best-effort frames never leave their
-port: ports meet only through scheduled arrivals, and an arrival lands
-strictly after the transmit that sent it, so restricted to one port the
-loop's order is (time, pusher time, the port's own push order). Where
-every port departs as in the quiet run, the replays are the loaded run,
-port by port. Where a departure differs, or a scheduled arrival ties
-another event of its port on time and pusher time, an order no port sees,
-the loaded run takes the full event loop instead. See `_Plan`.
+`simulate`'s event loop is the reference. A verification first builds a
+plan from the schedules: the scheduled arrivals and departures that the
+window starts fix at each port. Every run, the quiet one (background
+load 0) included, then replays each port alone against the plan, since
+best-effort frames never leave their port: ports meet only through
+scheduled arrivals, and an arrival lands strictly after the transmit
+that sent it, so restricted to one port the loop's order is (time,
+pusher time, the port's own push order). Where every port departs on
+plan, by induction on time the replays are the run, port by port. Where
+a departure is off plan, or an order no port sees decides, the run
+takes the full event loop instead. See `_Plan`.
 """
 
 from __future__ import annotations
@@ -81,27 +81,28 @@ class SimConfig:
 @dataclass(frozen=True)
 class ScheduledFlow:
     """One admitted stream, flattened to its full talker-to-listener path:
-    the egress ports in order, the talker launch offset, and the latency
-    the scheduler promised."""
+    the egress ports in order and the window start at each, as offsets
+    after every release tick."""
 
     requirement: StreamRequirement
     ports: tuple[str, ...]
-    release_offset_ns: int
-    planned_latency_ns: int
+    window_starts_ns: tuple[int, ...]
+
+    @property
+    def release_offset_ns(self) -> int:
+        """When the talker launches the burst, after each release tick."""
+        return self.window_starts_ns[0]
 
 
 def flow_from_schedules(
     requirement: StreamRequirement, schedules: list[StreamSchedule]
 ) -> ScheduledFlow:
     """Flatten the per-segment schedules of one stream into a sim flow."""
-    ports = tuple(
-        res.port_id for schedule in schedules for res in schedule.reservations
-    )
+    hops = [res for schedule in schedules for res in schedule.reservations]
     return ScheduledFlow(
         requirement=requirement,
-        ports=ports,
-        release_offset_ns=schedules[0].reservations[0].window_start_ns,
-        planned_latency_ns=schedules[-1].exit_offset_ns,
+        ports=tuple(res.port_id for res in hops),
+        window_starts_ns=tuple(res.window_start_ns for res in hops),
     )
 
 
@@ -230,9 +231,9 @@ class _Port:
     that can queue here, highest first, and the background arrival gaps."""
 
     __slots__ = (
-        "key", "speed", "gates", "queues", "busy_until", "wake_at", "violations",
-        "peer_node", "propagation_ns", "peer_delay_ns", "be_wire", "be_fits",
-        "flow_classes", "classes", "gaps",
+        "key", "speed", "gates", "queues", "busy_until", "wake_at", "peer_node",
+        "propagation_ns", "peer_delay_ns", "be_wire", "be_fits", "flow_classes",
+        "classes", "gaps",
     )
 
     def __init__(self, key: str, topology: Topology, gates: _Gates):
@@ -258,7 +259,6 @@ class _Port:
         self.queues: list[deque[_Frame | None]] = [deque() for _ in range(8)]
         self.busy_until = 0
         self.wake_at: int | None = None
-        self.violations = 0
         classes = (self.flow_classes | {BE_CLASS}) if background else self.flow_classes
         self.classes: tuple[int, ...] = tuple(sorted(classes, reverse=True))
         self.gaps: Iterator[int] | None = None
@@ -325,6 +325,16 @@ def _background(ports: dict[str, _Port], cfg: SimConfig) -> list[tuple[_Port, in
     return chains
 
 
+def _horizon(gcls: dict[str, GateControlList], flows: list[ScheduledFlow], duration_cycles: int) -> int:
+    """When a run stops releasing: `duration_cycles` hyperperiods of the
+    flows, or without flows of the longest gate cycle."""
+    periods = [f.requirement.traffic.period_ns for f in flows]
+    sim_cycle = hyperperiod(periods) if periods else max(
+        (g.cycle_ns for g in gcls.values()), default=1_000_000
+    )
+    return duration_cycles * sim_cycle
+
+
 def simulate(
     topology: Topology,
     gcls: dict[str, GateControlList],
@@ -341,40 +351,23 @@ def simulate(
     Events run in (time, push order); the hot branches, a background
     arrival and a transmit, do their wakeups inline.
 
-    `_plan` is `verify_ns`'s: its runs share the ports, its quiet run
-    records the scheduled traffic, and its loaded runs first replay each
-    port alone against that record (see `_Plan`)."""
-    report = SimReport()
-    for flow in flows:
-        report.streams[flow.requirement.stream_id] = StreamReport(
-            stream_id=flow.requirement.stream_id
-        )
+    `_plan` is `verify_ns`'s, built from the same inputs and duration.
+    The run first replays each port alone against it (see `_Plan`), and
+    takes the event loop only where that fails."""
+    report = SimReport(streams={f.requirement.stream_id: StreamReport(f.requirement.stream_id) for f in flows})
     if not flows and cfg.bg_load == 0:
         return report
 
-    periods = [f.requirement.traffic.period_ns for f in flows]
-    sim_cycle = hyperperiod(periods) if periods else max(
-        (g.cycle_ns for g in gcls.values()), default=1_000_000
-    )
-    t_end = cfg.duration_cycles * sim_cycle
-    report.duration_ns = t_end
-
-    if _plan is None or _plan.ports is None:
-        ports, routes = _build(topology, gcls, flows)
-        if _plan is not None:
-            _plan.ports, _plan.routes = ports, routes
-    else:
-        ports, routes = _plan.ports, _plan.routes
+    t_end = report.duration_ns = _horizon(gcls, flows, cfg.duration_cycles)
+    if _plan is not None and _plan.replay(report, cfg):
+        return report
+    ports, routes = _build(topology, gcls, flows)
     for port in ports.values():
         port.reset(background=cfg.bg_load > 0)
-    if cfg.bg_load > 0 and _plan is not None and _plan.replay(report, _background(ports, cfg), t_end):
-        return report
 
     released = [0] * len(flows)
     recs = [report.streams[flow.requirement.stream_id] for flow in flows]
     be_sent = be_dropped = 0
-    # the quiet run of a plan records each scheduled transmit
-    sent = [] if _plan is not None and cfg.bg_load == 0 else None
 
     # Looked up per run: a push counter may stand in for the module's `heapq`.
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -394,7 +387,7 @@ def simulate(
     # per-instance transmission offset.
     for i, flow in enumerate(flows):
         period = flow.requirement.traffic.period_ns
-        for k in range(cfg.duration_cycles * sim_cycle // period):
+        for k in range(t_end // period):
             heappush(heap, (flow.release_offset_ns + k * period, next(seq), "rel", (i, k * period)))
 
     # Background sources: one seeded arrival chain per port.
@@ -480,8 +473,6 @@ def simulate(
         if frame is None:
             be_sent += 1
             continue
-        if sent is not None:
-            sent.append((port, t, frame.flow, frame.release_tick, frame.hop))
         flow = flows[frame.flow]
         peer_node = port.peer_node
         arrival = t + wire + port.propagation_ns
@@ -509,9 +500,6 @@ def simulate(
     for rec, count in zip(recs, released):
         rec.dropped_frames = count - rec.observed_frame_count
     report.be_sent, report.be_dropped = be_sent, be_dropped
-    report.gate_violations = {key: p.violations for key, p in ports.items()}
-    if sent is not None:
-        _plan.learn(flows, sent, report, t_end)
     return report
 
 
@@ -520,121 +508,126 @@ _NEVER = 1 << 62
 
 
 class _Plan:
-    """What the quiet run of one verification fixes for its loaded runs.
+    """What the schedules fix for every run of one verification.
 
-    The runs share the ports and each flow's hops, built once. The quiet
-    run records, per port, the scheduled arrivals it enqueued and the
-    scheduled departures it made, in order. An arrival carries its time,
-    its pusher time (the time of the upstream transmit that sent it, or -1
-    for a release), its set-up order, class, burst size and wire time, and
-    the frame's flow, release tick and hop.
+    The replays share the ports, built once. The window starts fix each
+    port's scheduled departures: frame j of the burst released at `tick`
+    leaves hop h at `tick + start_h + j * wire_h`, and reaches hop h + 1 a
+    wire time, the propagation and the bridge's forwarding delay later.
+    An arrival carries its time, its pusher time (the departure that sent
+    it, or -1 for a release), its set-up order, class, burst size and wire
+    time, and the frame's flow, release tick and hop.
 
-    A loaded run then replays each port alone on those arrivals plus the
-    port's own background chain (`_replay_port`). Events on different
-    ports meet only through arrivals, and an arrival lands strictly after
-    the transmit that pushed it, so a port's events run in the global
-    order (time, push order) exactly when they run in (time, pusher time,
-    the port's own push order). If every port then departs as in the
-    quiet run, by induction on time each replay is the loaded run
-    restricted to its port, and the loaded report is the quiet run's
-    streams with the background counts summed. Otherwise `simulate` runs
-    the full event loop.
+    A run replays each port alone on its planned arrivals plus its own
+    background chain (`_replay_port`), and checks that the port departs on
+    plan. Ports meet only through arrivals, and an arrival lands strictly
+    after the transmit that pushed it, so a port's events run in the
+    global order (time, push order) exactly when they run in (time, pusher
+    time, the port's own push order). If every port departs on plan, so
+    does the run, by induction on time: at the run's earliest deviation,
+    every arrival at its port came from an earlier departure, on plan, so
+    that port's replay deviates too. The report is then the planned
+    latencies with the background counts summed; otherwise `simulate`
+    runs the full event loop.
 
-    The order is not fixed, and the plan falls back, where a scheduled
-    arrival ties another event of its port on both time and pusher time,
-    since two ports' events at one time run in an order no port sees.
-    Two such ties commute and are exempt: an arrival with a background
-    arrival, and two arrivals of different classes; each appends to its
-    own queue and both wake the port to the same time. Two same-class
-    arrivals that tie decide their FIFO order, so such a record is never
-    replayed; nor is one with a class-0 flow, whose frames share best
-    effort's queue."""
+    `_replay_port` fails where a scheduled arrival ties another event of
+    its port on time and pusher time, an order no port sees, except for
+    two ties that commute: with a background arrival, and with an arrival
+    of another class (each appends to its own queue, and both wake the
+    port to the same time). No run replays where two same-class arrivals
+    tie, since that order is their FIFO order; nor where a flow cannot
+    follow its plan (`_fixed`), or two flows share a stream id."""
 
-    __slots__ = ("ports", "routes", "t_end", "arrivals", "departures", "streams", "replays", "fallbacks")
+    __slots__ = ("ports", "t_end", "arrivals", "departures", "streams")
 
-    def __init__(self):
-        self.ports: dict[str, _Port] | None = None
-        self.routes: list[list[tuple[_Port, int, bool]]] = []
-        self.t_end = 0
-        self.arrivals: dict[str, list[tuple]] | None = None
-        self.departures: dict[str, list[tuple[int, tuple[int, int, int]]]] = {}
-        self.streams: list[tuple[int, int, int]] = []
-        self.replays = self.fallbacks = 0  # loaded runs by path, for tests
-
-    def learn(self, flows: list[ScheduledFlow], sent: list[tuple], report: SimReport, t_end: int) -> None:
-        """Record the quiet run: `sent` holds its scheduled transmits as
-        (port, time, flow, release tick, hop), in order."""
-        routes = self.routes
-        self.t_end = t_end
-        self.streams = [
-            (rec.observed_worst_latency_ns, rec.observed_frame_count, rec.dropped_frames)
-            for rec in report.streams.values()
-        ]
-        if any(flow.requirement.frame.pcp == BE_CLASS for flow in flows):
+    def __init__(
+        self, topology: Topology, gcls: dict[str, GateControlList], flows: list[ScheduledFlow], duration_cycles: int
+    ):
+        self.ports, routes = _build(topology, gcls, flows)
+        self.t_end = _horizon(gcls, flows, duration_cycles)
+        self.arrivals: dict[str, list[tuple]] | None = None  # None: no run replays
+        if len({flow.requirement.stream_id for flow in flows}) < len(flows) or not all(map(_fixed, flows, routes)):
             return
         arrivals: dict[str, list[tuple]] = {key: [] for key in self.ports}
-        departures: dict[str, list] = {key: [] for key in self.ports}
+        departures: dict[str, list[tuple[int, tuple[int, int, int]]]] = {key: [] for key in self.ports}
+        streams = []  # per flow: stream id, worst latency, frame count
         order = 0  # releases are pushed first, in this order
-        for i, flow in enumerate(flows):
+        for i, (flow, route) in enumerate(zip(flows, routes)):
             traffic, cls = flow.requirement.traffic, flow.requirement.frame.pcp
-            port, wire, fits = routes[i][0]
-            for k in range(t_end // traffic.period_ns):
-                tick = k * traffic.period_ns
-                if fits:
-                    arrivals[port.key].append(
-                        (flow.release_offset_ns + tick, -1, order, cls, traffic.frames_per_period, wire, (i, tick, 0))
-                    )
-                order += 1
-        for port, t, i, tick, hop in sent:
-            departures[port.key].append((t, (i, tick, hop)))
-            route = routes[i]
-            if hop + 1 < len(route):
-                nxt, wire, fits = route[hop + 1]
-                if fits:
-                    arrive = t + route[hop][1] + port.propagation_ns + port.peer_delay_ns
-                    cls = flows[i].requirement.frame.pcp
-                    arrivals[nxt.key].append((arrive, t, 0, cls, 1, wire, (i, tick, hop + 1)))
+            count, ticks = traffic.frames_per_period, range(0, self.t_end, traffic.period_ns)
+            port, wire, _ = route[0]
+            arrivals[port.key] += [
+                (tick + flow.release_offset_ns, -1, order + k, cls, count, wire, (i, tick, 0))
+                for k, tick in enumerate(ticks)
+            ]
+            order += len(ticks)
+            hops = list(zip(route, flow.window_starts_ns, strict=True))
+            for hop, ((port, wire, _), start) in enumerate(hops):
+                sends = [(tick + start + j * wire, tick) for tick in ticks for j in range(count)]
+                departures[port.key] += [(t, (i, tick, hop)) for t, tick in sends]
+                if hop + 1 < len(hops):
+                    nxt, nxt_wire, _ = route[hop + 1]
+                    lag = wire + port.propagation_ns + port.peer_delay_ns
+                    arrivals[nxt.key] += [(t + lag, t, 0, cls, 1, nxt_wire, (i, tick, hop + 1)) for t, tick in sends]
+            (port, wire, _), start = hops[-1]
+            streams.append((flow.requirement.stream_id, start + count * wire + port.propagation_ns, count * len(ticks)))
         for entries in arrivals.values():
             entries.sort()
             for a, b in zip(entries, entries[1:]):
-                if a[1] >= 0 and a[:2] == b[:2] and a[3] == b[3]:
+                if a[0] == b[0] and a[1] == b[1] >= 0 and a[3] == b[3]:
                     return  # a same-class tie: FIFO order is the ports' order
-        self.arrivals, self.departures = arrivals, departures
+        for entries in departures.values():
+            entries.sort()
+        self.arrivals, self.departures, self.streams = arrivals, departures, streams
 
-    def replay(self, report: SimReport, chains, t_end: int) -> bool:
-        """Fill `report` from per-port replays of a loaded run; False, and
-        `report` untouched, where the full event loop must run instead."""
-        if self.arrivals is None or t_end != self.t_end:
-            self.fallbacks += 1
+    def replay(self, report: SimReport, cfg: SimConfig) -> bool:
+        """Fill `report` from per-port replays of the run at `cfg`'s load;
+        False, and `report` untouched, where the event loop must run
+        instead."""
+        if self.arrivals is None:
             return False
+        t_end = self.t_end
+        # a quiet run's chains start at the end: they send nothing
+        chains = _background(self.ports, cfg) if cfg.bg_load > 0 else [(p, t_end, ()) for p in self.ports.values()]
         be_sent = be_dropped = 0
         for port, first, gaps in chains:
             times = list(itertools.takewhile(t_end.__gt__, itertools.accumulate(gaps, initial=first)))
+            if not times and not self.arrivals[port.key]:
+                continue  # nothing arrives, so nothing departs
             counts = _replay_port(port, self.arrivals[port.key], self.departures[port.key], times)
             if counts is None:
-                self.fallbacks += 1
                 return False
             be_sent += counts[0]
             be_dropped += counts[1]
-        self.replays += 1
-        for rec, (worst, count, dropped) in zip(report.streams.values(), self.streams):
-            rec.observed_worst_latency_ns = worst
-            rec.observed_frame_count = count
-            rec.dropped_frames = dropped
+        report.streams = {sid: StreamReport(sid, worst, count) for sid, worst, count in self.streams}
         report.be_sent, report.be_dropped = be_sent, be_dropped
-        report.gate_violations = {key: p.violations for key, p in self.ports.items()}
         return True
+
+
+def _fixed(flow: ScheduledFlow, route: list[tuple[_Port, int, bool]]) -> bool:
+    """Whether the plan fixes `flow`'s departures: each hop's class can
+    carry its frame, each hop egresses where the last one's frame arrived,
+    and the last reaches the listener. Elsewhere the event loop drops the
+    frame, which a replay would hold forever, or raises as it does without
+    a plan. A class-0 flow's frames share best effort's queue, so their
+    order is never fixed."""
+    if flow.requirement.frame.pcp == BE_CLASS or not all(fits for _, _, fits in route):
+        return False
+    nodes = [port.peer_node for port, _, _ in route]
+    return nodes[-1] == flow.requirement.listener.node_id and all(
+        key.startswith(node + ".") for node, key in zip(nodes, flow.ports[1:])
+    )
 
 
 def _replay_port(
     port: _Port, arrivals: list[tuple], departures: list, bg_times: list[int]
 ) -> tuple[int, int] | None:
-    """One port of a loaded run, alone: its recorded scheduled arrivals
-    and its background arrival times, under the event loop's rules. Events
-    run in (time, pusher time, push order); an arrival goes first on equal
-    time and pusher time. Returns (best-effort frames sent, dropped), or
-    None where a scheduled departure differs from the quiet run's or an
-    arrival ties a pending transmit on time and pusher time."""
+    """One port of a run, alone: its planned scheduled arrivals and its
+    background arrival times, under the event loop's rules. Events run in
+    (time, pusher time, push order); an arrival goes first on equal time
+    and pusher time. Returns (best-effort frames sent, dropped), or
+    None where a scheduled departure is off plan or an arrival ties a
+    pending transmit on time and pusher time."""
     heappush, heappop = heapq.heappush, heapq.heappop
     span = port.gates.span
     be_wire = port.be_wire
@@ -658,9 +651,13 @@ def _replay_port(
     while True:
         # the earlier of the next background arrival and the pending wakeup
         head = tb if wake_at is None or tb < wake_at else wake_at
-        if head < ta and (head == tb or not queued) and all(e[0] == wake_at or e[0] < busy for e in heap):
-            # Every transmit entry is for the pending time or dead (a
-            # wakeup is never before `busy`), and no queued scheduled class
+        if head < ta and (head == tb or not queued) and (waiting or tb < ta) and all(
+            e[0] == wake_at or e[0] < busy for e in heap
+        ):
+            # Best effort waits or arrives before the next scheduled
+            # arrival (else the heap path below does as well), every
+            # transmit entry is for the pending time or dead (a wakeup is
+            # never before `busy`), and no queued scheduled class
             # opens before `sched_open`: until then a transmit chooses as
             # if only best effort were queued, with one more time to wake
             # at. Run without the heap until a scheduled arrival or
@@ -981,7 +978,7 @@ def verify_ns(instance, topology: Topology, gcls: dict[str, dict], cfg: SimConfi
     if cfg.bg_load not in (0.0, 1.0):
         loads.append(cfg.bg_load)
     reports: dict[str, SimReport] = {}
-    plan = _Plan()
+    plan = _Plan(topology, typed, flows, cfg.duration_cycles)
     for load in loads:
         run_cfg = SimConfig(duration_cycles=cfg.duration_cycles, bg_load=load, seed=cfg.seed)
         reports[f"bg{load:g}"] = simulate(topology, typed, flows, run_cfg, plan)

@@ -239,9 +239,10 @@ class _Port:
         self.peer_delay_ns = topology.node(self.peer_node).forwarding_delay_ns
 
 
-def simulate(topology, gcls, flows, cfg) -> SimReport:
+def simulate(topology, gcls, flows, cfg, departures=None) -> SimReport:
     """The event simulation: the same events, at the same times, in the
-    same order, as `tsnfv.verifier.simulate`."""
+    same order, as `tsnfv.verifier.simulate`. A `departures` list gets
+    each scheduled transmit as (flow index, release tick, hop, time)."""
     report = SimReport()
     for flow in flows:
         report.streams[flow.requirement.stream_id] = StreamReport(
@@ -367,6 +368,8 @@ def simulate(topology, gcls, flows, cfg) -> SimReport:
         if frame.flow is None:
             report.be_sent += 1
             continue
+        if departures is not None:
+            departures.append((frame.flow, frame.release_tick, frame.hop, t))
         flow = flows[frame.flow]
         peer_node = port.peer_node
         arrival = t + wire + port.propagation_ns

@@ -5,6 +5,7 @@ import heapq
 import json
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -20,12 +21,15 @@ from tsnfv.model import (
     EndpointRef,
     GateControlList,
     GclEntry,
+    HopReservation,
     StreamRequirement,
+    StreamSchedule,
     TrafficSpec,
 )
 from tsnfv.topology import Topology, load_topology, shortest_path, split_by_domain
 from tsnfv.verifier import (
     SimConfig,
+    SimReport,
     _Gates,
     check_gcl_wellformed,
     flow_from_schedules,
@@ -97,8 +101,8 @@ class TestSimulation:
         assert rec.observed_worst_latency_ns == 10_320
         assert rec.observed_frame_count == 3  # one frame per cycle, 3 cycles
         assert rec.dropped_frames == 0
-        assert report.total_violations == 0
         assert report.be_sent == 0
+        assert _paths(intra_topology, gcls, flows, SimConfig()) == (True, True)
 
     def test_saturating_background_changes_nothing(self, intra_topology):
         state, flows = _admitted(intra_topology, count=2)
@@ -113,7 +117,17 @@ class TestSimulation:
             )
         assert quiet.streams["s1"].observed_worst_latency_ns == 10_320
         assert quiet.streams["s2"].observed_worst_latency_ns == 14_480
-        assert loaded.total_dropped == 0 and loaded.total_violations == 0
+        assert loaded.total_dropped == 0
+        assert _paths(intra_topology, gcls, flows, SimConfig(bg_load=1.0)) == (True, True)
+
+    def test_a_window_start_one_ns_off_plan_does_not_replay(self, intra_topology):
+        """The runs are as before, since only the first window start
+        launches a frame, but no port departs where the plan says."""
+        state, flows = _admitted(intra_topology, count=2)
+        gcls = synthesize_gcls(state)
+        starts = flows[1].window_starts_ns
+        flows[1] = replace(flows[1], window_starts_ns=(starts[0], starts[1] + 1))
+        assert _paths(intra_topology, gcls, flows, SimConfig(bg_load=1.0)) == (False, False)
 
     def test_deterministic_for_fixed_seed(self, intra_topology):
         state, flows = _admitted(intra_topology)
@@ -141,7 +155,7 @@ class TestSimulation:
         # go when its gate opens at 15000, not wait for class 3's close.
         _, (flow,) = _admitted(intra_topology)
         req = flow.requirement
-        high = replace(flow, release_offset_ns=12_000)
+        high = replace(flow, window_starts_ns=(12_000, *flow.window_starts_ns[1:]))
         low = replace(
             flow,
             requirement=replace(
@@ -150,7 +164,7 @@ class TestSimulation:
                 frame=replace(req.frame, pcp=3),
                 traffic=replace(req.traffic, max_frame_bytes=1522),
             ),
-            release_offset_ns=10_000,
+            window_starts_ns=(10_000, *flow.window_starts_ns[1:]),
         )
         gcls = {
             "A.p0": GateControlList(
@@ -174,8 +188,7 @@ class TestSimulation:
         bad = flows[0].__class__(
             requirement=flows[0].requirement,
             ports=("A.p0", "B1.p0"),  # p0 leads back to A, not to C
-            release_offset_ns=0,
-            planned_latency_ns=10_320,
+            window_starts_ns=(0, 5_660),
         )
         with pytest.raises(ValidationError):
             simulate(intra_topology, {}, [bad], SimConfig())
@@ -344,7 +357,7 @@ class TestAgainstReference:
                     frame=replace(req.frame, pcp=pcp),
                     traffic=replace(req.traffic, max_frame_bytes=size, frames_per_period=frames),
                 ),
-                release_offset_ns=offset,
+                window_starts_ns=(offset, *flow.window_starts_ns[1:]),
             )
             for n, (pcp, size, frames, offset) in enumerate(streams)
         ]
@@ -392,12 +405,22 @@ class TestAgainstReference:
         ],
     )
     def test_path_mismatch(self, intra_topology, ports, message):
+        """The same error from `verify_ns` as from the event loop without
+        a plan: no run replays such a flow, though its planned departures
+        would hold at load 0."""
         _, (flow,) = _admitted(intra_topology)
         bad = replace(flow, ports=ports)
         for run in (reference.simulate, simulate):
             with pytest.raises(ValidationError) as caught:
                 run(intra_topology, {}, [bad], SimConfig(bg_load=1.0))
             assert str(caught.value) == message
+        assert not verifier._Plan(intra_topology, {}, [bad], 3).replay(SimReport(), SimConfig())
+        hops = zip(ports, bad.window_starts_ns)
+        schedule = StreamSchedule("s1", tuple(HopReservation(p, t, t + 4160, 7, "s1", t) for p, t in hops), 10_320)
+        instance = SimpleNamespace(status="active", stream_schedules=lambda: [(bad.requirement, [("d1", schedule)])])
+        with pytest.raises(ValidationError) as caught:
+            verify_ns(instance, intra_topology, {}, SimConfig(bg_load=1.0))
+        assert str(caught.value) == message
 
 
 class TestGapDraw:
@@ -622,7 +645,7 @@ def _two_talkers(speed: int = GBPS) -> Topology:
     )
 
 
-def _flow(sid: str, talker: str, ports, pcp: int, offset: int, size: int = 500, period: int = 250_000):
+def _flow(sid: str, talker: str, ports, pcp: int, starts, size: int = 500, period: int = 250_000):
     req = StreamRequirement(
         stream_id=sid,
         talker=EndpointRef(f"st-{talker}", "eth0", talker),
@@ -630,26 +653,31 @@ def _flow(sid: str, talker: str, ports, pcp: int, offset: int, size: int = 500, 
         frame=DataFrameSpec("02:00:00:00:01:01", "02:00:00:00:02:01", 100, pcp),
         traffic=TrafficSpec(period, size, 1, 2_000_000),
     )
-    return verifier.ScheduledFlow(req, tuple(ports), offset, 0)
+    return verifier.ScheduledFlow(req, tuple(ports), tuple(starts))
 
 
-def _replayed(topology, gcls, flows, cfg) -> verifier._Plan:
-    """Runs the quiet run and then `cfg`'s loaded run through one plan, as
-    `verify_ns` does, checks both reports against the reference
-    simulator, and returns the plan to tell which path the loaded run
-    took."""
-    plan = verifier._Plan()
+def _paths(topology, gcls, flows, cfg) -> tuple[bool, bool]:
+    """Whether the quiet run and `cfg`'s run replay on one plan of
+    `flows`, as `verify_ns` builds it. Checks each run's report, through
+    `simulate` with the plan and through the replay where there is one,
+    against the reference simulator's."""
+    plan = verifier._Plan(topology, gcls, flows, cfg.duration_cycles)
+    paths = []
     for run_cfg in (replace(cfg, bg_load=0.0), cfg):
         expected = reference.simulate(topology, gcls, flows, run_cfg).to_doc()
         assert simulate(topology, gcls, flows, run_cfg, plan).to_doc() == expected
-    return plan
+        report = SimReport(duration_ns=expected["duration_ns"])
+        paths.append(plan.replay(report, run_cfg))
+        if paths[-1]:
+            assert report.to_doc() == expected
+    return paths[0], paths[1]
 
 
 class TestPerPortReplay:
-    """`verify_ns` replays each loaded run port by port against its quiet
-    run's record, and runs the full event loop only where the two could
-    differ. Either way its reports are the reference simulator's; the
-    plan's counters tell which path a run took."""
+    """`verify_ns` replays each run port by port against the plan that the
+    window starts fix, and runs the full event loop only where the two
+    could differ. Either way its reports are the reference simulator's;
+    `_Plan.replay` tells which path a run took."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -692,20 +720,33 @@ class TestPerPortReplay:
     def test_exact_ties_on_fast_links(self, entries, streams, load, sim_seed):
         """At 4 Tb/s a full-size frame takes 4 ns and background gaps have
         no jitter, and every port has the same gate list, so events of a
-        port tie on time, and on pusher time, all the time."""
+        port tie on time, and on pusher time, all the time. Each stream
+        sends twice in a run of 200 ns, as two flows of one frame each, so
+        that the window starts its frames take in the quiet run are a
+        plan."""
         topology = _two_talkers(speed=4_000_000_000_000)
         gcl = GateControlList("x", sum(i for _, i in entries), tuple(GclEntry(m, i) for m, i in entries))
         gcls = {port: replace(gcl, port_id=port) for port in ("A1.p0", "A2.p0", "B1.p2")}
         flows = [
-            _flow(f"s{n}", talker, (f"{talker}.p0", "B1.p2"), pcp, offset, size=1522, period=100)
+            _flow(f"s{n}-{k}", talker, (f"{talker}.p0", "B1.p2"), pcp, (offset + 100 * k, 0), size=1522, period=200)
             for n, (talker, pcp, offset) in enumerate(streams)
+            for k in range(2)
         ]
-        _replayed(topology, gcls, flows, SimConfig(duration_cycles=2, bg_load=load, seed=sim_seed))
+        cfg = SimConfig(duration_cycles=1, bg_load=load, seed=sim_seed)
+        sent = []
+        reference.simulate(topology, gcls, flows, replace(cfg, bg_load=0.0), sent)
+        starts = {(i, hop): t for i, _, hop, t in sent}
+        flows = [
+            replace(flow, window_starts_ns=(starts[i, 0], starts[i, 1]))
+            for i, flow in enumerate(flows)
+            if (i, 1) in starts  # else no open run of its class carries it
+        ]
+        _paths(topology, gcls, flows, cfg)
 
     def test_background_that_delays_a_scheduled_frame_falls_back(self, intra_topology):
         """With class 0 open through the guard and the window, a
         best-effort frame still on the wire when the scheduled frame
-        arrives delays it: the departures differ from the quiet run's."""
+        arrives delays it off plan."""
         state, flows = _admitted(intra_topology)
         gcls = synthesize_gcls(state)
         doc = gcls["B1.p1"].to_doc()
@@ -713,24 +754,25 @@ class TestPerPortReplay:
             if entry["gate_states"] in (0x00, 0x80):
                 entry["gate_states"] |= 0x01
         gcls["B1.p1"] = GateControlList.from_doc(doc)
-        plan = _replayed(intra_topology, gcls, flows, SimConfig(bg_load=1.0))
-        assert (plan.replays, plan.fallbacks) == (0, 1)
+        assert _paths(intra_topology, gcls, flows, SimConfig(bg_load=1.0)) == (True, False)
         quiet = simulate(intra_topology, gcls, flows, SimConfig()).streams["s1"]
         loaded = simulate(intra_topology, gcls, flows, SimConfig(bg_load=1.0)).streams["s1"]
         assert loaded.observed_worst_latency_ns > quiet.observed_worst_latency_ns
 
-    @pytest.mark.parametrize("classes, fallbacks", [((7, 7), 1), ((7, 5), 0)], ids=["same class", "different classes"])
-    def test_arrivals_that_tie_on_time_and_pusher_time(self, classes, fallbacks):
+    @pytest.mark.parametrize(
+        "classes, paths", [((7, 7), (False, False)), ((7, 5), (True, True))], ids=["same class", "different classes"]
+    )
+    def test_arrivals_that_tie_on_time_and_pusher_time(self, classes, paths):
         """Two talkers send at the same time, so both frames reach B1.p2
         at one time, each pushed by a transmit at one time on another
         port. Their FIFO order is the order the two talkers' transmits
-        ran in, which no port sees; frames of two classes go to two
-        queues, so their order does not matter. Guards and windows for
-        classes 7 and 5 keep best effort out of the way."""
+        ran in, which no port sees, so no run replays; frames of two
+        classes go to two queues, so their order does not matter. Guards
+        and windows for classes 7 and 5 keep best effort out of the way."""
         topology = _two_talkers()
         flows = [
-            _flow("s1", "A1", ("A1.p0", "B1.p2"), classes[0], 20_000),
-            _flow("s2", "A2", ("A2.p0", "B1.p2"), classes[1], 20_000),
+            _flow("s1", "A1", ("A1.p0", "B1.p2"), classes[0], (20_000, 24_160)),
+            _flow("s2", "A2", ("A2.p0", "B1.p2"), classes[1], (20_000, 28_320)),
         ]
 
         def windowed(port, start, length):
@@ -742,16 +784,14 @@ class TestPerPortReplay:
             "A2.p0": windowed("A2.p0", 20_000, 4160),
             "B1.p2": windowed("B1.p2", 24_160, 2 * 4160),
         }
-        plan = _replayed(topology, gcls, flows, SimConfig(bg_load=1.0))
-        assert (plan.replays, plan.fallbacks) == (1 - fallbacks, fallbacks)
+        assert _paths(topology, gcls, flows, SimConfig(bg_load=1.0)) == paths
 
     @pytest.mark.parametrize("load, fallbacks", [(1.0, 1), (0.02, 0)])
     def test_ports_without_gate_lists(self, intra_topology, load, fallbacks):
         """Nothing holds best effort back, so under full load it delays
         the scheduled frames; under light load none is in the way."""
         _, flows = _admitted(intra_topology, count=2)
-        plan = _replayed(intra_topology, {}, flows, SimConfig(bg_load=load, seed=3))
-        assert (plan.replays, plan.fallbacks) == (1 - fallbacks, fallbacks)
+        assert _paths(intra_topology, {}, flows, SimConfig(bg_load=load, seed=3)) == (True, not fallbacks)
 
     def test_full_background_queue_drops(self, intra_topology):
         """C.p0 carries no stream; its class-0 gate lets one best-effort
@@ -759,10 +799,22 @@ class TestPerPortReplay:
         state, flows = _admitted(intra_topology)
         gcls = synthesize_gcls(state)
         gcls["C.p0"] = GateControlList("C.p0", 250_000, (GclEntry(0x01, 12_336), GclEntry(0xFE, 237_664)))
-        plan = _replayed(intra_topology, gcls, flows, SimConfig(duration_cycles=6, bg_load=1.0))
-        assert (plan.replays, plan.fallbacks) == (1, 0)
-        report = simulate(intra_topology, gcls, flows, SimConfig(duration_cycles=6, bg_load=1.0), plan)
-        assert report.be_dropped > 0
+        cfg = SimConfig(duration_cycles=6, bg_load=1.0)
+        assert _paths(intra_topology, gcls, flows, cfg) == (True, True)
+        plan = verifier._Plan(intra_topology, gcls, flows, cfg.duration_cycles)
+        assert simulate(intra_topology, gcls, flows, cfg, plan).be_dropped > 0
+
+    @pytest.mark.parametrize(
+        "pcp, size",
+        [(0, 500), (7, 1522)],
+        ids=["class 0 shares best effort's queue", "frame longer than its window"],
+    )
+    def test_flows_the_plan_cannot_fix(self, intra_topology, pcp, size):
+        state, (flow,) = _admitted(intra_topology)
+        req = flow.requirement
+        req = replace(req, frame=replace(req.frame, pcp=pcp), traffic=replace(req.traffic, max_frame_bytes=size))
+        flows = [replace(flow, requirement=req)]
+        assert _paths(intra_topology, synthesize_gcls(state), flows, SimConfig(bg_load=1.0)) == (False, False)
 
     def test_overflowing_load_is_refused_as_before(self, intra_topology):
         state, flows = _admitted(intra_topology)
@@ -770,8 +822,7 @@ class TestPerPortReplay:
         cfg = SimConfig(bg_load=1e-320)
         with pytest.raises(SimConfigError) as direct:
             simulate(intra_topology, gcls, flows, cfg)
-        plan = verifier._Plan()
-        simulate(intra_topology, gcls, flows, SimConfig(), plan)
+        plan = verifier._Plan(intra_topology, gcls, flows, cfg.duration_cycles)
         with pytest.raises(SimConfigError) as replayed:
             simulate(intra_topology, gcls, flows, cfg, plan)
         assert str(replayed.value) == str(direct.value)

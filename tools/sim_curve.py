@@ -12,14 +12,14 @@ second at the median, and the SHA-256 of the report document
 (`dump_json(report.to_doc())`), so two versions of the simulator can be
 checked for identical reports.
 
-Each row also takes the load-1 run the way `verify_ns` does: after a
-quiet run that records each port's scheduled traffic, the loaded run
-replays each port alone against that record and runs the full event
+Each row also takes the load-1 run the way `verify_ns` does: a plan built
+from the schedules fixes each port's scheduled arrivals and departures,
+and the run replays each port alone against it, running the full event
 loop only where the two could differ. The row reports that run's median
 ms, whether it was replayed or fell back, and its report hash; the
-script exits 1 when that hash differs from `bg1_report_sha256`. It
-prints one row per size and writes them to a JSON file with the host's
-Python and CPU count.
+script exits 1 when that hash differs from `bg1_report_sha256`, or when
+a row's run was not replayed. It prints one row per size and writes them
+to a JSON file with the host's Python and CPU count.
 
     python3 tools/sim_curve.py [--max-streams 2048] [--out BENCH_sim.json]
 
@@ -43,7 +43,7 @@ import admission_curve as ac  # puts src/ and tests/ on the path
 import scenarios as sc  # noqa: E402
 from tsnfv.codec import dump_json, load_json  # noqa: E402
 from tsnfv.model import GateControlList  # noqa: E402
-from tsnfv.verifier import SimConfig, _Plan, flow_from_schedules, simulate  # noqa: E402
+from tsnfv.verifier import SimConfig, SimReport, _Plan, flow_from_schedules, simulate  # noqa: E402
 from tsnfv.workspace import Workspace  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,20 +93,19 @@ def run_row(streams: int) -> dict:
         row[f"{name}_frames_per_s"] = round(frames / seconds)
         row[f"{name}_report_sha256"] = hashlib.sha256(docs.pop()).hexdigest()
 
-    times, docs, paths = [], set(), set()
+    times, docs = [], set()
+    cfg = SimConfig(bg_load=1.0, seed=0)
     for _ in range(REPEATS):
-        plan = _Plan()
-        simulate(topology, gcls, flows, SimConfig(bg_load=0.0, seed=0), plan)
+        plan = _Plan(topology, gcls, flows, cfg.duration_cycles)
         t0 = time.perf_counter()
-        report = simulate(topology, gcls, flows, SimConfig(bg_load=1.0, seed=0), plan)
+        report = simulate(topology, gcls, flows, cfg, plan)
         times.append(time.perf_counter() - t0)
         docs.add(dump_json(report.to_doc()))
-        paths.add("replayed" if plan.replays else "full loop")
-    if len(docs) > 1 or len(paths) > 1:
+    if len(docs) > 1:
         raise SystemExit(f"{streams} streams, bg1 replayed: the runs reported differently")
     row["bg1_replayed_ms"] = round(statistics.median(times) * 1e3, 2)
     row["bg1_replayed_runs_ms"] = [round(t * 1e3, 2) for t in sorted(times)]
-    row["bg1_replayed_path"] = paths.pop()
+    row["bg1_replayed_path"] = "replayed" if plan.replay(SimReport(), cfg) else "full loop"
     row["bg1_replayed_report_sha256"] = hashlib.sha256(docs.pop()).hexdigest()
     return row
 
@@ -144,8 +143,10 @@ def main(argv=None) -> int:
     differ = [r["streams"] for r in rows if r["bg1_replayed_report_sha256"] != r["bg1_report_sha256"]]
     if differ:
         print(f"error: the replayed load-1 run reported differently at {differ} streams", file=sys.stderr)
-        return 1
-    return 0
+    looped = [r["streams"] for r in rows if r["bg1_replayed_path"] != "replayed"]
+    if looped:
+        print(f"error: the load-1 run took the full event loop at {looped} streams", file=sys.stderr)
+    return 1 if differ or looped else 0
 
 
 if __name__ == "__main__":
