@@ -645,13 +645,27 @@ def _two_talkers(speed: int = GBPS) -> Topology:
     )
 
 
-def _flow(sid: str, talker: str, ports, pcp: int, starts, size: int = 500, period: int = 250_000):
+def _direct() -> Topology:
+    """Host A1 linked straight to host C at 4 Tb/s, with no propagation
+    delay."""
+    return load_topology(
+        json.dumps(
+            {
+                "nodes": [sc.host("A1", "d1"), sc.host("C", "d1")],
+                "links": [sc.link("l1", "A1", "p0", "C", "p0", speed=4_000_000_000_000, prop=0)],
+                "domains": {"d1": {"kind": "nfvi_pop", "controller_id": "cnc-1"}},
+            }
+        )
+    )
+
+
+def _flow(sid: str, talker: str, ports, pcp: int, starts, size: int = 500, period: int = 250_000, frames: int = 1):
     req = StreamRequirement(
         stream_id=sid,
         talker=EndpointRef(f"st-{talker}", "eth0", talker),
         listener=EndpointRef("st-C", "eth0", "C"),
         frame=DataFrameSpec("02:00:00:00:01:01", "02:00:00:00:02:01", 100, pcp),
-        traffic=TrafficSpec(period, size, 1, 2_000_000),
+        traffic=TrafficSpec(period, size, frames, 2_000_000),
     )
     return verifier.ScheduledFlow(req, tuple(ports), tuple(starts))
 
@@ -686,6 +700,8 @@ class TestPerPortReplay:
         sim_seed=st.integers(0, 2**31),
         cycles=st.integers(1, 3),
     )
+    # on a full queue, a background arrival as a best-effort frame ends
+    @example(seed=1024, load=1.0, sim_seed=7, cycles=3)
     def test_verify_reports_are_the_references(self, seed, load, sim_seed, cycles):
         _, docs, instance = _scenario_instance(seed)
         topology, gcls, flows = _scenario_run(seed)
@@ -742,6 +758,32 @@ class TestPerPortReplay:
             if (i, 1) in starts  # else no open run of its class carries it
         ]
         _paths(topology, gcls, flows, cfg)
+
+    @pytest.mark.parametrize(
+        "entries, frames, load, offset, seed",
+        [
+            (None, 2, 0.6, 102, 0),
+            (((0x80, 100), (0x81, 100)), 1, 0.6, 120, 0),
+            (None, 64, 1.0, 100, 1),
+        ],
+        ids=["queued scheduled frame", "arrival as the wire frees up", "background arrival as the wire frees up"],
+    )
+    def test_where_the_busy_wire_loop_stops(self, entries, frames, load, offset, seed):
+        """At 4 Tb/s a full-size frame takes 4 ns on A1.p0, where class 7
+        and best effort are open together (always, without a gate list).
+        In each case the busy-wire loop must leave the next transmit to
+        the heap: (1) two class-7 frames arrive at an idle wire and a
+        background frame while the first is sent, and the second goes
+        next; (2) best effort, held back over [0, 100), goes back to back
+        from 100, and a class-7 frame arriving as one ends goes next; (3)
+        a burst of 64 class-7 frames keeps the wire while a background
+        frame arrives per frame sent, so best effort's queue is full after
+        it, and the background arrival that ties the burst's end goes
+        first and is dropped."""
+        topology = _direct()
+        gcls = {} if entries is None else {"A1.p0": GateControlList("A1.p0", 200, tuple(GclEntry(*e) for e in entries))}
+        flows = [_flow("s1", "A1", ("A1.p0",), 7, (offset,), size=1522, period=1000, frames=frames)]
+        assert _paths(topology, gcls, flows, SimConfig(duration_cycles=1, bg_load=load, seed=seed)) == (True, True)
 
     def test_background_that_delays_a_scheduled_frame_falls_back(self, intra_topology):
         """With class 0 open through the guard and the window, a
