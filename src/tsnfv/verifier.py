@@ -16,16 +16,21 @@ per-bridge processing delay.
 `simulate`'s event loop is the reference. A verification first builds a
 plan from the schedules: the scheduled arrivals and departures that the
 window starts fix at each port. Every run, the quiet one (background
-load 0) included, then replays each port alone against the plan, since
+load 0) included, then takes each port alone against the plan, since
 best-effort frames never leave their port: ports meet only through
 scheduled arrivals, and an arrival lands strictly after the transmit
 that sent it, so restricted to one port the loop's order is (time,
 pusher time, the port's own push order). Where every port departs on
 plan, by induction on time the replays are the run, port by port. Where
 a departure is off plan, or an order no port sees decides, the run
-takes the full event loop instead. See `_Plan`. A replay has one event
-path, on a heap of the port's transmits; a best-effort frame sent back
-to back with the last one overwrites the heap's entry (`_replay_port`).
+takes the full event loop instead.
+
+Each port's scheduled frames are replayed once, without background
+(`_replay_port`). Where no gate entry opens best effort together with a
+crossing flow's class, the port is apart: neither delays the other, so
+every run reuses that replay, and a loaded run counts best effort alone
+by a queue recurrence (`_best_effort`). A coupled port, or a tie the
+recurrence cannot order, replays with background. See `_Plan`.
 """
 
 from __future__ import annotations
@@ -520,17 +525,31 @@ class _Plan:
     it, or -1 for a release), its set-up order, class, burst size and wire
     time, and the frame's flow, release tick and hop.
 
-    A run replays each port alone on its planned arrivals plus its own
-    background chain (`_replay_port`), and checks that the port departs on
-    plan. Ports meet only through arrivals, and an arrival lands strictly
-    after the transmit that pushed it, so a port's events run in the
-    global order (time, push order) exactly when they run in (time, pusher
-    time, the port's own push order). If every port departs on plan, so
-    does the run, by induction on time: at the run's earliest deviation,
-    every arrival at its port came from an earlier departure, on plan, so
-    that port's replay deviates too. The report is then the planned
-    latencies with the background counts summed; otherwise `simulate`
-    runs the full event loop.
+    A run takes each port alone on its planned arrivals plus its own
+    background chain, and checks that the port departs on plan. Ports
+    meet only through arrivals, and an arrival lands strictly after the
+    transmit that pushed it, so a port's events run in the global order
+    (time, push order) exactly when they run in (time, pusher time, the
+    port's own push order). If every port departs on plan, so does the
+    run, by induction on time: at the run's earliest deviation, every
+    arrival at its port came from an earlier departure, on plan, so that
+    port's replay deviates too. The report is then the planned latencies
+    with the background counts summed; otherwise `simulate` runs the
+    full event loop.
+
+    A port is apart when no flow crosses it, or when it has a gate list
+    in which no entry opens class 0 together with a crossing flow's
+    class; else it is coupled. On an apart port best effort and the
+    flows never have open gates at once, and a frame is sent only if it
+    ends before its own gate closes, so neither is ever on the wire
+    while the other's gate is open: in any order of ties, neither waits
+    for the other. Its scheduled departures are then its quiet ones at
+    every load, and its best effort alone is a FIFO queue with one
+    service time, which `_best_effort` counts. On first use the plan
+    replays each port's scheduled arrivals without background and keeps
+    the ports off plan, for the quiet run and every loaded run. A loaded
+    run replays with background (`_replay_port`) only on a coupled port,
+    or where an arrival ties a best-effort start with the queue full.
 
     `_replay_port` fails where a scheduled arrival ties another event of
     its port on time and pusher time, an order no port sees, except for
@@ -540,13 +559,15 @@ class _Plan:
     tie, since that order is their FIFO order; nor where a flow cannot
     follow its plan (`_fixed`), or two flows share a stream id."""
 
-    __slots__ = ("ports", "t_end", "arrivals", "departures", "streams")
+    __slots__ = ("ports", "t_end", "arrivals", "departures", "streams", "coupled", "off_plan")
 
     def __init__(
         self, topology: Topology, gcls: dict[str, GateControlList], flows: list[ScheduledFlow], duration_cycles: int
     ):
         self.ports, routes = _build(topology, gcls, flows)
         self.t_end = _horizon(gcls, flows, duration_cycles)
+        self.coupled = {key for key, port in self.ports.items() if _coupled(port)}
+        self.off_plan: set[str] | None = None  # ports off plan in the quiet run; None: not replayed yet
         self.arrivals: dict[str, list[tuple]] | None = None  # None: no run replays
         if len({flow.requirement.stream_id for flow in flows}) < len(flows) or not all(map(_fixed, flows, routes)):
             return
@@ -588,19 +609,27 @@ class _Plan:
         instead."""
         if self.arrivals is None:
             return False
-        t_end = self.t_end
-        # a quiet run's chains start at the end: they send nothing
-        chains = _background(self.ports, cfg) if cfg.bg_load > 0 else [(p, t_end, ()) for p in self.ports.values()]
+        if self.off_plan is None:  # the quiet verdict, kept for every run
+            self.off_plan = {
+                key for key, arrivals in self.arrivals.items()
+                if arrivals and _replay_port(self.ports[key], arrivals, self.departures[key], []) is None
+            }
+        # an apart port departs at every load as it does in the quiet run
+        if self.off_plan - self.coupled or (self.off_plan and cfg.bg_load == 0):
+            return False
         be_sent = be_dropped = 0
-        for port, first, gaps in chains:
-            times = list(itertools.takewhile(t_end.__gt__, itertools.accumulate(gaps, initial=first)))
-            if not times and not self.arrivals[port.key]:
-                continue  # nothing arrives, so nothing departs
-            counts = _replay_port(port, self.arrivals[port.key], self.departures[port.key], times)
-            if counts is None:
-                return False
-            be_sent += counts[0]
-            be_dropped += counts[1]
+        if cfg.bg_load > 0:
+            t_end = self.t_end
+            for port, first, gaps in _background(self.ports, cfg):
+                times = list(itertools.takewhile(t_end.__gt__, itertools.accumulate(gaps, initial=first)))
+                key = port.key
+                counts = None if key in self.coupled else _best_effort(port, times)
+                if counts is None:
+                    counts = _replay_port(port, self.arrivals[key], self.departures[key], times)
+                    if counts is None:
+                        return False
+                be_sent += counts[0]
+                be_dropped += counts[1]
         report.streams = {sid: StreamReport(sid, worst, count) for sid, worst, count in self.streams}
         report.be_sent, report.be_dropped = be_sent, be_dropped
         return True
@@ -621,6 +650,57 @@ def _fixed(flow: ScheduledFlow, route: list[tuple[_Port, int, bool]]) -> bool:
     )
 
 
+def _coupled(port: _Port) -> bool:
+    """Whether best effort can share an open gate with a flow crossing
+    `port`: it has no gate list, or an entry opens class 0 together with
+    a crossing flow's class."""
+    mask, gcl = sum(1 << cls for cls in port.flow_classes), port.gates.gcl
+    return mask > 0 and (gcl is None or any(e.gate_states & 1 and e.gate_states & mask for e in gcl.entries))
+
+
+def _best_effort(port: _Port, bg_times: list[int]) -> tuple[int, int] | None:
+    """Best effort alone on an apart port: (frames sent, dropped), or
+    None where an arrival lands on a start while the queue is at the cap.
+
+    The queue is FIFO with one service time, so Lindley's recurrence
+    gives each accepted frame's start: the earliest time at or after both
+    its arrival and the last start plus `be_wire` at which a class-0 open
+    run holds the whole frame. A frame leaves the queue as it starts, so
+    an arrival is dropped when `BG_QUEUE_CAP` accepted frames start after
+    it. A start at the arrival's own time leaves first or not by the push
+    order of the two, which only a replay knows; at the cap that order
+    decides the drop. Every accepted frame is sent, after the horizon if
+    need be."""
+    if not port.be_fits:
+        return 0, len(bg_times)
+    span, wire = port.gates.span, port.be_wire
+    starts: list[int] = []
+    head = 0  # the first start at or after the arrival, where one is
+    full = -BG_QUEUE_CAP  # the queue is full while `head` is here
+    last, latest = -wire, -1  # the last start; the latest that class 0's open run holds
+    for t in bg_times:
+        if t <= last:
+            while starts[head] < t:
+                head += 1
+            if head == full:
+                if starts[head] == t:
+                    return None
+                continue
+        s = last + wire if last + wire > t else t
+        if s > latest:
+            # never None: `be_fits` says some open run holds a frame
+            lo, hi = span(BE_CLASS, s)
+            while hi is not None and (lo if lo > s else s) + wire > hi:
+                lo, hi = span(BE_CLASS, hi)
+            latest = _NEVER if hi is None else hi - wire
+            if lo > s:
+                s = lo
+        starts.append(s)
+        last = s
+        full += 1
+    return len(starts), len(bg_times) - len(starts)
+
+
 def _replay_port(
     port: _Port, arrivals: list[tuple], departures: list, bg_times: list[int]
 ) -> tuple[int, int] | None:
@@ -631,18 +711,10 @@ def _replay_port(
     None where a scheduled departure is off plan or an arrival ties a
     pending transmit on time and pusher time.
 
-    After each send, the busy-wire loop takes the steps that need no
-    heap. A background arrival before `busy`, when the wire frees up,
-    and before the next scheduled arrival only counts: the pending
-    wakeup is `busy` already. While no scheduled frame is queued, a
-    best-effort frame waits, nothing arrives at or before `busy` (a tie
-    is the heap's to order), and class 0's cached open run holds the
-    frame's wire time, the transmit at `busy` sends it, and its entry
-    overwrites heap[0]. Any other entry is a wakeup that an earlier one
-    replaced, a no-op when it pops, or an older one for `busy` that
-    sends the same frame; so heap[0] may be one of them, and the root
-    may then sit above smaller stale entries. No wakeup is pushed
-    before the root pops, and heappop restores the order."""
+    Every port's quiet run replays here, without background. A loaded
+    run replays here only where best effort and the scheduled frames
+    can meet, on a coupled port, or where `_best_effort` cannot order a
+    background arrival that ties a start with the queue full."""
     heappush, heappop = heapq.heappush, heapq.heappop
     span = port.gates.span
     be_wire = port.be_wire
@@ -738,23 +810,6 @@ def _replay_port(
                     matched += 1
                 else:
                     waiting -= 1
-                while True:  # the busy-wire loop
-                    limit = busy if busy < ta else ta
-                    while tb < limit:
-                        if waiting < cap:
-                            waiting += 1
-                        else:
-                            dropped += 1
-                        pb, ob = tb, order
-                        order += 1
-                        tb = next_background()
-                    if queued or not waiting or tb <= busy or ta <= busy or not opens_0 <= busy <= closes_0 - be_wire:
-                        break
-                    waiting -= 1
-                    now = busy
-                    busy = wake_at = now + be_wire
-                    heap[0] = (busy, now, order)
-                    order += 1
                 continue
             opens = close if opens is None else min(close, opens)
         if opens is not None:

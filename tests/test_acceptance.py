@@ -74,7 +74,9 @@ def _plan(case: Case, flows) -> _Plan:
 def test_criterion_01_admitted_streams_meet_bounds_under_full_load(sweep):
     """Every run of each verification also departs on plan at every port,
     so no event loop ran; with one second-hop window start moved by 1 ns,
-    it does not."""
+    it does not. Every port is apart (no gate entry opens best effort
+    with a crossing flow's class), so a loaded run replays scheduled
+    frames only where the best-effort recurrence meets a tie."""
     assert len(sweep) >= 200
     admitted = _admitted(sweep)
     assert len(admitted) >= 150
@@ -92,6 +94,7 @@ def test_criterion_01_admitted_streams_meet_bounds_under_full_load(sweep):
             for req, chain in case.instance.stream_schedules()
         ]
         plan = _plan(case, flows)
+        assert not plan.coupled, case.seed
         for name, run in case.result.reports.items():
             replayed = SimReport(duration_ns=run.duration_ns)
             assert plan.replay(replayed, SimConfig(bg_load=float(name[2:]))), (case.seed, name)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -645,14 +646,15 @@ def _two_talkers(speed: int = GBPS) -> Topology:
     )
 
 
-def _direct() -> Topology:
-    """Host A1 linked straight to host C at 4 Tb/s, with no propagation
-    delay."""
+@functools.lru_cache(maxsize=None)
+def _direct(speed: int = 4_000_000_000_000) -> Topology:
+    """Host A1 linked straight to host C, at 4 Tb/s unless `speed` says
+    otherwise, with no propagation delay."""
     return load_topology(
         json.dumps(
             {
                 "nodes": [sc.host("A1", "d1"), sc.host("C", "d1")],
-                "links": [sc.link("l1", "A1", "p0", "C", "p0", speed=4_000_000_000_000, prop=0)],
+                "links": [sc.link("l1", "A1", "p0", "C", "p0", speed=speed, prop=0)],
                 "domains": {"d1": {"kind": "nfvi_pop", "controller_id": "cnc-1"}},
             }
         )
@@ -685,6 +687,129 @@ def _paths(topology, gcls, flows, cfg) -> tuple[bool, bool]:
         if paths[-1]:
             assert report.to_doc() == expected
     return paths[0], paths[1]
+
+
+def _loaded_paths(monkeypatch, topology, gcls, flows, cfg) -> dict[str, tuple]:
+    """How a replay of `cfg`'s run took each port that background load
+    reaches, with what the port counted: "counted" by the best-effort
+    recurrence, "fell back" from it to a replay with background, or
+    "replayed" with background from the start (a coupled port)."""
+    taken = {}
+    best_effort, replay_port = verifier._best_effort, verifier._replay_port
+
+    def counted(port, bg_times):
+        counts = best_effort(port, bg_times)
+        taken[port.key] = ("fell back" if counts is None else "counted", counts)
+        return counts
+
+    def replayed(port, arrivals, departures, bg_times):
+        counts = replay_port(port, arrivals, departures, bg_times)
+        if bg_times:
+            taken[port.key] = (taken.get(port.key, ("replayed",))[0], counts)
+        return counts
+
+    monkeypatch.setattr(verifier, "_best_effort", counted)
+    monkeypatch.setattr(verifier, "_replay_port", replayed)
+    verifier._Plan(topology, gcls, flows, cfg.duration_cycles).replay(SimReport(), cfg)
+    return taken
+
+
+def _ties_at_the_cap(entries, wire: int, bg_times: list[int]) -> bool:
+    """Whether a background arrival lands on a best-effort start while
+    `BG_QUEUE_CAP` frames wait, the starting one included: there the
+    order of the two decides a drop. Each accepted frame starts at the
+    first nanosecond, at or after its arrival and the last frame's end,
+    from which class 0 stays open for its whole wire time."""
+    open_ns = [bool(mask & 1) for mask, interval in entries for _ in range(interval)] if entries else [True]
+    cycle = len(open_ns)
+    holds = [all(open_ns[(u + k) % cycle] for k in range(wire)) for u in range(cycle)]
+    starts: list[int] = []
+    for t in bg_times if any(holds) else ():
+        waiting = [s for s in starts if s >= t]
+        if len(waiting) == verifier.BG_QUEUE_CAP:
+            if waiting[0] == t:
+                return True
+            continue
+        s = max(t, starts[-1] + wire) if starts else t
+        while not holds[s % cycle]:
+            s += 1
+        starts.append(s)
+    return False
+
+
+class TestBestEffortRecurrence:
+    """On an apart port, best effort is a FIFO queue with one service
+    time, and `_best_effort` counts it by recurrence. It must count what
+    the port's replay without scheduled frames counts, or give up only
+    where an arrival ties a start with the queue at the cap."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        speed=st.sampled_from([4_000_000_000_000, 1_000_000_000_000, 400_000_000_000]),
+        entries=st.none()
+        | st.lists(
+            st.tuples(st.sampled_from([0x00, 0x01, 0x80, 0x81, 0xFE, 0xFF]), st.integers(1, 120)),
+            min_size=1,
+            max_size=6,
+        ),
+        load=st.sampled_from([1.0, 0.5]) | st.floats(0.2, 1.0),
+        seed=st.integers(0, 2**31),
+        arrivals=st.integers(1, 400),
+    )
+    # the queue fills while class 0 is shut, and the first start at its
+    # opening, 500, ties an arrival that goes second: 4 ns frames every
+    # 4 ns from 4, and the run ends before later drops even the count
+    @example(
+        speed=4_000_000_000_000, entries=[(0x80, 100), (0x00, 400), (0x01, 500)], load=1.0, seed=5, arrivals=130
+    )
+    def test_recurrence_is_the_replay(self, speed, entries, load, seed, arrivals):
+        """Wire times of 4, 13 and 31 ns, open runs of class 0 shorter
+        than a frame or none, and gaps under 8 ns (no jitter, so arrivals
+        tie starts) at high loads."""
+        gcl = None
+        if entries is not None:
+            gcl = GateControlList("A1.p0", sum(i for _, i in entries), tuple(GclEntry(*e) for e in entries))
+        port = verifier._Port("A1.p0", _direct(speed), _Gates(gcl))
+        base = max(1, round(port.be_wire / load))
+        rng = random.Random(seed)
+        first = rng.randrange(0, base + 1)
+        times = list(itertools.accumulate(itertools.islice(verifier._gaps(rng, base), arrivals - 1), initial=first))
+        counts = verifier._best_effort(port, times)
+        if counts is None:
+            assert _ties_at_the_cap(entries, port.be_wire, times)
+        else:
+            assert counts == verifier._replay_port(port, [], [], times)
+
+    @pytest.mark.parametrize(
+        "entries, seed, paths, path",
+        [
+            (((0x81, 100), (0x00, 400), (0x01, 500)), 0, (True, False), "replayed"),
+            (None, 0, (True, False), "replayed"),
+            (((0x80, 100), (0x00, 898), (0x01, 2)), 0, (True, True), "counted"),
+            (((0x80, 100), (0x00, 400), (0x01, 500)), 1, (True, True), "fell back"),
+        ],
+        ids=["class 0 opens with class 7", "no gate list", "class 0 never fits a frame", "a tie at the cap"],
+    )
+    def test_how_a_loaded_run_takes_a_port(self, monkeypatch, entries, seed, paths, path):
+        """A1.p0 carries a class-7 frame in [10, 14) and sends best effort
+        in 4 ns frames, whose background arrives every 4 ns. Where class 0
+        can be open with class 7, the port is coupled and replays with
+        background; else the recurrence counts it, drops every arrival
+        when no class-0 run holds a frame, and falls back to a replay
+        where an arrival ties the first start at 500, with the queue full
+        since about 256. C.p0 carries no flow, so it is always apart;
+        a coupled A1.p0 ends the replay before it."""
+        topology = _direct()
+        gcls = {} if entries is None else {"A1.p0": GateControlList("A1.p0", 1000, tuple(GclEntry(*e) for e in entries))}
+        flows = [_flow("s1", "A1", ("A1.p0",), 7, (10,), size=1522, period=1000)]
+        cfg = SimConfig(duration_cycles=1, bg_load=1.0, seed=seed)
+        assert _paths(topology, gcls, flows, cfg) == paths
+        taken = _loaded_paths(monkeypatch, topology, gcls, flows, cfg)
+        assert taken["A1.p0"][0] == path
+        if path == "counted":
+            assert taken["A1.p0"][1] == (0, 250)
+        if paths[1]:
+            assert taken["C.p0"] == ("counted", (250, 0))
 
 
 class TestPerPortReplay:
@@ -768,18 +893,19 @@ class TestPerPortReplay:
         ],
         ids=["queued scheduled frame", "arrival as the wire frees up", "background arrival as the wire frees up"],
     )
-    def test_where_the_busy_wire_loop_stops(self, entries, frames, load, offset, seed):
+    def test_best_effort_sharing_the_wire(self, entries, frames, load, offset, seed):
         """At 4 Tb/s a full-size frame takes 4 ns on A1.p0, where class 7
-        and best effort are open together (always, without a gate list).
-        In each case the busy-wire loop must leave the next transmit to
-        the heap: (1) two class-7 frames arrive at an idle wire and a
-        background frame while the first is sent, and the second goes
-        next; (2) best effort, held back over [0, 100), goes back to back
-        from 100, and a class-7 frame arriving as one ends goes next; (3)
-        a burst of 64 class-7 frames keeps the wire while a background
-        frame arrives per frame sent, so best effort's queue is full after
-        it, and the background arrival that ties the burst's end goes
-        first and is dropped."""
+        and best effort are open together (always, without a gate list),
+        so the port is coupled and replays with background. In each case
+        the next transmit is not the next best-effort frame: (1) two
+        class-7 frames arrive at an idle wire and a background frame
+        while the first is sent, and the second goes next; (2) best
+        effort, held back over [0, 100), goes back to back from 100, and
+        a class-7 frame arriving as one ends goes next; (3) a burst of 64
+        class-7 frames keeps the wire while a background frame arrives
+        per frame sent, so best effort's queue is full after it, and the
+        background arrival that ties the burst's end goes first and is
+        dropped."""
         topology = _direct()
         gcls = {} if entries is None else {"A1.p0": GateControlList("A1.p0", 200, tuple(GclEntry(*e) for e in entries))}
         flows = [_flow("s1", "A1", ("A1.p0",), 7, (offset,), size=1522, period=1000, frames=frames)]

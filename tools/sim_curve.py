@@ -16,10 +16,14 @@ Each row also takes the load-1 run the way `verify_ns` does: a plan built
 from the schedules fixes each port's scheduled arrivals and departures,
 and the run replays each port alone against it, running the full event
 loop only where the two could differ. The row reports that run's median
-ms, whether it was replayed or fell back, and its report hash; the
-script exits 1 when that hash differs from `bg1_report_sha256`, or when
-a row's run was not replayed. It prints one row per size and writes them
-to a JSON file with the host's Python and CPU count.
+ms, whether it was replayed or fell back, and its report hash, and two
+port counts: the ports whose best effort the recurrence counted, and the
+ports replayed with background (a coupled port, where best effort can
+share an open gate with a flow, or a tie the recurrence cannot order).
+The script exits 1 when that hash differs from `bg1_report_sha256`, when
+a row's run was not replayed, or when a row has a coupled port. It
+prints one row per size and writes them to a JSON file with the host's
+Python and CPU count.
 
     python3 tools/sim_curve.py [--max-streams 2048] [--out BENCH_sim.json]
 
@@ -43,6 +47,7 @@ import admission_curve as ac  # puts src/ and tests/ on the path
 import scenarios as sc  # noqa: E402
 from tsnfv.codec import dump_json, load_json  # noqa: E402
 from tsnfv.model import GateControlList  # noqa: E402
+from tsnfv import verifier  # noqa: E402
 from tsnfv.verifier import SimConfig, SimReport, _Plan, flow_from_schedules, simulate  # noqa: E402
 from tsnfv.workspace import Workspace  # noqa: E402
 
@@ -69,6 +74,31 @@ def network(streams: int):
     ]
     gcls = {port: GateControlList.from_doc(doc) for port, doc in ws.gcl_docs.items()}
     return ws.topology, gcls, flows, len(active)
+
+
+def port_paths(plan: _Plan, cfg: SimConfig) -> tuple[int, int]:
+    """(ports the best-effort recurrence counted, ports replayed with
+    background) in one replay of `cfg`'s run on `plan`."""
+    counted, replayed = set(), set()
+    best_effort, replay_port = verifier._best_effort, verifier._replay_port
+
+    def count(port, bg_times):
+        counts = best_effort(port, bg_times)
+        if counts is not None:
+            counted.add(port.key)
+        return counts
+
+    def replay(port, arrivals, departures, bg_times):
+        if bg_times:
+            replayed.add(port.key)
+        return replay_port(port, arrivals, departures, bg_times)
+
+    verifier._best_effort, verifier._replay_port = count, replay
+    try:
+        plan.replay(SimReport(), cfg)
+    finally:
+        verifier._best_effort, verifier._replay_port = best_effort, replay_port
+    return len(counted), len(replayed)
 
 
 def run_row(streams: int) -> dict:
@@ -106,6 +136,8 @@ def run_row(streams: int) -> dict:
     row["bg1_replayed_ms"] = round(statistics.median(times) * 1e3, 2)
     row["bg1_replayed_runs_ms"] = [round(t * 1e3, 2) for t in sorted(times)]
     row["bg1_replayed_path"] = "replayed" if plan.replay(SimReport(), cfg) else "full loop"
+    row["bg1_counted_ports"], row["bg1_replayed_ports"] = port_paths(plan, cfg)
+    row["coupled_ports"] = len(plan.coupled)
     row["bg1_replayed_report_sha256"] = hashlib.sha256(docs.pop()).hexdigest()
     return row
 
@@ -119,7 +151,7 @@ def main(argv=None) -> int:
     rows = []
     print(
         f"{'streams':>8} {'flows':>6} {'bg0 ms':>8} {'frames/s':>9} {'bg1 ms':>8} {'frames/s':>9} "
-        f"{'replayed ms':>12} {'path':>9}"
+        f"{'replayed ms':>12} {'path':>9} {'counted':>8} {'replayed':>8}"
     )
     for streams in (n for n in SIZES if n <= args.max_streams):
         row = run_row(streams)
@@ -127,7 +159,7 @@ def main(argv=None) -> int:
         print(
             f"{row['streams']:>8} {row['flows']:>6} {row['bg0_ms']:>8.1f} {row['bg0_frames_per_s']:>9} "
             f"{row['bg1_ms']:>8.1f} {row['bg1_frames_per_s']:>9} {row['bg1_replayed_ms']:>12.1f} "
-            f"{row['bg1_replayed_path']:>9}"
+            f"{row['bg1_replayed_path']:>9} {row['bg1_counted_ports']:>8} {row['bg1_replayed_ports']:>8}"
         )
     doc = {
         "script": "tools/sim_curve.py",
@@ -146,7 +178,10 @@ def main(argv=None) -> int:
     looped = [r["streams"] for r in rows if r["bg1_replayed_path"] != "replayed"]
     if looped:
         print(f"error: the load-1 run took the full event loop at {looped} streams", file=sys.stderr)
-    return 1 if differ or looped else 0
+    coupled = [r["streams"] for r in rows if r["coupled_ports"]]
+    if coupled:
+        print(f"error: a flow's class shares an open gate with best effort at {coupled} streams", file=sys.stderr)
+    return 1 if differ or looped or coupled else 0
 
 
 if __name__ == "__main__":

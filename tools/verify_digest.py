@@ -12,7 +12,11 @@ not `EXPECTED`.
     python3 tools/verify_digest.py
 
 Stdlib only; it reads the package from `src/` and the generators from
-`tests/`. A run takes about 15 s on a 2-core x86-64 host.
+`tests/`. A run takes about 6 s on a 2-core x86-64 host under Python
+3.11.7. Of the 735 results at simulator seed 0 and 3 cycles, 210 have
+best-effort drops; over all 2940, six loaded runs of a port meet a tie
+that the best-effort recurrence leaves to a replay. So the digest pins
+the recurrence's drops and its fall-back.
 """
 
 from __future__ import annotations
