@@ -83,8 +83,9 @@ class CncState:
     again from its reservations, in one pass, when next read.
 
     Loading checks what the scheduler relies on: the schedules name their
-    own streams and existing ports, the hyperperiod is the streams' own,
-    and no two windows on a port overlap.
+    own streams and existing ports, each window holds its stream's burst,
+    the hyperperiod is the streams' own, and no two windows on a port
+    overlap.
     """
 
     domain_id: str
@@ -98,14 +99,21 @@ class CncState:
         self.period_counts = {}
         self.ports = {}
         # A loaded record is where the gate lists are synthesized from, so
-        # its schedules must name their own streams and ports that exist.
+        # its schedules must name their own streams and ports that exist,
+        # with windows that hold the stream's burst.
         for sid, entry in self.admitted.items():
             schedule = entry.schedule
             if schedule.stream_id != sid:
                 raise ValidationError(f"schedule of stream {sid} names stream {schedule.stream_id}")
             for res in schedule.reservations:
-                if self.topology.link_at(res.port_id) is None:
+                link = self.topology.link_at(res.port_id)
+                if link is None:
                     raise ValidationError(f"stream {sid} reserves port {res.port_id}, which no link has")
+                burst = burst_occupancy(entry.requirement.traffic, link.speed_bps)
+                if res.length_ns < burst:
+                    raise ValidationError(
+                        f"stream {sid}: its window on {res.port_id} is {res.length_ns} ns, its burst needs {burst} ns"
+                    )
             self._index(entry.requirement.traffic.period_ns, schedule)
         # every gate list is laid out on this cycle, so it must be the streams' own
         cycle = math.lcm(*self.period_counts) if self.period_counts else 0

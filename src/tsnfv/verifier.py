@@ -25,12 +25,13 @@ plan, by induction on time the replays are the run, port by port. Where
 a departure is off plan, or an order no port sees decides, the run
 takes the full event loop instead.
 
-Each port's scheduled frames are replayed once, without background
-(`_replay_port`). Where no gate entry opens best effort together with a
-crossing flow's class, the port is apart: neither delays the other, so
-every run reuses that replay, and a loaded run counts best effort alone
-by a queue recurrence (`_best_effort`). A coupled port, or a tie the
-recurrence cannot order, replays with background. See `_Plan`.
+A port is apart where no gate entry opens best effort together with a
+crossing flow's class; a verification fails on any other port a flow
+crosses. On an apart port neither delays the other, so each port's
+scheduled frames are replayed once, without background (`_replay_port`),
+for every run, and a loaded run counts best effort alone by a queue
+recurrence (`_best_effort`). A coupled port, or a tie the recurrence
+cannot order, sends a loaded run to the event loop. See `_Plan`.
 """
 
 from __future__ import annotations
@@ -525,49 +526,49 @@ class _Plan:
     it, or -1 for a release), its set-up order, class, burst size and wire
     time, and the frame's flow, release tick and hop.
 
-    A run takes each port alone on its planned arrivals plus its own
-    background chain, and checks that the port departs on plan. Ports
-    meet only through arrivals, and an arrival lands strictly after the
-    transmit that pushed it, so a port's events run in the global order
-    (time, push order) exactly when they run in (time, pusher time, the
-    port's own push order). If every port departs on plan, so does the
-    run, by induction on time: at the run's earliest deviation, every
-    arrival at its port came from an earlier departure, on plan, so that
-    port's replay deviates too. The report is then the planned latencies
-    with the background counts summed; otherwise `simulate` runs the
-    full event loop.
+    A run takes each port alone on its planned arrivals, and checks that
+    the port departs on plan. Ports meet only through arrivals, and an
+    arrival lands strictly after the transmit that pushed it, so a port's
+    events run in the global order (time, push order) exactly when they
+    run in (time, pusher time, the port's own push order). If every port
+    departs on plan, so does the run, by induction on time: at the run's
+    earliest deviation, every arrival at its port came from an earlier
+    departure, on plan, so that port's replay deviates too. The report is
+    then the planned latencies with each port's best-effort counts
+    summed; otherwise `simulate` runs the full event loop.
 
     A port is apart when no flow crosses it, or when it has a gate list
     in which no entry opens class 0 together with a crossing flow's
-    class; else it is coupled. On an apart port best effort and the
-    flows never have open gates at once, and a frame is sent only if it
-    ends before its own gate closes, so neither is ever on the wire
-    while the other's gate is open: in any order of ties, neither waits
-    for the other. Its scheduled departures are then its quiet ones at
-    every load, and its best effort alone is a FIFO queue with one
-    service time, which `_best_effort` counts. On first use the plan
-    replays each port's scheduled arrivals without background and keeps
-    the ports off plan, for the quiet run and every loaded run. A loaded
-    run replays with background (`_replay_port`) only on a coupled port,
-    or where an arrival ties a best-effort start with the queue full.
+    class; else it is coupled, and `coupled` holds its violations. On an
+    apart port best effort and the flows never have open gates at once,
+    and a frame is sent only if it ends before its own gate closes, so
+    neither is ever on the wire while the other's gate is open: in any
+    order of ties, neither waits for the other. Its scheduled departures
+    are then its quiet ones at every load, and its best effort alone is a
+    FIFO queue with one service time, which `_best_effort` counts. On
+    first use the plan replays each port's scheduled arrivals
+    (`_replay_port`) and keeps whether every port departs on plan, for
+    the quiet run and every loaded run. A loaded run takes the event loop
+    instead where a port is coupled, or where an arrival ties a
+    best-effort start with the queue full.
 
-    `_replay_port` fails where a scheduled arrival ties another event of
-    its port on time and pusher time, an order no port sees, except for
-    two ties that commute: with a background arrival, and with an arrival
-    of another class (each appends to its own queue, and both wake the
-    port to the same time). No run replays where two same-class arrivals
-    tie, since that order is their FIFO order; nor where a flow cannot
-    follow its plan (`_fixed`), or two flows share a stream id."""
+    `_replay_port` fails where a scheduled arrival ties a transmit of its
+    port on time and pusher time, an order no port sees. A tie with an
+    arrival of another class commutes: each appends to its own queue, and
+    both wake the port to the same time. No run replays where two
+    same-class arrivals tie, since that order is their FIFO order; nor
+    where a flow cannot follow its plan (`_fixed`), or two flows share a
+    stream id."""
 
-    __slots__ = ("ports", "t_end", "arrivals", "departures", "streams", "coupled", "off_plan")
+    __slots__ = ("ports", "t_end", "arrivals", "departures", "streams", "coupled", "on_plan")
 
     def __init__(
         self, topology: Topology, gcls: dict[str, GateControlList], flows: list[ScheduledFlow], duration_cycles: int
     ):
         self.ports, routes = _build(topology, gcls, flows)
         self.t_end = _horizon(gcls, flows, duration_cycles)
-        self.coupled = {key for key, port in self.ports.items() if _coupled(port)}
-        self.off_plan: set[str] | None = None  # ports off plan in the quiet run; None: not replayed yet
+        self.coupled = {key: found for key, port in self.ports.items() if (found := _coupled(port))}
+        self.on_plan: bool | None = None  # whether every port's quiet replay departs on plan; None: not replayed yet
         self.arrivals: dict[str, list[tuple]] | None = None  # None: no run replays
         if len({flow.requirement.stream_id for flow in flows}) < len(flows) or not all(map(_fixed, flows, routes)):
             return
@@ -609,25 +610,23 @@ class _Plan:
         instead."""
         if self.arrivals is None:
             return False
-        if self.off_plan is None:  # the quiet verdict, kept for every run
-            self.off_plan = {
-                key for key, arrivals in self.arrivals.items()
-                if arrivals and _replay_port(self.ports[key], arrivals, self.departures[key], []) is None
-            }
+        if self.on_plan is None:  # the quiet verdict, kept for every run
+            self.on_plan = all(
+                _replay_port(self.ports[key], arrivals, self.departures[key])
+                for key, arrivals in self.arrivals.items()
+                if arrivals
+            )
         # an apart port departs at every load as it does in the quiet run
-        if self.off_plan - self.coupled or (self.off_plan and cfg.bg_load == 0):
+        if not self.on_plan or (cfg.bg_load > 0 and self.coupled):
             return False
         be_sent = be_dropped = 0
         if cfg.bg_load > 0:
             t_end = self.t_end
             for port, first, gaps in _background(self.ports, cfg):
                 times = list(itertools.takewhile(t_end.__gt__, itertools.accumulate(gaps, initial=first)))
-                key = port.key
-                counts = None if key in self.coupled else _best_effort(port, times)
+                counts = _best_effort(port, times)
                 if counts is None:
-                    counts = _replay_port(port, self.arrivals[key], self.departures[key], times)
-                    if counts is None:
-                        return False
+                    return False
                 be_sent += counts[0]
                 be_dropped += counts[1]
         report.streams = {sid: StreamReport(sid, worst, count) for sid, worst, count in self.streams}
@@ -650,12 +649,20 @@ def _fixed(flow: ScheduledFlow, route: list[tuple[_Port, int, bool]]) -> bool:
     )
 
 
-def _coupled(port: _Port) -> bool:
-    """Whether best effort can share an open gate with a flow crossing
-    `port`: it has no gate list, or an entry opens class 0 together with
-    a crossing flow's class."""
-    mask, gcl = sum(1 << cls for cls in port.flow_classes), port.gates.gcl
-    return mask > 0 and (gcl is None or any(e.gate_states & 1 and e.gate_states & mask for e in gcl.entries))
+def _coupled(port: _Port) -> list[dict]:
+    """Where best effort can share an open gate with a flow crossing
+    `port`, one `coupled_port` violation each: the port has no gate list
+    (the crossing classes), or an entry opens class 0 together with a
+    crossing flow's class (the entry's index and those classes). Empty
+    where the port is apart."""
+    classes, gcl = sorted(port.flow_classes), port.gates.gcl
+    if gcl is None:
+        return [{"kind": "coupled_port", "classes": classes}] if classes else []
+    return [
+        {"kind": "coupled_port", "entry": index, "classes": shared}
+        for index, entry in enumerate(gcl.entries)
+        if entry.gate_states & 1 and (shared := [cls for cls in classes if entry.gate_states >> cls & 1])
+    ]
 
 
 def _best_effort(port: _Port, bg_times: list[int]) -> tuple[int, int] | None:
@@ -668,9 +675,9 @@ def _best_effort(port: _Port, bg_times: list[int]) -> tuple[int, int] | None:
     run holds the whole frame. A frame leaves the queue as it starts, so
     an arrival is dropped when `BG_QUEUE_CAP` accepted frames start after
     it. A start at the arrival's own time leaves first or not by the push
-    order of the two, which only a replay knows; at the cap that order
-    decides the drop. Every accepted frame is sent, after the horizon if
-    need be."""
+    order of the two, which only the event loop knows; at the cap that
+    order decides the drop. Every accepted frame is sent, after the
+    horizon if need be."""
     if not port.be_fits:
         return 0, len(bg_times)
     span, wire = port.gates.span, port.be_wire
@@ -701,74 +708,38 @@ def _best_effort(port: _Port, bg_times: list[int]) -> tuple[int, int] | None:
     return len(starts), len(bg_times) - len(starts)
 
 
-def _replay_port(
-    port: _Port, arrivals: list[tuple], departures: list, bg_times: list[int]
-) -> tuple[int, int] | None:
-    """One port of a run, alone: its planned scheduled arrivals and its
-    background arrival times, under the event loop's rules. Events run in
-    (time, pusher time, push order); an arrival goes first on equal time
-    and pusher time. Returns (best-effort frames sent, dropped), or
-    None where a scheduled departure is off plan or an arrival ties a
-    pending transmit on time and pusher time.
-
-    Every port's quiet run replays here, without background. A loaded
-    run replays here only where best effort and the scheduled frames
-    can meet, on a coupled port, or where `_best_effort` cannot order a
-    background arrival that ties a start with the queue full."""
+def _replay_port(port: _Port, arrivals: list[tuple], departures: list) -> bool:
+    """One port of a run, alone: its planned scheduled arrivals under the
+    event loop's rules, without background. Transmits run in (time,
+    pusher time, push order); an arrival goes before a transmit of equal
+    time and pusher time. Whether every scheduled departure is on plan
+    and no arrival ties a pending transmit on time and pusher time."""
     heappush, heappop = heapq.heappush, heapq.heappop
     span = port.gates.span
-    be_wire = port.be_wire
-    cap = BG_QUEUE_CAP if port.be_fits else 0
     scheduled = tuple(sorted(port.flow_classes, reverse=True))
     queues: list[deque[tuple[int, tuple]]] = [deque() for _ in range(8)]
-    queued = waiting = 0  # scheduled and best-effort frames queued
     busy = 0
     wake_at = None
     heap: list[tuple[int, int, int]] = []  # transmits: (time, pusher time, push order)
-    order = 1
-    next_background = iter([*bg_times, _NEVER]).__next__
-    tb, pb, ob = next_background(), -1, 0
-    dropped = matched = 0
+    order = matched = 0
     ia, na = 0, len(arrivals)
     ta, pa = arrivals[0][:2] if na else (_NEVER, _NEVER)
-    # Class 0 is closed over [lo, opens_0) and open over [opens_0, closes_0).
-    lo = opens_0 = closes_0 = 0
     while True:
-        tt, tp, to = heap[0] if heap else (_NEVER, _NEVER, _NEVER)
-        background = tb < tt or (tb == tt and (pb < tp or (pb == tp and ob < to)))
-        t, p = (tb, pb) if background else (tt, tp)
-        if ta < t or (ta == t and pa <= p):
+        tt, tp, _ = heap[0] if heap else (_NEVER, _NEVER, _NEVER)
+        if ta < tt or (ta == tt and pa <= tp):
             if ta == _NEVER:
                 break
             now, pusher, _, cls, count, wire, frame = arrivals[ia]
             ia += 1
             ta, pa = arrivals[ia][:2] if ia < na else (_NEVER, _NEVER)
             if pusher >= 0 and any(e[0] == now and e[1] == pusher for e in heap):
-                return None
+                return False
             queues[cls].extend(itertools.repeat((wire, frame), count))
-            queued += count
             w = busy if now < busy else now
             if wake_at is None or w < wake_at:
                 wake_at = w
                 heappush(heap, (w, now, order))
                 order += 1
-            continue
-        if t == _NEVER:
-            break
-        if background:
-            now = tb
-            if waiting < cap:
-                waiting += 1
-                w = busy if now < busy else now
-                if wake_at is None or w < wake_at:
-                    wake_at = w
-                    heappush(heap, (w, now, order))
-                    order += 1
-            else:
-                dropped += 1
-            tb = next_background()
-            pb, ob = now, order
-            order += 1
             continue
         heappop(heap)
         if tt != wake_at:
@@ -776,49 +747,33 @@ def _replay_port(
         wake_at = None
         now = tt
         chosen = close = opens = None
-        if queued:
-            for cls in scheduled:
-                if queues[cls]:
-                    start, end = span(cls, now)
-                    if start is None:
-                        continue
-                    if start <= now:
-                        chosen, close = cls, end
-                        break
-                    if opens is None or start < opens:
-                        opens = start
-        if chosen is None and waiting:
-            if not lo <= now < closes_0:
-                # never None: a class 0 that never opens queues nothing
-                start, end = span(BE_CLASS, now)
-                lo, opens_0, closes_0 = now, start, _NEVER if end is None else end
-            if opens_0 <= now:
-                chosen, close = BE_CLASS, closes_0
-            elif opens is None or opens_0 < opens:
-                opens = opens_0
+        for cls in scheduled:
+            if queues[cls]:
+                start, end = span(cls, now)
+                if start is None:
+                    continue
+                if start <= now:
+                    chosen, close = cls, end
+                    break
+                if opens is None or start < opens:
+                    opens = start
         if chosen is not None:
-            wire = queues[chosen][0][0] if chosen else be_wire
+            wire, frame = queues[chosen][0]
             if close is None or now + wire <= close:
+                queues[chosen].popleft()
+                if matched == len(departures) or departures[matched] != (now, frame):
+                    return False
+                matched += 1
                 busy = wake_at = now + wire
                 heappush(heap, (busy, now, order))
                 order += 1
-                if chosen:
-                    _, frame = queues[chosen].popleft()
-                    queued -= 1
-                    if matched == len(departures) or departures[matched] != (now, frame):
-                        return None
-                    matched += 1
-                else:
-                    waiting -= 1
                 continue
             opens = close if opens is None else min(close, opens)
         if opens is not None:
             wake_at = busy if opens < busy else opens
             heappush(heap, (wake_at, now, order))
             order += 1
-    if matched < len(departures):
-        return None
-    return len(bg_times) - dropped - waiting, dropped
+    return matched == len(departures)
 
 
 def malformed_gcl_keys(doc: dict) -> list[str]:
@@ -914,13 +869,13 @@ class VerifyResult(Codec):
 def verify_ns(instance, topology: Topology, gcls: dict[str, dict], cfg: SimConfig) -> VerifyResult:
     """Full verification of one active NS instance.
 
-    Checks every gate control list structurally, then simulates at zero
-    and at saturating background load (plus the configured load when it
-    differs). Passes iff all lists are well formed and no run drops a
-    scheduled frame, exceeds a stream's latency bound, or disagrees with
-    bg0 on a stream's worst latency. A replayed run takes the planned
-    latencies, so only a run that fell back to the event loop can
-    disagree.
+    Checks every gate control list structurally, and that every port a
+    stream crosses is apart (`coupled_port` violations otherwise), then
+    simulates at zero and at saturating background load (plus the
+    configured load when it differs). Passes iff all lists are well
+    formed, every such port is apart, and no run drops a scheduled frame
+    or exceeds a stream's latency bound. On apart ports best effort never
+    delays a scheduled frame, so every run departs as the quiet one does.
     """
     if getattr(instance, "status", None) != "active":
         raise ValidationError(
@@ -945,25 +900,24 @@ def verify_ns(instance, topology: Topology, gcls: dict[str, dict], cfg: SimConfi
         for req, chain in instance.stream_schedules()
     ]
 
+    plan = _Plan(topology, typed, flows, cfg.duration_cycles)
+    if plan.coupled:
+        return VerifyResult(passed=False, gcl_violations=plan.coupled, reports={})
+
     loads = [0.0, 1.0]
     if cfg.bg_load not in (0.0, 1.0):
         loads.append(cfg.bg_load)
     reports: dict[str, SimReport] = {}
-    plan = _Plan(topology, typed, flows, cfg.duration_cycles)
     for load in loads:
         run_cfg = SimConfig(duration_cycles=cfg.duration_cycles, bg_load=load, seed=cfg.seed)
         reports[f"bg{load:g}"] = simulate(topology, typed, flows, run_cfg, plan)
 
     passed = True
-    baseline = reports["bg0"]
     for report in reports.values():
         if report.total_dropped:
             passed = False
         for flow in flows:
-            sid = flow.requirement.stream_id
-            rec = report.streams[sid]
+            rec = report.streams[flow.requirement.stream_id]
             if rec.observed_worst_latency_ns > flow.requirement.traffic.max_latency_ns:
-                passed = False
-            if rec.observed_worst_latency_ns != baseline.streams[sid].observed_worst_latency_ns:
                 passed = False
     return VerifyResult(passed=passed, gcl_violations={}, reports=reports)

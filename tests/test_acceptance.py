@@ -75,8 +75,8 @@ def test_criterion_01_admitted_streams_meet_bounds_under_full_load(sweep):
     """Every run of each verification also departs on plan at every port,
     so no event loop ran; with one second-hop window start moved by 1 ns,
     it does not. Every port is apart (no gate entry opens best effort
-    with a crossing flow's class), so a loaded run replays scheduled
-    frames only where the best-effort recurrence meets a tie."""
+    with a crossing flow's class), as `verify_ns` requires, so each
+    port's quiet replay holds at every load."""
     assert len(sweep) >= 200
     admitted = _admitted(sweep)
     assert len(admitted) >= 150

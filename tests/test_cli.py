@@ -59,18 +59,18 @@ def instantiate_demo(files) -> None:
     assert rc == 0
 
 
-def load_corrupted(monkeypatch, corrupt) -> None:
-    """Make every read of a workspace's GCL documents hand out port A.p0's
-    as `corrupt` leaves it: the lists are built on each read, so a bad
-    list can only be planted in what the read returns."""
+def load_edited(monkeypatch, edit) -> None:
+    """Make every read of a workspace's GCL documents, port -> document,
+    hand them out as `edit` leaves them: the lists are built on each read,
+    so a bad list can only be planted in what the read returns."""
     build = Workspace.gcl_docs.fget
 
-    def corrupted(ws):
+    def edited(ws):
         docs = build(ws)
-        corrupt(docs["A.p0"])
+        edit(docs)
         return docs
 
-    monkeypatch.setattr(Workspace, "gcl_docs", property(corrupted))
+    monkeypatch.setattr(Workspace, "gcl_docs", property(edited))
 
 
 def config_documents(out: str) -> list[dict]:
@@ -437,14 +437,36 @@ class TestVerifyCommand:
 
     def test_corrupt_gcl_fails_with_3(self, files, capsys, monkeypatch):
         instantiate_demo(files)
-        load_corrupted(monkeypatch, lambda gcl: gcl["entries"][0].update(
-            interval_ns=gcl["entries"][0]["interval_ns"] - 2000
+        load_edited(monkeypatch, lambda docs: docs["A.p0"]["entries"][0].update(
+            interval_ns=docs["A.p0"]["entries"][0]["interval_ns"] - 2000
         ))
         capsys.readouterr()
         assert run("verify", "ns-0001", "--state", files["state"]) == 3
         out = capsys.readouterr().out
         assert "gcl A.p0: sum_mismatch cycle_ns=250000 sum_ns=248000" in out
         assert out.splitlines()[-1] == "verify ns-0001: FAIL"
+
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            (
+                lambda docs: docs["A.p0"].update(entries=[{"gate_states": 0xFF, "interval_ns": 250_000}]),
+                "gcl A.p0: coupled_port classes=[7] entry=0",
+            ),
+            (lambda docs: docs.pop("A.p0"), "gcl A.p0: coupled_port classes=[7]"),
+        ],
+        ids=["class 0 opens with the stream's class", "no gate list"],
+    )
+    def test_coupled_port_fails_with_3(self, files, capsys, monkeypatch, edit, line):
+        """Where best effort can be open together with vl1~fwd's class 7
+        on its talker port, no plan holds under every load: verify names
+        the port and fails before any run. The one-entry list that opens
+        every gate is well formed."""
+        instantiate_demo(files)
+        load_edited(monkeypatch, edit)
+        capsys.readouterr()
+        assert run("verify", "ns-0001", "--state", files["state"]) == 3
+        assert capsys.readouterr().out.splitlines() == [line, "verify ns-0001: FAIL"]
 
     def test_unknown_instance(self, files, capsys):
         instantiate_demo(files)
@@ -1392,6 +1414,28 @@ class TestMalformedInput:
                 "overlaps the window of s000b~rev at [5756, 10012)"
             )
 
+    def test_state_with_a_window_shorter_than_its_burst(self, files, capsys):
+        """vl1~fwd's window on B1.p1 cut to 1 ns, where its frame needs
+        4160 ns. The frame would be lost at every release, so the load
+        refuses the window instead of leaving it for verify to count as
+        drops."""
+        instantiate_demo(files)
+
+        def edit(doc):
+            for entry in doc["cnc"]["d1"]["streams"]:
+                if entry["requirement"]["stream_id"] == "vl1~fwd":
+                    window = entry["schedule"]["reservations"][-1]
+                    assert window["port_id"] == "B1.p1"
+                    window["window_end_ns"] = window["window_start_ns"] + 1
+
+        self._edit_state(files, edit)
+        for argv in (("show", "streams"), ("verify", "ns-0001")):
+            capsys.readouterr()
+            assert run(*argv, "--state", files["state"]) == 1, argv
+            assert self._single_error(capsys) == (
+                "error: stream vl1~fwd: its window on B1.p1 is 1 ns, its burst needs 4160 ns"
+            )
+
     def test_state_whose_bridge_has_too_few_gate_entries(self, files, capsys):
         instantiate_demo(files)
 
@@ -1442,7 +1486,7 @@ class TestMalformedInput:
 
     def test_verify_reports_string_gcl_interval(self, files, capsys, monkeypatch):
         instantiate_demo(files)
-        load_corrupted(monkeypatch, lambda gcl: gcl["entries"][0].update(interval_ns="4160"))
+        load_edited(monkeypatch, lambda docs: docs["A.p0"]["entries"][0].update(interval_ns="4160"))
         capsys.readouterr()
         assert run("verify", "ns-0001", "--state", files["state"]) == 3
         out = capsys.readouterr().out.splitlines()

@@ -9,7 +9,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -408,8 +408,9 @@ class TestAgainstReference:
     def test_path_mismatch(self, intra_topology, ports, message):
         """The same error from `verify_ns` as from the event loop without
         a plan: no run replays such a flow, though its planned departures
-        would hold at load 0."""
-        _, (flow,) = _admitted(intra_topology)
+        would hold at load 0. `verify_ns` gets an apart list on each port
+        of the path, since it refuses a flow-carrying port without one."""
+        state, (flow,) = _admitted(intra_topology)
         bad = replace(flow, ports=ports)
         for run in (reference.simulate, simulate):
             with pytest.raises(ValidationError) as caught:
@@ -419,8 +420,10 @@ class TestAgainstReference:
         hops = zip(ports, bad.window_starts_ns)
         schedule = StreamSchedule("s1", tuple(HopReservation(p, t, t + 4160, 7, "s1", t) for p, t in hops), 10_320)
         instance = SimpleNamespace(status="active", stream_schedules=lambda: [(bad.requirement, [("d1", schedule)])])
+        apart = synthesize_gcls(state)["A.p0"].to_doc()
+        docs = {port: dict(apart, port_id=port) for port in ports}
         with pytest.raises(ValidationError) as caught:
-            verify_ns(instance, intra_topology, {}, SimConfig(bg_load=1.0))
+            verify_ns(instance, intra_topology, docs, SimConfig(bg_load=1.0))
         assert str(caught.value) == message
 
 
@@ -610,6 +613,33 @@ class TestVerifyNs:
         assert "B1.p1" in result.gcl_violations
         assert result.reports == {}
 
+    @pytest.mark.parametrize(
+        "masks, violations",
+        [
+            ({0x80: 0x40, 0x7F: 0xBF}, [{"kind": "coupled_port", "entry": 1, "classes": [7]}]),
+            (None, [{"kind": "coupled_port", "classes": [7]}]),
+        ],
+        ids=["window handed to class 6", "no gate list"],
+    )
+    def test_coupled_port_fails_before_simulation(self, masks, violations):
+        """vl1~fwd (class 7) leaves on A.p0. With its window handed to
+        class 6, the still well-formed list opens class 7 only in the
+        others-open entry, together with best effort; with no list, every
+        gate is always open."""
+        ws = sc.build_workspace(sc.intra_pop_topology())
+        instance = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+        docs = {p: dict(d, entries=[dict(e) for e in d["entries"]]) for p, d in ws.gcl_docs.items()}
+        if masks is None:
+            del docs["A.p0"]
+        else:
+            for entry in docs["A.p0"]["entries"]:
+                entry["gate_states"] = masks.get(entry["gate_states"], entry["gate_states"])
+            assert check_gcl_wellformed(docs["A.p0"], GBPS) == []
+        result = verify_ns(instance, ws.topology, docs, SimConfig(bg_load=1.0))
+        assert not result.passed
+        assert result.gcl_violations == {"A.p0": violations}
+        assert result.reports == {}
+
     def test_rejects_inactive_instance(self):
         ws = sc.build_workspace(sc.intra_pop_topology())
         instance = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
@@ -672,6 +702,39 @@ def _flow(sid: str, talker: str, ports, pcp: int, starts, size: int = 500, perio
     return verifier.ScheduledFlow(req, tuple(ports), tuple(starts))
 
 
+_fast_entries = st.lists(
+    st.tuples(st.sampled_from([0x7F, 0x00, 0x80, 0x20, 0xFF, 0x01]), st.integers(1, 40)), min_size=1, max_size=6
+)
+_fast_streams = st.lists(
+    st.tuples(st.sampled_from(["A1", "A2"]), st.sampled_from([5, 7]), st.integers(0, 99)), min_size=1, max_size=4
+)
+
+
+def _fast_network(entries, streams) -> tuple:
+    """(topology, gate lists, flows) on `_two_talkers` at 4 Tb/s, with the
+    list `entries` on every port that a flow crosses. Each stream, (talker,
+    class, offset), sends twice in a run of 200 ns, as two flows of one
+    full-size frame each, so that the window starts its frames take in the
+    quiet run are a plan."""
+    topology = _two_talkers(speed=4_000_000_000_000)
+    gcl = GateControlList("x", sum(i for _, i in entries), tuple(GclEntry(m, i) for m, i in entries))
+    gcls = {port: replace(gcl, port_id=port) for port in ("A1.p0", "A2.p0", "B1.p2")}
+    flows = [
+        _flow(f"s{n}-{k}", talker, (f"{talker}.p0", "B1.p2"), pcp, (offset + 100 * k, 0), size=1522, period=200)
+        for n, (talker, pcp, offset) in enumerate(streams)
+        for k in range(2)
+    ]
+    sent = []
+    reference.simulate(topology, gcls, flows, SimConfig(duration_cycles=1), sent)
+    starts = {(i, hop): t for i, _, hop, t in sent}
+    flows = [
+        replace(flow, window_starts_ns=(starts[i, 0], starts[i, 1]))
+        for i, flow in enumerate(flows)
+        if (i, 1) in starts  # else no open run of its class carries it
+    ]
+    return topology, gcls, flows
+
+
 def _paths(topology, gcls, flows, cfg) -> tuple[bool, bool]:
     """Whether the quiet run and `cfg`'s run replay on one plan of
     `flows`, as `verify_ns` builds it. Checks each run's report, through
@@ -692,34 +755,29 @@ def _paths(topology, gcls, flows, cfg) -> tuple[bool, bool]:
 def _loaded_paths(monkeypatch, topology, gcls, flows, cfg) -> dict[str, tuple]:
     """How a replay of `cfg`'s run took each port that background load
     reaches, with what the port counted: "counted" by the best-effort
-    recurrence, "fell back" from it to a replay with background, or
-    "replayed" with background from the start (a coupled port)."""
+    recurrence, or "fell back" from it to the event loop. A run that
+    takes the event loop before any count (a coupled port) has none."""
     taken = {}
-    best_effort, replay_port = verifier._best_effort, verifier._replay_port
+    best_effort = verifier._best_effort
 
     def counted(port, bg_times):
         counts = best_effort(port, bg_times)
         taken[port.key] = ("fell back" if counts is None else "counted", counts)
         return counts
 
-    def replayed(port, arrivals, departures, bg_times):
-        counts = replay_port(port, arrivals, departures, bg_times)
-        if bg_times:
-            taken[port.key] = (taken.get(port.key, ("replayed",))[0], counts)
-        return counts
-
     monkeypatch.setattr(verifier, "_best_effort", counted)
-    monkeypatch.setattr(verifier, "_replay_port", replayed)
     verifier._Plan(topology, gcls, flows, cfg.duration_cycles).replay(SimReport(), cfg)
     return taken
 
 
-def _ties_at_the_cap(entries, wire: int, bg_times: list[int]) -> bool:
-    """Whether a background arrival lands on a best-effort start while
-    `BG_QUEUE_CAP` frames wait, the starting one included: there the
-    order of the two decides a drop. Each accepted frame starts at the
-    first nanosecond, at or after its arrival and the last frame's end,
-    from which class 0 stays open for its whole wire time."""
+def _scanned_best_effort(entries, wire: int, bg_times: list[int]) -> tuple[int, int] | None:
+    """Best effort alone on a port, nanosecond by nanosecond: (frames
+    sent, dropped), or None where a background arrival lands on a
+    best-effort start while `BG_QUEUE_CAP` frames wait, the starting one
+    included, since there the order of the two decides a drop. Each
+    accepted frame starts at the first nanosecond, at or after its
+    arrival and the last frame's end, from which class 0 stays open for
+    its whole wire time, and is sent."""
     open_ns = [bool(mask & 1) for mask, interval in entries for _ in range(interval)] if entries else [True]
     cycle = len(open_ns)
     holds = [all(open_ns[(u + k) % cycle] for k in range(wire)) for u in range(cycle)]
@@ -728,20 +786,20 @@ def _ties_at_the_cap(entries, wire: int, bg_times: list[int]) -> bool:
         waiting = [s for s in starts if s >= t]
         if len(waiting) == verifier.BG_QUEUE_CAP:
             if waiting[0] == t:
-                return True
+                return None
             continue
         s = max(t, starts[-1] + wire) if starts else t
         while not holds[s % cycle]:
             s += 1
         starts.append(s)
-    return False
+    return len(starts), len(bg_times) - len(starts)
 
 
 class TestBestEffortRecurrence:
     """On an apart port, best effort is a FIFO queue with one service
     time, and `_best_effort` counts it by recurrence. It must count what
-    the port's replay without scheduled frames counts, or give up only
-    where an arrival ties a start with the queue at the cap."""
+    a scan of every nanosecond counts, and give up exactly where the
+    scan finds an arrival that ties a start with the queue at the cap."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -774,37 +832,36 @@ class TestBestEffortRecurrence:
         rng = random.Random(seed)
         first = rng.randrange(0, base + 1)
         times = list(itertools.accumulate(itertools.islice(verifier._gaps(rng, base), arrivals - 1), initial=first))
-        counts = verifier._best_effort(port, times)
-        if counts is None:
-            assert _ties_at_the_cap(entries, port.be_wire, times)
-        else:
-            assert counts == verifier._replay_port(port, [], [], times)
+        assert verifier._best_effort(port, times) == _scanned_best_effort(entries, port.be_wire, times)
 
     @pytest.mark.parametrize(
         "entries, seed, paths, path",
         [
-            (((0x81, 100), (0x00, 400), (0x01, 500)), 0, (True, False), "replayed"),
-            (None, 0, (True, False), "replayed"),
+            (((0x81, 100), (0x00, 400), (0x01, 500)), 0, (True, False), None),
+            (None, 0, (True, False), None),
             (((0x80, 100), (0x00, 898), (0x01, 2)), 0, (True, True), "counted"),
-            (((0x80, 100), (0x00, 400), (0x01, 500)), 1, (True, True), "fell back"),
+            (((0x80, 100), (0x00, 400), (0x01, 500)), 1, (True, False), "fell back"),
         ],
         ids=["class 0 opens with class 7", "no gate list", "class 0 never fits a frame", "a tie at the cap"],
     )
     def test_how_a_loaded_run_takes_a_port(self, monkeypatch, entries, seed, paths, path):
         """A1.p0 carries a class-7 frame in [10, 14) and sends best effort
         in 4 ns frames, whose background arrives every 4 ns. Where class 0
-        can be open with class 7, the port is coupled and replays with
-        background; else the recurrence counts it, drops every arrival
-        when no class-0 run holds a frame, and falls back to a replay
-        where an arrival ties the first start at 500, with the queue full
-        since about 256. C.p0 carries no flow, so it is always apart;
-        a coupled A1.p0 ends the replay before it."""
+        can be open with class 7, the port is coupled and the loaded run
+        takes the event loop before any port is counted; else the
+        recurrence counts it, drops every arrival when no class-0 run
+        holds a frame, and falls back to the event loop where an arrival
+        ties the first start at 500, with the queue full since about 256.
+        C.p0 carries no flow, so it is always apart."""
         topology = _direct()
         gcls = {} if entries is None else {"A1.p0": GateControlList("A1.p0", 1000, tuple(GclEntry(*e) for e in entries))}
         flows = [_flow("s1", "A1", ("A1.p0",), 7, (10,), size=1522, period=1000)]
         cfg = SimConfig(duration_cycles=1, bg_load=1.0, seed=seed)
         assert _paths(topology, gcls, flows, cfg) == paths
         taken = _loaded_paths(monkeypatch, topology, gcls, flows, cfg)
+        if path is None:
+            assert taken == {}
+            return
         assert taken["A1.p0"][0] == path
         if path == "counted":
             assert taken["A1.p0"][1] == (0, 250)
@@ -844,45 +901,34 @@ class TestPerPortReplay:
             assert report.to_doc() == reference.simulate(topology, gcls, flows, run_cfg).to_doc()
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        entries=st.lists(
-            st.tuples(st.sampled_from([0x7F, 0x00, 0x80, 0x20, 0xFF, 0x01]), st.integers(1, 40)),
-            min_size=1,
-            max_size=6,
-        ),
-        streams=st.lists(
-            st.tuples(st.sampled_from(["A1", "A2"]), st.sampled_from([5, 7]), st.integers(0, 99)),
-            min_size=1,
-            max_size=4,
-        ),
-        load=st.sampled_from([1.0, 0.5]),
-        sim_seed=st.integers(0, 2**31),
-    )
+    @given(entries=_fast_entries, streams=_fast_streams, load=st.sampled_from([1.0, 0.5]), sim_seed=st.integers(0, 2**31))
     def test_exact_ties_on_fast_links(self, entries, streams, load, sim_seed):
         """At 4 Tb/s a full-size frame takes 4 ns and background gaps have
         no jitter, and every port has the same gate list, so events of a
-        port tie on time, and on pusher time, all the time. Each stream
-        sends twice in a run of 200 ns, as two flows of one frame each, so
-        that the window starts its frames take in the quiet run are a
-        plan."""
-        topology = _two_talkers(speed=4_000_000_000_000)
-        gcl = GateControlList("x", sum(i for _, i in entries), tuple(GclEntry(m, i) for m, i in entries))
-        gcls = {port: replace(gcl, port_id=port) for port in ("A1.p0", "A2.p0", "B1.p2")}
-        flows = [
-            _flow(f"s{n}-{k}", talker, (f"{talker}.p0", "B1.p2"), pcp, (offset + 100 * k, 0), size=1522, period=200)
-            for n, (talker, pcp, offset) in enumerate(streams)
-            for k in range(2)
-        ]
-        cfg = SimConfig(duration_cycles=1, bg_load=load, seed=sim_seed)
-        sent = []
-        reference.simulate(topology, gcls, flows, replace(cfg, bg_load=0.0), sent)
-        starts = {(i, hop): t for i, _, hop, t in sent}
-        flows = [
-            replace(flow, window_starts_ns=(starts[i, 0], starts[i, 1]))
-            for i, flow in enumerate(flows)
-            if (i, 1) in starts  # else no open run of its class carries it
-        ]
-        _paths(topology, gcls, flows, cfg)
+        port tie on time, and on pusher time, all the time (see
+        `_fast_network`)."""
+        _paths(*_fast_network(entries, streams), SimConfig(duration_cycles=1, bg_load=load, seed=sim_seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=_fast_entries, streams=_fast_streams, sim_seed=st.integers(0, 2**31))
+    def test_apart_ports_depart_alike_at_every_load(self, entries, streams, sim_seed):
+        """Where every port is apart, best effort never delays a
+        scheduled frame, whatever the order of ties: the reference
+        simulator's scheduled departures and stream records at loads 0.5
+        and 1 are those at load 0. So `verify_ns` judges every load by
+        the quiet run's latencies. Left out are networks whose plan is
+        not fixed: there two same-class frames reach a port at one time,
+        pushed at one time, and their FIFO order is the order in which
+        their ports' transmits ran, which background events can change."""
+        topology, gcls, flows = _fast_network(entries, streams)
+        plan = verifier._Plan(topology, gcls, flows, 1)
+        assume(not plan.coupled and plan.arrivals is not None)
+        runs = []
+        for load in (0.0, 0.5, 1.0):
+            sent = []
+            report = reference.simulate(topology, gcls, flows, SimConfig(1, load, sim_seed), sent)
+            runs.append((sorted(sent), report.to_doc()["streams"]))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     @pytest.mark.parametrize(
         "entries, frames, load, offset, seed",
@@ -896,7 +942,8 @@ class TestPerPortReplay:
     def test_best_effort_sharing_the_wire(self, entries, frames, load, offset, seed):
         """At 4 Tb/s a full-size frame takes 4 ns on A1.p0, where class 7
         and best effort are open together (always, without a gate list),
-        so the port is coupled and replays with background. In each case
+        so the port is coupled and the loaded run takes the event loop,
+        whose report is the reference simulator's. In each case
         the next transmit is not the next best-effort frame: (1) two
         class-7 frames arrive at an idle wire and a background frame
         while the first is sent, and the second goes next; (2) best
@@ -909,7 +956,7 @@ class TestPerPortReplay:
         topology = _direct()
         gcls = {} if entries is None else {"A1.p0": GateControlList("A1.p0", 200, tuple(GclEntry(*e) for e in entries))}
         flows = [_flow("s1", "A1", ("A1.p0",), 7, (offset,), size=1522, period=1000, frames=frames)]
-        assert _paths(topology, gcls, flows, SimConfig(duration_cycles=1, bg_load=load, seed=seed)) == (True, True)
+        assert _paths(topology, gcls, flows, SimConfig(duration_cycles=1, bg_load=load, seed=seed)) == (True, False)
 
     def test_background_that_delays_a_scheduled_frame_falls_back(self, intra_topology):
         """With class 0 open through the guard and the window, a
@@ -954,12 +1001,18 @@ class TestPerPortReplay:
         }
         assert _paths(topology, gcls, flows, SimConfig(bg_load=1.0)) == paths
 
-    @pytest.mark.parametrize("load, fallbacks", [(1.0, 1), (0.02, 0)])
-    def test_ports_without_gate_lists(self, intra_topology, load, fallbacks):
+    @pytest.mark.parametrize("load, delays", [(1.0, 1), (0.02, 0)])
+    def test_ports_without_gate_lists(self, intra_topology, load, delays):
         """Nothing holds best effort back, so under full load it delays
-        the scheduled frames; under light load none is in the way."""
+        the scheduled frames; under light load none is in the way. Either
+        way the ports are coupled, so the loaded run takes the event loop."""
         _, flows = _admitted(intra_topology, count=2)
-        assert _paths(intra_topology, {}, flows, SimConfig(bg_load=load, seed=3)) == (True, not fallbacks)
+        cfg = SimConfig(bg_load=load, seed=3)
+        assert _paths(intra_topology, {}, flows, cfg) == (True, False)
+        quiet = simulate(intra_topology, {}, flows, replace(cfg, bg_load=0.0)).streams
+        loaded = simulate(intra_topology, {}, flows, cfg).streams
+        late = [sid for sid in quiet if loaded[sid].observed_worst_latency_ns > quiet[sid].observed_worst_latency_ns]
+        assert late == (["s1", "s2"] if delays else [])
 
     def test_full_background_queue_drops(self, intra_topology):
         """C.p0 carries no stream; its class-0 gate lets one best-effort

@@ -18,8 +18,7 @@ and the run replays each port alone against it, running the full event
 loop only where the two could differ. The row reports that run's median
 ms, whether it was replayed or fell back, and its report hash, and two
 port counts: the ports whose best effort the recurrence counted, and the
-ports replayed with background (a coupled port, where best effort can
-share an open gate with a flow, or a tie the recurrence cannot order).
+coupled ports, where best effort can share an open gate with a flow.
 The script exits 1 when that hash differs from `bg1_report_sha256`, when
 a row's run was not replayed, or when a row has a coupled port. It
 prints one row per size and writes them to a JSON file with the host's
@@ -76,11 +75,11 @@ def network(streams: int):
     return ws.topology, gcls, flows, len(active)
 
 
-def port_paths(plan: _Plan, cfg: SimConfig) -> tuple[int, int]:
-    """(ports the best-effort recurrence counted, ports replayed with
-    background) in one replay of `cfg`'s run on `plan`."""
-    counted, replayed = set(), set()
-    best_effort, replay_port = verifier._best_effort, verifier._replay_port
+def counted_ports(plan: _Plan, cfg: SimConfig) -> int:
+    """Ports whose best effort the recurrence counted in one replay of
+    `cfg`'s run on `plan`."""
+    counted = set()
+    best_effort = verifier._best_effort
 
     def count(port, bg_times):
         counts = best_effort(port, bg_times)
@@ -88,17 +87,12 @@ def port_paths(plan: _Plan, cfg: SimConfig) -> tuple[int, int]:
             counted.add(port.key)
         return counts
 
-    def replay(port, arrivals, departures, bg_times):
-        if bg_times:
-            replayed.add(port.key)
-        return replay_port(port, arrivals, departures, bg_times)
-
-    verifier._best_effort, verifier._replay_port = count, replay
+    verifier._best_effort = count
     try:
         plan.replay(SimReport(), cfg)
     finally:
-        verifier._best_effort, verifier._replay_port = best_effort, replay_port
-    return len(counted), len(replayed)
+        verifier._best_effort = best_effort
+    return len(counted)
 
 
 def run_row(streams: int) -> dict:
@@ -136,7 +130,7 @@ def run_row(streams: int) -> dict:
     row["bg1_replayed_ms"] = round(statistics.median(times) * 1e3, 2)
     row["bg1_replayed_runs_ms"] = [round(t * 1e3, 2) for t in sorted(times)]
     row["bg1_replayed_path"] = "replayed" if plan.replay(SimReport(), cfg) else "full loop"
-    row["bg1_counted_ports"], row["bg1_replayed_ports"] = port_paths(plan, cfg)
+    row["bg1_counted_ports"] = counted_ports(plan, cfg)
     row["coupled_ports"] = len(plan.coupled)
     row["bg1_replayed_report_sha256"] = hashlib.sha256(docs.pop()).hexdigest()
     return row
@@ -151,7 +145,7 @@ def main(argv=None) -> int:
     rows = []
     print(
         f"{'streams':>8} {'flows':>6} {'bg0 ms':>8} {'frames/s':>9} {'bg1 ms':>8} {'frames/s':>9} "
-        f"{'replayed ms':>12} {'path':>9} {'counted':>8} {'replayed':>8}"
+        f"{'replayed ms':>12} {'path':>9} {'counted':>8}"
     )
     for streams in (n for n in SIZES if n <= args.max_streams):
         row = run_row(streams)
@@ -159,7 +153,7 @@ def main(argv=None) -> int:
         print(
             f"{row['streams']:>8} {row['flows']:>6} {row['bg0_ms']:>8.1f} {row['bg0_frames_per_s']:>9} "
             f"{row['bg1_ms']:>8.1f} {row['bg1_frames_per_s']:>9} {row['bg1_replayed_ms']:>12.1f} "
-            f"{row['bg1_replayed_path']:>9} {row['bg1_counted_ports']:>8} {row['bg1_replayed_ports']:>8}"
+            f"{row['bg1_replayed_path']:>9} {row['bg1_counted_ports']:>8}"
         )
     doc = {
         "script": "tools/sim_curve.py",

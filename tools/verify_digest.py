@@ -15,8 +15,8 @@ Stdlib only; it reads the package from `src/` and the generators from
 `tests/`. A run takes about 6 s on a 2-core x86-64 host under Python
 3.11.7. Of the 735 results at simulator seed 0 and 3 cycles, 210 have
 best-effort drops; over all 2940, six loaded runs of a port meet a tie
-that the best-effort recurrence leaves to a replay. So the digest pins
-the recurrence's drops and its fall-back.
+that the best-effort recurrence leaves to the event loop. So the digest
+pins the recurrence's drops and its fall-back.
 """
 
 from __future__ import annotations
