@@ -183,6 +183,9 @@ class PlacementEntry(Codec):
 # Binding of every NS member to its substrate node and addresses, keyed by
 # member id: the document and the record are the same map.
 Placement = dict[str, PlacementEntry]
+# Built once: working out a decoder from the type hints costs more than
+# decoding a small placement.
+_decode_placement = decoder(Placement)
 
 
 def parse_nsd(text: str) -> Nsd:
@@ -192,7 +195,7 @@ def parse_nsd(text: str) -> Nsd:
 
 def parse_placement(text: str) -> Placement:
     """Parse a placement JSON document: member id to node binding."""
-    return decoder(Placement)(load_json(text, "placement"), "placement")
+    return _decode_placement(load_json(text, "placement"), "placement")
 
 
 def derive_streams(nsd: Nsd, placement: Placement) -> list[StreamRequirement]:

@@ -13,17 +13,18 @@ entirely before that gate next closes. Frames that do not fit wait; there
 is no preemption and no fragmentation. Store-and-forward with a constant
 per-bridge processing delay.
 
-`simulate`'s event loop is the reference. A verification first builds a
-plan from the schedules: the scheduled arrivals and departures that the
-window starts fix at each port. Every run, the quiet one (background
-load 0) included, then takes each port alone against the plan, since
-best-effort frames never leave their port: ports meet only through
-scheduled arrivals, and an arrival lands strictly after the transmit
-that sent it, so restricted to one port the loop's order is (time,
-pusher time, the port's own push order). Where every port departs on
-plan, by induction on time the replays are the run, port by port. Where
-a departure is off plan, or an order no port sees decides, the run
-takes the full event loop instead.
+`simulate`'s event loop is the reference. A verification first checks
+each gate control list document and lays each port's gate runs straight
+from it, once, then builds a plan from the schedules: the scheduled
+arrivals and departures that the window starts fix at each port. Every
+run, the quiet one (background load 0) included, then takes each port
+alone against the plan, since best-effort frames never leave their
+port: ports meet only through scheduled arrivals, and an arrival lands
+strictly after the transmit that sent it, so restricted to one port the
+loop's order is (time, pusher time, the port's own push order). Where
+every port departs on plan, by induction on time the replays are the
+run, port by port. Where a departure is off plan, or an order no port
+sees decides, the run takes the full event loop instead.
 
 A port is apart where no gate entry opens best effort together with a
 crossing flow's class; a verification fails on any other port a flow
@@ -72,17 +73,18 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.duration_cycles, int) or self.duration_cycles < 1:
+        # A bool is no number here, as it is none to the codec.
+        if type(self.duration_cycles) is not int or self.duration_cycles < 1:
             raise SimConfigError(
-                f"duration_cycles must be an integer >= 1, got {self.duration_cycles}"
+                f"duration_cycles must be an integer >= 1, got {self.duration_cycles!r}"
             )
         try:
-            in_range = 0.0 <= self.bg_load <= 1.0
+            in_range = type(self.bg_load) is not bool and 0.0 <= self.bg_load <= 1.0
         except TypeError:  # not a number: a string or None
             in_range = False
         if not in_range:
             raise SimConfigError(f"bg_load must be in [0, 1], got {self.bg_load!r}")
-        if not isinstance(self.seed, int):
+        if type(self.seed) is not int:
             raise SimConfigError(f"seed must be an integer, got {self.seed!r}")
 
 
@@ -147,7 +149,10 @@ class SimReport(Codec):
 
 class _Gates:
     """Per-class open intervals of one port's gating cycle, merged
-    cyclically. No gate control list means every gate is always open.
+    cyclically, laid straight from the port's gate control list document
+    (its `cycle_ns` and its entries' `gate_states` and `interval_ns`),
+    which `check_gcl_wellformed` must pass first. No document means every
+    gate is always open.
 
     Each class keeps its run starts in ascending order and the matching
     run ends. A run that wraps the cycle boundary is stored last, with its
@@ -155,25 +160,27 @@ class _Gates:
     runs are laid on first use: a run asks only about the classes of the
     flows that cross the port, and best effort's."""
 
-    def __init__(self, gcl: GateControlList | None):
+    def __init__(self, gcl: dict | None):
         self.gcl = gcl
-        self.cycle = gcl.cycle_ns if gcl else 0
-        self.starts: list[list[int]] = [[] for _ in range(8)]
-        self.ends: list[list[int]] = [[] for _ in range(8)]
+        self.cycle = gcl["cycle_ns"] if gcl else 0
+        # Each class's runs, once laid.
+        self.starts: list[list[int] | None] = [None] * 8
+        self.ends: list[list[int] | None] = [None] * 8
         # Longest open run per class; None means always open.
         self.longest: list[object] = [_UNLAID if gcl else None] * 8
 
     def _lay(self, cls: int) -> int | None:
-        starts, ends = self.starts[cls], self.ends[cls]
+        starts, ends = self.starts[cls], self.ends[cls] = [], []
         t = 0
-        for entry in self.gcl.entries:
-            if entry.gate_states >> cls & 1:
+        for entry in self.gcl["entries"]:
+            interval = entry["interval_ns"]
+            if entry["gate_states"] >> cls & 1:
                 if ends and ends[-1] == t:
-                    ends[-1] += entry.interval_ns
+                    ends[-1] += interval
                 else:
                     starts.append(t)
-                    ends.append(t + entry.interval_ns)
-            t += entry.interval_ns
+                    ends.append(t + interval)
+            t += interval
         if len(starts) > 1 and starts[0] == 0 and ends[-1] == self.cycle:
             del starts[0]
             ends[-1] += ends.pop(0)
@@ -258,12 +265,12 @@ class _Port:
         cap = gates.max_run(BE_CLASS)
         self.be_fits = cap is None or self.be_wire <= cap
         self.flow_classes: set[int] = set()
-        self.reset(background=False)
 
     def reset(self, background: bool) -> None:
-        """Empty queues and an idle wire, for a new run. Only the classes
-        of the flows that cross the port, and best effort's under
-        background load, ever queue here, so a transmit scans no others."""
+        """Empty queues and an idle wire, for a new run of the event loop,
+        the one reader of a port's run state. Only the classes of the flows
+        that cross the port, and best effort's under background load, ever
+        queue here, so a transmit scans no others."""
         self.queues: list[deque[_Frame | None]] = [deque() for _ in range(8)]
         self.busy_until = 0
         self.wake_at: int | None = None
@@ -289,12 +296,13 @@ def _gaps(rng: random.Random, base: int) -> Iterator[int]:
 
 
 def _build(
-    topology: Topology, gcls: dict[str, GateControlList], flows: list[ScheduledFlow]
+    topology: Topology, gcls: dict[str, dict], flows: list[ScheduledFlow]
 ) -> tuple[dict[str, _Port], list[list[tuple[_Port, int, bool]]]]:
-    """Every port a run can use, in sorted order, and each flow's hops
-    resolved once: the port, the frame's wire time there, and whether an
-    open run of its class can ever carry it (a frame that none can carry
-    is lost at that hop)."""
+    """Every port a run can use, in sorted order, with its gates laid from
+    its list's document in `gcls`, and each flow's hops resolved once: the
+    port, the frame's wire time there, and whether an open run of its
+    class can ever carry it (a frame that none can carry is lost at that
+    hop)."""
     port_keys = set(topology.all_port_keys()) | set(gcls)
     for flow in flows:
         for port in flow.ports:
@@ -333,12 +341,13 @@ def _background(ports: dict[str, _Port], cfg: SimConfig) -> list[tuple[_Port, in
     return chains
 
 
-def _horizon(gcls: dict[str, GateControlList], flows: list[ScheduledFlow], duration_cycles: int) -> int:
+def _horizon(gcls: dict[str, dict], flows: list[ScheduledFlow], duration_cycles: int) -> int:
     """When a run stops releasing: `duration_cycles` hyperperiods of the
-    flows, or without flows of the longest gate cycle."""
+    flows, or without flows of the longest gate cycle in `gcls`, a map of
+    gate control list documents."""
     periods = [f.requirement.traffic.period_ns for f in flows]
     sim_cycle = hyperperiod(periods) if periods else max(
-        (g.cycle_ns for g in gcls.values()), default=1_000_000
+        (g["cycle_ns"] for g in gcls.values()), default=1_000_000
     )
     return duration_cycles * sim_cycle
 
@@ -359,17 +368,25 @@ def simulate(
     Events run in (time, push order); the hot branches, a background
     arrival and a transmit, do their wakeups inline.
 
-    `_plan` is `verify_ns`'s, built from the same inputs and duration.
-    The run first replays each port alone against it (see `_Plan`), and
-    takes the event loop only where that fails."""
+    `_plan` is `verify_ns`'s, built from the same flows and duration and
+    the gate lists as documents. With it `gcls` goes unread: the run
+    takes its ports, routes and horizon from the plan, first replays each
+    port alone against it (see `_Plan`), and takes the event loop only
+    where that fails. Without it the run builds its own ports from the
+    lists' documents."""
     report = SimReport(streams={f.requirement.stream_id: StreamReport(f.requirement.stream_id) for f in flows})
     if not flows and cfg.bg_load == 0:
         return report
 
-    t_end = report.duration_ns = _horizon(gcls, flows, cfg.duration_cycles)
-    if _plan is not None and _plan.replay(report, cfg):
-        return report
-    ports, routes = _build(topology, gcls, flows)
+    if _plan is None:
+        docs = {port: gcl.to_doc() for port, gcl in gcls.items()}
+        t_end = report.duration_ns = _horizon(docs, flows, cfg.duration_cycles)
+        ports, routes = _build(topology, docs, flows)
+    else:
+        t_end = report.duration_ns = _plan.t_end
+        if _plan.replay(report, cfg):
+            return report
+        ports, routes = _plan.ports, _plan.routes
     for port in ports.values():
         port.reset(background=cfg.bg_load > 0)
 
@@ -518,10 +535,13 @@ _NEVER = 1 << 62
 class _Plan:
     """What the schedules fix for every run of one verification.
 
-    The replays share the ports, built once. The window starts fix each
-    port's scheduled departures: frame j of the burst released at `tick`
-    leaves hop h at `tick + start_h + j * wire_h`, and reaches hop h + 1 a
-    wire time, the propagation and the bridge's forwarding delay later.
+    Every run shares the ports and the flows' routes, built once, with
+    each port's gates laid from its checked gate control list document;
+    the event loop reuses them where a run falls back. The window starts
+    fix each port's scheduled departures: frame j of the burst released
+    at `tick` leaves hop h at `tick + start_h + j * wire_h`, and reaches
+    hop h + 1 a wire time, the propagation and the bridge's forwarding
+    delay later.
     An arrival carries its time, its pusher time (the departure that sent
     it, or -1 for a release), its set-up order, class, burst size and wire
     time, and the frame's flow, release tick and hop.
@@ -560,23 +580,21 @@ class _Plan:
     where a flow cannot follow its plan (`_fixed`), or two flows share a
     stream id."""
 
-    __slots__ = ("ports", "t_end", "arrivals", "departures", "streams", "coupled", "on_plan")
+    __slots__ = ("ports", "routes", "t_end", "arrivals", "departures", "streams", "coupled", "on_plan")
 
-    def __init__(
-        self, topology: Topology, gcls: dict[str, GateControlList], flows: list[ScheduledFlow], duration_cycles: int
-    ):
-        self.ports, routes = _build(topology, gcls, flows)
+    def __init__(self, topology: Topology, gcls: dict[str, dict], flows: list[ScheduledFlow], duration_cycles: int):
+        self.ports, self.routes = _build(topology, gcls, flows)
         self.t_end = _horizon(gcls, flows, duration_cycles)
         self.coupled = {key: found for key, port in self.ports.items() if (found := _coupled(port))}
         self.on_plan: bool | None = None  # whether every port's quiet replay departs on plan; None: not replayed yet
         self.arrivals: dict[str, list[tuple]] | None = None  # None: no run replays
-        if len({flow.requirement.stream_id for flow in flows}) < len(flows) or not all(map(_fixed, flows, routes)):
+        if len({flow.requirement.stream_id for flow in flows}) < len(flows) or not all(map(_fixed, flows, self.routes)):
             return
         arrivals: dict[str, list[tuple]] = {key: [] for key in self.ports}
         departures: dict[str, list[tuple[int, tuple[int, int, int]]]] = {key: [] for key in self.ports}
         streams = []  # per flow: stream id, worst latency, frame count
         order = 0  # releases are pushed first, in this order
-        for i, (flow, route) in enumerate(zip(flows, routes)):
+        for i, (flow, route) in enumerate(zip(flows, self.routes)):
             traffic, cls = flow.requirement.traffic, flow.requirement.frame.pcp
             count, ticks = traffic.frames_per_period, range(0, self.t_end, traffic.period_ns)
             port, wire, _ = route[0]
@@ -656,12 +674,14 @@ def _coupled(port: _Port) -> list[dict]:
     crossing flow's class (the entry's index and those classes). Empty
     where the port is apart."""
     classes, gcl = sorted(port.flow_classes), port.gates.gcl
+    if not classes:
+        return []
     if gcl is None:
-        return [{"kind": "coupled_port", "classes": classes}] if classes else []
+        return [{"kind": "coupled_port", "classes": classes}]
     return [
         {"kind": "coupled_port", "entry": index, "classes": shared}
-        for index, entry in enumerate(gcl.entries)
-        if entry.gate_states & 1 and (shared := [cls for cls in classes if entry.gate_states >> cls & 1])
+        for index, mask in enumerate(entry["gate_states"] for entry in gcl["entries"])
+        if mask & 1 and (shared := [cls for cls in classes if mask >> cls & 1])
     ]
 
 
@@ -732,7 +752,8 @@ def _replay_port(port: _Port, arrivals: list[tuple], departures: list) -> bool:
             now, pusher, _, cls, count, wire, frame = arrivals[ia]
             ia += 1
             ta, pa = arrivals[ia][:2] if ia < na else (_NEVER, _NEVER)
-            if pusher >= 0 and any(e[0] == now and e[1] == pusher for e in heap):
+            # only a transmit pending at the arrival's own time can tie it
+            if pusher >= 0 and tt == now and any(e[0] == now and e[1] == pusher for e in heap):
                 return False
             queues[cls].extend(itertools.repeat((wire, frame), count))
             w = busy if now < busy else now
@@ -776,18 +797,37 @@ def _replay_port(port: _Port, arrivals: list[tuple], departures: list) -> bool:
     return matched == len(departures)
 
 
-def malformed_gcl_keys(doc: dict) -> list[str]:
-    """Key paths of a gate control list document that are missing or not
-    integers: `cycle_ns`, and `gate_states` and `interval_ns` of every
-    entry. The other checks need all of them."""
-    bad = [] if type(doc.get("cycle_ns")) is int else ["cycle_ns"]
+# The keys of a gate control list document, `base_time_ns` optional, and
+# of each of its entries.
+_GCL_KEYS = frozenset({"port_id", "cycle_ns", "entries", "base_time_ns"})
+_ENTRY_KEYS = ("gate_states", "interval_ns")
+
+
+def malformed_gcl_keys(doc) -> list[str]:
+    """Key paths of a gate control list document that the typed model's
+    codec would refuse: `port_id` missing or not a string; `cycle_ns`,
+    and `gate_states` and `interval_ns` of every entry, missing or not
+    integers; `base_time_ns` present and not an integer; `entries` not a
+    list; and any other key, of the list or of an entry. The other checks
+    need all of them right."""
+    if not isinstance(doc, dict):
+        return ["port_id", "cycle_ns", "entries"]
+    bad = [] if type(doc.get("port_id")) is str else ["port_id"]
+    if type(doc.get("cycle_ns")) is not int:
+        bad.append("cycle_ns")
+    if "base_time_ns" in doc and type(doc["base_time_ns"]) is not int:
+        bad.append("base_time_ns")
+    bad += [key for key in doc if key not in _GCL_KEYS]
     entries = doc.get("entries")
     if not isinstance(entries, list):
         return bad + ["entries"]
     for index, entry in enumerate(entries):
-        for key in ("gate_states", "interval_ns"):
-            if not isinstance(entry, dict) or type(entry.get(key)) is not int:
-                bad.append(f"entries[{index}].{key}")
+        if type(entry) is dict and len(entry) == 2:
+            if type(entry.get("gate_states")) is type(entry.get("interval_ns")) is int:
+                continue
+        entry = entry if isinstance(entry, dict) else {}
+        bad += [f"entries[{index}].{key}" for key in _ENTRY_KEYS if type(entry.get(key)) is not int]
+        bad += [f"entries[{index}].{key}" for key in entry if key not in _ENTRY_KEYS]
     return bad
 
 
@@ -796,8 +836,12 @@ def check_gcl_wellformed(gcl: GateControlList | dict, link_speed_bps: int) -> li
 
     Accepts the document form as well, so hand-corrupted or hand-built
     lists that the typed constructor would reject can still be examined.
-    A document with a missing or non-integer value gets one `bad_entry`
-    violation per such key and no other check.
+    A document the typed model's codec would refuse gets one `bad_entry`
+    violation per such key (see `malformed_gcl_keys`) and no other check.
+    So does one whose cycle is not positive (`bad_cycle`), that has no
+    entry (`no_entries`), or whose masks are not 8-bit (`bad_gate_states`
+    each), as the typed constructors refuse them; with those and the
+    intervals' checks, a document this passes can lay a port's gates.
     """
     if isinstance(gcl, GateControlList):
         doc = gcl.to_doc()
@@ -809,6 +853,15 @@ def check_gcl_wellformed(gcl: GateControlList | dict, link_speed_bps: int) -> li
     violations: list[dict] = []
     cycle = doc["cycle_ns"]
     entries = [(e["gate_states"], e["interval_ns"]) for e in doc["entries"]]
+    if cycle <= 0:
+        violations.append({"kind": "bad_cycle", "cycle_ns": cycle})
+    if not entries:
+        violations.append({"kind": "no_entries"})
+    for index, (mask, _) in enumerate(entries):
+        if not 0 <= mask <= 0xFF:
+            violations.append({"kind": "bad_gate_states", "entry": index, "gate_states": mask})
+    if violations:
+        return violations
 
     total = 0
     for mask, interval in entries:
@@ -869,10 +922,11 @@ class VerifyResult(Codec):
 def verify_ns(instance, topology: Topology, gcls: dict[str, dict], cfg: SimConfig) -> VerifyResult:
     """Full verification of one active NS instance.
 
-    Checks every gate control list structurally, and that every port a
-    stream crosses is apart (`coupled_port` violations otherwise), then
-    simulates at zero and at saturating background load (plus the
-    configured load when it differs). Passes iff all lists are well
+    Checks every gate control list document in `gcls` structurally, lays
+    each port's gates straight from its checked document, and checks that
+    every port a stream crosses is apart (`coupled_port` violations
+    otherwise), then simulates at zero and at saturating background load
+    (plus the configured load when it differs). Passes iff all lists are well
     formed, every such port is apart, and no run drops a scheduled frame
     or exceeds a stream's latency bound. On apart ports best effort never
     delays a scheduled frame, so every run departs as the quiet one does.
@@ -894,13 +948,12 @@ def verify_ns(instance, topology: Topology, gcls: dict[str, dict], cfg: SimConfi
     if gcl_violations:
         return VerifyResult(passed=False, gcl_violations=gcl_violations, reports={})
 
-    typed = {port: GateControlList.from_doc(doc) for port, doc in gcls.items()}
     flows = [
         flow_from_schedules(req, [sched for _, sched in chain])
         for req, chain in instance.stream_schedules()
     ]
 
-    plan = _Plan(topology, typed, flows, cfg.duration_cycles)
+    plan = _Plan(topology, gcls, flows, cfg.duration_cycles)
     if plan.coupled:
         return VerifyResult(passed=False, gcl_violations=plan.coupled, reports={})
 
@@ -910,7 +963,8 @@ def verify_ns(instance, topology: Topology, gcls: dict[str, dict], cfg: SimConfi
     reports: dict[str, SimReport] = {}
     for load in loads:
         run_cfg = SimConfig(duration_cycles=cfg.duration_cycles, bg_load=load, seed=cfg.seed)
-        reports[f"bg{load:g}"] = simulate(topology, typed, flows, run_cfg, plan)
+        # the plan holds the ports, laid from the documents
+        reports[f"bg{load:g}"] = simulate(topology, {}, flows, run_cfg, plan)
 
     passed = True
     for report in reports.values():

@@ -18,7 +18,6 @@ import oracle_bruteforce as oracle
 import scenarios as sc
 from tsnfv.descriptors import derive_streams, parse_nsd, parse_placement
 from tsnfv.errors import AdmissionFailedError
-from tsnfv.model import GateControlList
 from tsnfv.topology import load_topology, shortest_path
 from tsnfv.uni import reference_point
 from tsnfv.verifier import SimConfig, SimReport, _Plan, check_gcl_wellformed, flow_from_schedules, verify_ns
@@ -67,8 +66,7 @@ def _admitted(sweep: list[Case]) -> list[Case]:
 
 def _plan(case: Case, flows) -> _Plan:
     """The plan `verify_ns` builds for `flows` on the case's network."""
-    gcls = {port: GateControlList.from_doc(doc) for port, doc in case.ws.gcl_docs.items()}
-    return _Plan(case.ws.topology, gcls, flows, SimConfig().duration_cycles)
+    return _Plan(case.ws.topology, case.ws.gcl_docs, flows, SimConfig().duration_cycles)
 
 
 def test_criterion_01_admitted_streams_meet_bounds_under_full_load(sweep):

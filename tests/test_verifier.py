@@ -16,7 +16,7 @@ import reference
 import scenarios as sc
 from tsnfv import verifier
 from tsnfv.cnc import CncState, admit_stream, synthesize_gcls
-from tsnfv.errors import AdmissionFailedError, SimConfigError, ValidationError
+from tsnfv.errors import AdmissionFailedError, ParseError, SimConfigError, ValidationError
 from tsnfv.model import (
     DataFrameSpec,
     EndpointRef,
@@ -77,6 +77,10 @@ class TestSimConfig:
             {"bg_load": "0.5"},
             {"bg_load": None},
             {"seed": "abc"},
+            # a bool is no number, as it is none to the codec
+            {"duration_cycles": True},
+            {"bg_load": True},
+            {"seed": False},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -220,9 +224,18 @@ _entries = st.lists(
 )
 
 
+def _gcl_doc(entries, port="p") -> dict:
+    """The gate control list document of `entries`, (mask, interval)
+    pairs, with the cycle they sum to."""
+    return {
+        "port_id": port,
+        "cycle_ns": sum(interval for _, interval in entries),
+        "entries": [{"gate_states": m, "interval_ns": i} for m, i in entries],
+    }
+
+
 def _gates(entries) -> _Gates:
-    cycle = sum(interval for _, interval in entries)
-    return _Gates(GateControlList("p", cycle, tuple(GclEntry(m, i) for m, i in entries)))
+    return _Gates(_gcl_doc(entries))
 
 
 class TestGates:
@@ -475,6 +488,75 @@ def test_heap_pushes_per_frame_stay_bounded(intra_topology, monkeypatch):
     assert counter.pushes <= 4 * frames
 
 
+# A well-formed list at 1 Gb/s: a guard split by the cycle boundary, one
+# class-7 window and the others' time.
+_GOOD_ENTRIES = [(0x00, 6000), (0x80, 4160), (0x7F, 233_504), (0x00, 6336)]
+
+
+def _with_entry(doc: dict, index: int, **changes) -> dict:
+    doc["entries"][index].update(changes)
+    return doc
+
+
+# Documents the typed model refuses and the check once passed, or raised
+# on: each edit of a good list, with the violations it now gets.
+_REFUSED = {
+    "zero cycle, no entries": (
+        lambda doc: {**doc, "cycle_ns": 0, "entries": []},
+        [{"kind": "bad_cycle", "cycle_ns": 0}, {"kind": "no_entries"}],
+    ),
+    "9-bit mask": (
+        lambda doc: _with_entry(doc, 1, gate_states=256),
+        [{"kind": "bad_gate_states", "entry": 1, "gate_states": 256}],
+    ),
+    "negative mask": (
+        lambda doc: _with_entry(doc, 0, gate_states=-1),
+        [{"kind": "bad_gate_states", "entry": 0, "gate_states": -1}],
+    ),
+    "no port_id": (
+        lambda doc: {key: value for key, value in doc.items() if key != "port_id"},
+        [{"kind": "bad_entry", "key": "port_id"}],
+    ),
+    "unknown key": (lambda doc: {**doc, "base_time": 0}, [{"kind": "bad_entry", "key": "base_time"}]),
+    "unknown entry key": (
+        lambda doc: _with_entry(doc, 2, gate=0x7F),
+        [{"kind": "bad_entry", "key": "entries[2].gate"}],
+    ),
+    "string base time": (lambda doc: {**doc, "base_time_ns": "0"}, [{"kind": "bad_entry", "key": "base_time_ns"}]),
+    "not an object": (
+        lambda doc: list(doc.items()),
+        [{"kind": "bad_entry", "key": key} for key in ("port_id", "cycle_ns", "entries")],
+    ),
+}
+
+
+@st.composite
+def _gate_list_docs(draw) -> dict:
+    """Gate control list documents at 4 Tb/s, where a guard needs 4 ns:
+    mostly well formed (one-gate windows, the others' time, best effort
+    alone, guards), the rest with one flaw: an interval of 0, a cycle
+    that misses the sum, no entry, a mask no typed list holds, or a key
+    the typed model refuses; or with a `base_time_ns` it allows."""
+    kinds = draw(st.lists(st.sampled_from([0x02, 0x40, 0x80, "others", 0x01, 0x00]), min_size=1, max_size=6))
+    owned = sum({kind for kind in kinds if kind not in ("others", 0x01, 0x00)})
+    masks = [0xFF & ~owned if kind == "others" else kind for kind in kinds]
+    doc = _gcl_doc([(mask, draw(st.integers(4 if mask == 0 else 1, 12))) for mask in masks])
+    flaw = draw(st.sampled_from([None] * 8 + ["interval", "cycle", "empty", 0x100, -1, 0xFE, "keys"]))
+    entry = doc["entries"][draw(st.integers(0, len(kinds) - 1))]
+    if flaw == "interval":
+        doc["cycle_ns"] -= entry["interval_ns"]
+        entry["interval_ns"] = 0
+    elif flaw == "cycle":
+        doc["cycle_ns"] += draw(st.sampled_from([1, -1]))
+    elif flaw == "empty":
+        doc.update(cycle_ns=0, entries=[])
+    elif flaw == "keys":
+        doc.update(draw(st.sampled_from([{"base_time_ns": True}, {"port_id": 1}, {"x": 0}, {"base_time_ns": 5}])))
+    elif flaw is not None:
+        entry["gate_states"] = flaw
+    return doc
+
+
 class TestWellformedness:
     def _good(self, intra_topology):
         state, _ = _admitted(intra_topology)
@@ -539,7 +621,10 @@ class TestWellformedness:
             "entries[3].interval_ns",
         ]
         assert {v["kind"] for v in found} == {"bad_entry"}
-        assert check_gcl_wellformed({"cycle_ns": 10}, GBPS) == [{"kind": "bad_entry", "key": "entries"}]
+        assert check_gcl_wellformed({"cycle_ns": 10}, GBPS) == [
+            {"kind": "bad_entry", "key": "port_id"},
+            {"kind": "bad_entry", "key": "entries"},
+        ]
 
     def test_short_guard(self, intra_topology):
         gcl = self._good(intra_topology)["B1.p1"].to_doc()
@@ -585,6 +670,31 @@ class TestWellformedness:
         }
         assert check_gcl_wellformed(doc, GBPS) == []
 
+    @pytest.mark.parametrize("edit, violations", _REFUSED.values(), ids=_REFUSED.keys())
+    def test_refuses_what_the_typed_model_refuses(self, edit, violations):
+        """Each document is refused by `GateControlList.from_doc` too, so
+        a document the check passes can lay a port's gates."""
+        doc = edit(_gcl_doc(_GOOD_ENTRIES, "A.p0"))
+        assert check_gcl_wellformed(doc, GBPS) == violations
+        with pytest.raises((ParseError, ValidationError)):
+            GateControlList.from_doc(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=_gate_list_docs())
+    def test_a_passed_document_lays_the_gates(self, doc):
+        """Every document the check passes at 4 Tb/s (a guard of 4 ns)
+        decodes to a typed list, and the gates laid from it answer as a
+        scan of every nanosecond does."""
+        assume(check_gcl_wellformed(doc, 4_000_000_000_000) == [])
+        GateControlList.from_doc(doc)
+        entries = [(e["gate_states"], e["interval_ns"]) for e in doc["entries"]]
+        gates = _Gates(doc)
+        for cls in range(8):
+            for t in range(2 * gates.cycle):
+                span, longest = _brute_span(entries, cls, t)
+                assert gates.span(cls, t) == span, (cls, t)
+                assert gates.max_run(cls) == longest, cls
+
 
 class TestVerifyNs:
     def test_passes_on_clean_instance(self):
@@ -612,6 +722,30 @@ class TestVerifyNs:
         assert not result.passed
         assert "B1.p1" in result.gcl_violations
         assert result.reports == {}
+
+    def test_lays_the_gates_from_the_documents(self, monkeypatch):
+        """No typed gate control list is decoded on the way."""
+        ws = sc.build_workspace(sc.intra_pop_topology())
+        instance = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+        docs = ws.gcl_docs
+        decoded = classmethod(lambda *args: pytest.fail("a list was decoded"))
+        monkeypatch.setattr(GateControlList, "from_doc", decoded)
+        result = verify_ns(instance, ws.topology, docs, SimConfig(bg_load=0.5))
+        assert result.passed and set(result.reports) == {"bg0", "bg0.5", "bg1"}
+
+    @pytest.mark.parametrize("edit", [edit for edit, _ in _REFUSED.values()], ids=_REFUSED.keys())
+    def test_a_list_the_typed_model_refuses_is_reported(self, edit):
+        """`verify_ns` lays the gates from the documents the check
+        passes, so it must report, not raise on, every document the
+        typed model refuses."""
+        ws = sc.build_workspace(sc.intra_pop_topology())
+        instance = sc.instantiate(ws, sc.demo_nsd(), sc.demo_placement())
+        docs = ws.gcl_docs
+        docs["A.p0"] = edit(docs["A.p0"])
+        result = verify_ns(instance, ws.topology, docs, SimConfig(bg_load=1.0))
+        assert not result.passed and result.reports == {}
+        assert result.gcl_violations == {"A.p0": check_gcl_wellformed(docs["A.p0"], GBPS)}
+        assert result.gcl_violations["A.p0"]
 
     @pytest.mark.parametrize(
         "masks, violations",
@@ -735,12 +869,18 @@ def _fast_network(entries, streams) -> tuple:
     return topology, gcls, flows
 
 
+def _docs(gcls: dict) -> dict[str, dict]:
+    """The documents of typed gate control lists, the form `verify_ns`
+    gets them in and builds its plan from."""
+    return {port: gcl.to_doc() for port, gcl in gcls.items()}
+
+
 def _paths(topology, gcls, flows, cfg) -> tuple[bool, bool]:
     """Whether the quiet run and `cfg`'s run replay on one plan of
     `flows`, as `verify_ns` builds it. Checks each run's report, through
     `simulate` with the plan and through the replay where there is one,
     against the reference simulator's."""
-    plan = verifier._Plan(topology, gcls, flows, cfg.duration_cycles)
+    plan = verifier._Plan(topology, _docs(gcls), flows, cfg.duration_cycles)
     paths = []
     for run_cfg in (replace(cfg, bg_load=0.0), cfg):
         expected = reference.simulate(topology, gcls, flows, run_cfg).to_doc()
@@ -766,7 +906,7 @@ def _loaded_paths(monkeypatch, topology, gcls, flows, cfg) -> dict[str, tuple]:
         return counts
 
     monkeypatch.setattr(verifier, "_best_effort", counted)
-    verifier._Plan(topology, gcls, flows, cfg.duration_cycles).replay(SimReport(), cfg)
+    verifier._Plan(topology, _docs(gcls), flows, cfg.duration_cycles).replay(SimReport(), cfg)
     return taken
 
 
@@ -824,9 +964,7 @@ class TestBestEffortRecurrence:
         """Wire times of 4, 13 and 31 ns, open runs of class 0 shorter
         than a frame or none, and gaps under 8 ns (no jitter, so arrivals
         tie starts) at high loads."""
-        gcl = None
-        if entries is not None:
-            gcl = GateControlList("A1.p0", sum(i for _, i in entries), tuple(GclEntry(*e) for e in entries))
+        gcl = None if entries is None else _gcl_doc(entries, "A1.p0")
         port = verifier._Port("A1.p0", _direct(speed), _Gates(gcl))
         base = max(1, round(port.be_wire / load))
         rng = random.Random(seed)
@@ -921,7 +1059,7 @@ class TestPerPortReplay:
         pushed at one time, and their FIFO order is the order in which
         their ports' transmits ran, which background events can change."""
         topology, gcls, flows = _fast_network(entries, streams)
-        plan = verifier._Plan(topology, gcls, flows, 1)
+        plan = verifier._Plan(topology, _docs(gcls), flows, 1)
         assume(not plan.coupled and plan.arrivals is not None)
         runs = []
         for load in (0.0, 0.5, 1.0):
@@ -974,6 +1112,22 @@ class TestPerPortReplay:
         loaded = simulate(intra_topology, gcls, flows, SimConfig(bg_load=1.0)).streams["s1"]
         assert loaded.observed_worst_latency_ns > quiet.observed_worst_latency_ns
 
+    @pytest.mark.parametrize("shift, paths", [(0, (False, False)), (1, (True, False))], ids=["tied", "1 ns later"])
+    def test_an_arrival_that_ties_a_transmit(self, shift, paths):
+        """Every link sends a 500-byte frame in 4160 ns, with no
+        propagation or forwarding delay. B1.p2 starts s1's frame at 4160,
+        so it wakes at 8320, pushed at 4160; s2's frame leaves A2 at 4160
+        and reaches B1.p2 at 8320, pushed at 4160 too. Which of the two
+        goes first is the order in which the two ports' transmits at 4160
+        ran, which no port sees, so no run replays. A frame 1 ns later
+        ties nothing, and only the loaded run, on ports without gate
+        lists, takes the event loop."""
+        flows = [
+            _flow("s1", "A1", ("A1.p0", "B1.p2"), 7, (0, 4160)),
+            _flow("s2", "A2", ("A2.p0", "B1.p2"), 5, (4160 + shift, 8320 + shift)),
+        ]
+        assert _paths(_two_talkers(), {}, flows, SimConfig(bg_load=1.0)) == paths
+
     @pytest.mark.parametrize(
         "classes, paths", [((7, 7), (False, False)), ((7, 5), (True, True))], ids=["same class", "different classes"]
     )
@@ -1022,7 +1176,7 @@ class TestPerPortReplay:
         gcls["C.p0"] = GateControlList("C.p0", 250_000, (GclEntry(0x01, 12_336), GclEntry(0xFE, 237_664)))
         cfg = SimConfig(duration_cycles=6, bg_load=1.0)
         assert _paths(intra_topology, gcls, flows, cfg) == (True, True)
-        plan = verifier._Plan(intra_topology, gcls, flows, cfg.duration_cycles)
+        plan = verifier._Plan(intra_topology, _docs(gcls), flows, cfg.duration_cycles)
         assert simulate(intra_topology, gcls, flows, cfg, plan).be_dropped > 0
 
     @pytest.mark.parametrize(
@@ -1043,7 +1197,7 @@ class TestPerPortReplay:
         cfg = SimConfig(bg_load=1e-320)
         with pytest.raises(SimConfigError) as direct:
             simulate(intra_topology, gcls, flows, cfg)
-        plan = verifier._Plan(intra_topology, gcls, flows, cfg.duration_cycles)
+        plan = verifier._Plan(intra_topology, _docs(gcls), flows, cfg.duration_cycles)
         with pytest.raises(SimConfigError) as replayed:
             simulate(intra_topology, gcls, flows, cfg, plan)
         assert str(replayed.value) == str(direct.value)
